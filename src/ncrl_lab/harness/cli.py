@@ -21,7 +21,8 @@ from ..metrics import evaluate
 from ..model import (TrainConfig, grad_check, scorer_from_dict, scorer_to_dict,
                      train)
 from ..prediction import (COARSE_GRID, FINE_GRID, adaptive_flags, global_flags,
-                          sweep_global_threshold, sweep_per_label_thresholds)
+                          per_label_flags, sweep_global_threshold,
+                          sweep_per_label_thresholds)
 from .dataio import (load_dataset, load_json, read_config_file, save_dataset,
                      save_json, write_results_csv)
 from .experiments import (ExperimentConfig, run_ablation, run_compare,
@@ -138,14 +139,7 @@ def _prediction_flags(args, scores):
         return global_flags(scores, args.threshold)
     if args.thresholds is None:
         raise ValueError("--rule per-label requires --thresholds")
-    from ..losses import sigmoid
-
-    t = np.asarray(args.thresholds, dtype=float)
-    if t.shape != (scores.shape[1] - 1,):
-        raise ValueError(f"need exactly {scores.shape[1] - 1} thresholds")
-    if not ((t > 0) & (t < 1)).all():
-        raise ValueError("thresholds must lie in (0, 1)")
-    return (sigmoid(scores[:, 1:]) > t).astype(int)
+    return per_label_flags(scores, args.thresholds)
 
 
 def _cmd_eval(args) -> int:
@@ -220,7 +214,6 @@ def _cmd_compare(args) -> int:
         synth=_synth_config(args),
         train_configs=train_configs,
         seeds=args.seeds,
-        output_path=args.out,
     )
     rows = run_no_none_study(config) if args.no_none_study else run_compare(config)
     return _write_rows(rows, args.out)
@@ -232,7 +225,6 @@ def _cmd_ablate(args) -> int:
         synth=_synth_config(args),
         train_configs=[_train_config_base(args, "ncrl_final", args.gamma)],
         seeds=args.seeds,
-        output_path=args.out,
     )
     if args.sweep_gamma:
         rows = run_gamma_sweep(config, args.sweep_gamma)
@@ -334,8 +326,22 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
-def _expand_config_args(argv: list) -> list:
-    """Splice --config file entries in as flags ahead of explicit ones."""
+def _switches(parser: argparse.ArgumentParser, command: str) -> set:
+    """The store_true flags of one subcommand; empty if it is unknown."""
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices.get(command)
+    return {flag for a in (sub._actions if sub else ())
+            if isinstance(a, argparse._StoreTrueAction)
+            for flag in a.option_strings}
+
+
+def _expand_config_args(argv: list, parser: argparse.ArgumentParser) -> list:
+    """Splice --config file entries in as flags ahead of explicit ones.
+
+    Boolean words turn the subcommand's store_true flags on or off; every
+    other entry becomes a flag followed by its value.
+    """
     path = None
     rest = []
     i = 0
@@ -357,27 +363,26 @@ def _expand_config_args(argv: list) -> list:
         return rest
     if not rest:
         raise ValueError("--config must follow a subcommand")
+    switches = _switches(parser, rest[0])
     injected = []
     for key, value in read_config_file(path).items():
         flag = "--" + key.replace("_", "-")
-        lowered = value.lower()
-        if lowered in _TRUE_WORDS:
+        if flag in switches and value.lower() in _TRUE_WORDS:
             injected.append(flag)
-        elif lowered in _FALSE_WORDS:
-            continue
-        else:
+        elif flag not in switches or value.lower() not in _FALSE_WORDS:
             injected.extend([flag, value])
     return rest[:1] + injected + rest[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
-        argv = _expand_config_args(argv)
+        argv = _expand_config_args(argv, parser)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, ValueError, KeyError, FloatingPointError) as exc:

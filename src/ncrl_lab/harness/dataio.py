@@ -68,13 +68,15 @@ def _parse_instance(obj: dict, where: str):
         if key not in obj:
             raise ValueError(f"{where}: missing required key {key!r}")
     k = obj["k"]
-    if not isinstance(k, int) or k < 1:
+    # JSON true/false load as bool, a subclass of int; neither is an index
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"{where}: k must be a positive integer")
     features = obj["features"]
     if not isinstance(features, list) or not features:
         raise ValueError(f"{where}: features must be a nonempty list")
     labels = obj["labels"]
-    if not isinstance(labels, list) or any(not isinstance(i, int) for i in labels):
+    if not isinstance(labels, list) or any(
+            isinstance(i, bool) or not isinstance(i, int) for i in labels):
         raise ValueError(f"{where}: labels must be a list of integer indices")
     if any(i < 1 or i > k for i in labels):
         raise ValueError(

@@ -12,7 +12,6 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +37,6 @@ class ExperimentConfig:
     synth: SyntheticConfig
     train_configs: list
     seeds: list
-    output_path: Optional[str] = None
 
     def validate(self) -> None:
         if not self.seeds:

@@ -64,10 +64,6 @@ def softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def log_sigmoid(x):
-    return -softplus(-np.asarray(x, dtype=float))
-
-
 def with_none_flag(pre_labels) -> np.ndarray:
     """Prepend the derived none flag to K pre-defined label flags."""
     y = np.asarray(pre_labels, dtype=int)
@@ -106,21 +102,14 @@ def check_gamma(gamma: float) -> float:
 
 def _pair(pre_labels, scores, require_finite=True):
     """Validate one (labels, scores) pair and lift it to a batch of one."""
-    y = np.asarray(pre_labels, dtype=int)
+    full = with_none_flag(pre_labels)
     f = np.asarray(scores, dtype=float)
-    if y.ndim != 1 or f.ndim != 1:
-        raise ValueError("labels and scores must be 1-D")
-    if y.size < 1:
-        raise ValueError("need at least one pre-defined label")
-    if f.size != y.size + 1:
+    if f.shape != full.shape:
         raise ValueError(
-            f"scores must have length K+1={y.size + 1}, got {f.size}"
+            f"scores must be 1-D of length K+1={full.size}, got shape {f.shape}"
         )
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be binary flags")
     if require_finite and not np.isfinite(f).all():
         raise ValueError("scores must be finite")
-    full = np.concatenate([[1 - y.max(initial=0)], y])
     return full[None, :], f[None, :]
 
 
@@ -129,108 +118,67 @@ def _pair(pre_labels, scores, require_finite=True):
 # Each returns per-instance values (B,) and per-instance gradients (B, K+1).
 
 
-def _ncrl_plain_batch(Y, F):
-    y = Y[:, 1:]
-    m_pos = F[:, 1:] - F[:, :1]
-    vals = (y * softplus(-m_pos) + (1 - y) * softplus(m_pos)).sum(axis=1)
-    g = np.where(y == 1, -sigmoid(-m_pos), sigmoid(m_pos))
-    grads = np.empty_like(F)
-    grads[:, 1:] = g
-    grads[:, 0] = -g.sum(axis=1)
-    return vals, grads
+def logistic_terms(z, positive, gamma):
+    """Logistic terms over oriented margins z and their derivatives dz.
 
-
-def _margin_reg_batch(Y, F):
-    k = F.shape[1] - 1
-    y0 = Y[:, 0]
-    m0_pos = F[:, 0] - F[:, 1:].sum(axis=1) / k
-    vals = np.where(y0 == 1, softplus(-m0_pos), softplus(m0_pos))
-    g0 = np.where(y0 == 1, -sigmoid(-m0_pos), sigmoid(m0_pos))
-    grads = np.empty_like(F)
-    grads[:, 0] = g0
-    grads[:, 1:] = (-g0 / k)[:, None]
-    return vals, grads
-
-
-def _shifted_neg_terms(m, gamma):
-    """-log(min(sigmoid(m) + gamma, 1)) and its derivative w.r.t. m.
-
-    Terms with sigmoid(m) >= 1 - gamma are clamped: zero value, zero gradient.
-    At gamma = 0 this is exactly -log sigmoid(m), computed via softplus.
+    Positive entries give -log sigmoid(z). Negative entries give
+    -log(min(sigmoid(-z) + gamma, 1)); terms with sigmoid(-z) >= 1 - gamma are
+    clamped to zero value and zero slope. At gamma = 0 negatives are exactly
+    softplus(z) with slope sigmoid(z), untouched by the probability floor.
+    Both sigmoids come from one exp(-|z|), so neither is formed as one minus
+    the other and precision holds at large |z|.
     """
+    e = np.exp(-np.abs(z))
+    tail = np.log1p(e)
+    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)  # sigmoid(z)
+    sig_neg = np.where(z >= 0, e, 1.0) / (1.0 + e)  # sigmoid(-z)
     if gamma == 0.0:
-        return softplus(-m), -sigmoid(-m)
-    s = sigmoid(m)
-    clamped = s >= 1.0 - gamma
-    p = np.maximum(np.minimum(s + gamma, 1.0), _P_FLOOR)
-    val = np.where(clamped, 0.0, -np.log(p))
-    dval = np.where(clamped, 0.0, -(s * (1.0 - s)) / p)
-    return val, dval
+        neg_val, neg_dz = np.maximum(z, 0.0) + tail, sig
+    else:
+        clamped = sig_neg >= 1.0 - gamma
+        p = np.maximum(np.minimum(sig_neg + gamma, 1.0), _P_FLOOR)
+        neg_val = np.where(clamped, 0.0, -np.log(p))
+        neg_dz = np.where(clamped, 0.0, sig * sig_neg / p)
+    return (np.where(positive, np.maximum(-z, 0.0) + tail, neg_val),
+            np.where(positive, -sig_neg, neg_dz))
 
 
-def _ncrl_shifted_predefined(Y, F, gamma):
-    """Pre-defined-label terms of the final loss: positives plain, negatives shifted."""
-    y = Y[:, 1:]
-    m_pos = F[:, 1:] - F[:, :1]
-    neg_val, neg_d = _shifted_neg_terms(-m_pos, gamma)
-    vals = (y * softplus(-m_pos) + (1 - y) * neg_val).sum(axis=1)
-    g = np.where(y == 1, -sigmoid(-m_pos), -neg_d)
-    grads = np.empty_like(F)
-    grads[:, 1:] = g
-    grads[:, 0] = -g.sum(axis=1)
-    return vals, grads
+# Oriented margins. Each maps (Y, F) to positive flags, margins z of shape
+# (B, n), and the linear map lifting dz back to the K+1 scores.
 
 
-def _ncrl_none_term(Y, F, gamma):
-    """Average-margin term with the negative branch shifted."""
+def _rank_margin(Y, F):
+    """z_i = f_i - f_0 over the pre-defined labels."""
+    def lift(dz):
+        return np.concatenate([-dz.sum(axis=1, keepdims=True), dz], axis=1)
+    return Y[:, 1:] == 1, F[:, 1:] - F[:, :1], lift
+
+
+def _average_margin(Y, F):
+    """z = f_0 - mean(f_1..f_K), positive on none instances."""
     k = F.shape[1] - 1
-    y0 = Y[:, 0]
-    m0_pos = F[:, 0] - F[:, 1:].sum(axis=1) / k
-    neg_val, neg_d = _shifted_neg_terms(-m0_pos, gamma)
-    vals = np.where(y0 == 1, softplus(-m0_pos), neg_val)
-    d_f0 = np.where(y0 == 1, -sigmoid(-m0_pos), -neg_d)
-    grads = np.empty_like(F)
-    grads[:, 0] = d_f0
-    grads[:, 1:] = (-d_f0 / k)[:, None]
-    return vals, grads
+    def lift(dz):
+        return np.concatenate([dz, np.repeat(-dz / k, k, axis=1)], axis=1)
+    return Y[:, :1] == 1, F[:, :1] - F[:, 1:].sum(axis=1, keepdims=True) / k, lift
 
 
-def _ncrl_final_batch(Y, F, gamma):
-    if gamma == 0.0:
-        # no shift: the final loss is exactly the plain loss plus the regularizer
-        v1, g1 = _ncrl_plain_batch(Y, F)
-        v2, g2 = _margin_reg_batch(Y, F)
-        return v1 + v2, g1 + g2
-    v1, g1 = _ncrl_shifted_predefined(Y, F, gamma)
-    v2, g2 = _ncrl_none_term(Y, F, gamma)
-    return v1 + v2, g1 + g2
+def _raw_margin(Y, F):
+    """z_i = f_i over the pre-defined labels; f_0 takes no part."""
+    def lift(dz):
+        return np.concatenate([np.zeros_like(dz[:, :1]), dz], axis=1)
+    return Y[:, 1:] == 1, F[:, 1:], lift
 
 
-def _ncrl_noreg_batch(Y, F, gamma):
-    if gamma == 0.0:
-        return _ncrl_plain_batch(Y, F)
-    return _ncrl_shifted_predefined(Y, F, gamma)
-
-
-def _bce_batch(Y, F):
-    y = Y[:, 1:]
-    f = F[:, 1:]
-    vals = (y * softplus(-f) + (1 - y) * softplus(f)).sum(axis=1)
-    grads = np.zeros_like(F)
-    grads[:, 1:] = sigmoid(f) - y
-    return vals, grads
-
-
-def _bce_shifted_batch(Y, F, gamma):
-    if gamma == 0.0:
-        return _bce_batch(Y, F)
-    y = Y[:, 1:]
-    f = F[:, 1:]
-    neg_val, neg_d = _shifted_neg_terms(-f, gamma)
-    vals = (y * softplus(-f) + (1 - y) * neg_val).sum(axis=1)
-    grads = np.zeros_like(F)
-    grads[:, 1:] = np.where(y == 1, -sigmoid(-f), -neg_d)
-    return vals, grads
+# Each margin loss is a sum of logistic terms: kind -> ((margin, shifted), ...).
+# Only shifted terms apply gamma to their negatives.
+_MARGIN_TERMS = {
+    "ncrl_plain": ((_rank_margin, False),),
+    "ncrl_noreg": ((_rank_margin, True),),
+    "ncrl_final": ((_rank_margin, True), (_average_margin, True)),
+    "margin_regularization": ((_average_margin, False),),
+    "bce": ((_raw_margin, False),),
+    "bce_shifted": ((_raw_margin, True),),
+}
 
 
 def _masked_lse_softmax(F, mask):
@@ -277,26 +225,30 @@ def _ncre_batch(Y, F):
     return pen.sum(axis=1)
 
 
+def _instance_losses(kind, Y, F, gamma):
+    """instance_losses over every kind, margin_regularization included."""
+    if kind == "atl":
+        return _atl_batch(Y, F)
+    if kind == "pairwise":
+        return _pairwise_batch(Y, F)
+    vals = grads = 0.0
+    for margin, shifted in _MARGIN_TERMS[kind]:
+        positive, z, lift = margin(Y, F)
+        value, dz = logistic_terms(z, positive,
+                                   check_gamma(gamma) if shifted else 0.0)
+        vals = vals + value.sum(axis=1)
+        grads = grads + lift(dz)
+    return vals, grads
+
+
 def instance_losses(kind, Y, F, gamma=0.0):
     """Per-instance values and gradients for a whole batch.
 
     Y: (B, K+1) binary labels including the none column; F: (B, K+1) scores.
     """
-    if kind == "ncrl_plain":
-        return _ncrl_plain_batch(Y, F)
-    if kind == "ncrl_final":
-        return _ncrl_final_batch(Y, F, check_gamma(gamma))
-    if kind == "ncrl_noreg":
-        return _ncrl_noreg_batch(Y, F, check_gamma(gamma))
-    if kind == "bce":
-        return _bce_batch(Y, F)
-    if kind == "bce_shifted":
-        return _bce_shifted_batch(Y, F, check_gamma(gamma))
-    if kind == "atl":
-        return _atl_batch(Y, F)
-    if kind == "pairwise":
-        return _pairwise_batch(Y, F)
-    raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    return _instance_losses(kind, Y, F, gamma)
 
 
 def batch_loss(kind, Y, F, gamma=0.0):
@@ -325,18 +277,29 @@ def ncre_error(y, f) -> float:
     return float(_ncre_batch(Y, F)[0])
 
 
-def ncrl_plain(y, f) -> LossResult:
-    """Log-sigmoid surrogate of the none-class ranking error."""
-    Y, F = _pair(y, f)
-    vals, grads = _ncrl_plain_batch(Y, F)
-    return LossResult(float(vals[0]), grads[0])
+def _per_instance(kind, doc, takes_gamma=False, name=None):
+    """Public one-instance form of a batched loss kind."""
+
+    def with_gamma(y, f, gamma: float) -> LossResult:
+        Y, F = _pair(y, f)
+        vals, grads = _instance_losses(kind, Y, F, gamma)
+        return LossResult(float(vals[0]), grads[0])
+
+    def without_gamma(y, f) -> LossResult:
+        return with_gamma(y, f, 0.0)
+
+    loss = with_gamma if takes_gamma else without_gamma
+    loss.__name__ = loss.__qualname__ = name or kind
+    loss.__doc__ = doc
+    return loss
 
 
-def margin_regularization(y, f) -> LossResult:
-    """Average-margin term keeping f0 calibrated against the mean label score."""
-    Y, F = _pair(y, f)
-    vals, grads = _margin_reg_batch(Y, F)
-    return LossResult(float(vals[0]), grads[0])
+ncrl_plain = _per_instance(
+    "ncrl_plain", "Log-sigmoid surrogate of the none-class ranking error.")
+
+margin_regularization = _per_instance(
+    "margin_regularization",
+    "Average-margin term keeping f0 calibrated against the mean label score.")
 
 
 def shifted_negative_prob(m_neg: float, gamma: float) -> float:
@@ -346,52 +309,39 @@ def shifted_negative_prob(m_neg: float, gamma: float) -> float:
     return max(p, _P_FLOOR)
 
 
-def ncrl_final(y, f, gamma: float) -> LossResult:
+ncrl_final = _per_instance(
+    "ncrl_final",
     """Full training loss: ranking terms plus the average-margin term, with every
-    negative probability shifted by gamma (clamped terms contribute nothing)."""
-    Y, F = _pair(y, f)
-    vals, grads = _ncrl_final_batch(Y, F, check_gamma(gamma))
-    return LossResult(float(vals[0]), grads[0])
+    negative probability shifted by gamma (clamped terms contribute nothing).""",
+    takes_gamma=True)
 
+ncrl_noreg = _per_instance(
+    "ncrl_noreg",
+    "Final loss without the average-margin term (shifted ranking terms only).",
+    takes_gamma=True)
 
-def ncrl_noreg(y, f, gamma: float) -> LossResult:
-    """Final loss without the average-margin term (shifted ranking terms only)."""
-    Y, F = _pair(y, f)
-    vals, grads = _ncrl_noreg_batch(Y, F, check_gamma(gamma))
-    return LossResult(float(vals[0]), grads[0])
-
-
-def bce(y, f) -> LossResult:
+bce = _per_instance(
+    "bce",
     """Independent binary cross entropy over the pre-defined labels.
 
     The none score f0 is ignored and receives zero gradient; scorers still emit
     it so every loss shares one architecture.
-    """
-    Y, F = _pair(y, f)
-    vals, grads = _bce_batch(Y, F)
-    return LossResult(float(vals[0]), grads[0])
+    """)
 
+bce_shifted = _per_instance(
+    "bce_shifted",
+    "BCE with each negative probability 1 - sigmoid(f_i) shifted by gamma.",
+    takes_gamma=True)
 
-def bce_shifted(y, f, gamma: float) -> LossResult:
-    """BCE with each negative probability 1 - sigmoid(f_i) shifted by gamma."""
-    Y, F = _pair(y, f)
-    vals, grads = _bce_shifted_batch(Y, F, check_gamma(gamma))
-    return LossResult(float(vals[0]), grads[0])
-
-
-def atl(y, f) -> LossResult:
+atl = _per_instance(
+    "atl",
     """Adaptive-thresholding baseline: softmax terms pulling positives above f0
-    and f0 above the negatives."""
-    Y, F = _pair(y, f)
-    vals, grads = _atl_batch(Y, F)
-    return LossResult(float(vals[0]), grads[0])
+    and f0 above the negatives.""")
 
-
-def pairwise_ranking(y, f) -> LossResult:
-    """Logistic pairwise ranking loss over pre-defined labels only."""
-    Y, F = _pair(y, f)
-    vals, grads = _pairwise_batch(Y, F)
-    return LossResult(float(vals[0]), grads[0])
+pairwise_ranking = _per_instance(
+    "pairwise",
+    "Logistic pairwise ranking loss over pre-defined labels only.",
+    name="pairwise_ranking")
 
 
 def hamming_error(y, h) -> int:

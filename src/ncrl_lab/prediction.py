@@ -56,6 +56,19 @@ def global_flags(scores, t: float) -> np.ndarray:
     return (sigmoid(s[:, 1:]) > t).astype(int)
 
 
+def per_label_flags(scores, thresholds) -> np.ndarray:
+    """(n, K) flags under per-label thresholds: sigmoid(f_i) > t_i."""
+    s = _score_matrix(scores)
+    t = np.asarray(thresholds, dtype=float)
+    if t.shape != (s.shape[1] - 1,):
+        raise ValueError(
+            f"need one threshold per label, {s.shape[1] - 1} total, got {t.size}"
+        )
+    if not ((t > 0) & (t < 1)).all():
+        raise ValueError("thresholds must lie in (0, 1)")
+    return (sigmoid(s[:, 1:]) > t).astype(int)
+
+
 def _set_from_flags(flags: np.ndarray) -> np.ndarray:
     return np.nonzero(flags)[0] + 1
 
@@ -63,7 +76,7 @@ def _set_from_flags(flags: np.ndarray) -> np.ndarray:
 def predict_adaptive(f) -> np.ndarray:
     """Positive label indices {i : f_i > f_0}; empty means NA."""
     f = _check_scores(f)
-    return _set_from_flags(f[1:] > f[0])
+    return _set_from_flags(adaptive_flags(f[None, :])[0])
 
 
 def predict_global(f, t: float) -> np.ndarray:
@@ -75,12 +88,7 @@ def predict_global(f, t: float) -> np.ndarray:
 def predict_per_label(f, thresholds) -> np.ndarray:
     """Positive label indices {i : sigmoid(f_i) > t_i}."""
     f = _check_scores(f)
-    t = np.asarray(thresholds, dtype=float)
-    if t.shape != (f.size - 1,):
-        raise ValueError(f"need one threshold per label, {f.size - 1} total")
-    if not ((t > 0) & (t < 1)).all():
-        raise ValueError("thresholds must lie in (0, 1)")
-    return _set_from_flags(sigmoid(f[1:]) > t)
+    return _set_from_flags(per_label_flags(f[None, :], thresholds)[0])
 
 
 def sweep_global_threshold(scores, gold, grid=COARSE_GRID):

@@ -94,6 +94,16 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match="y0-consistency"):
             load_dataset(str(path))
 
+    def test_json_booleans_rejected(self, tmp_path):
+        # bool is an int subclass in Python; true must not pass as index 1
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"features": [0.1, 0.2], "labels": [true], "k": 1}\n')
+        with pytest.raises(ValueError, match=":1: labels must be"):
+            load_dataset(str(path))
+        path.write_text('{"features": [0.1, 0.2], "labels": [], "k": true}\n')
+        with pytest.raises(ValueError, match=":1: k must be"):
+            load_dataset(str(path))
+
     def test_inconsistent_dims(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"features": [1.0], "labels": [1], "k": 2}\n'
@@ -287,6 +297,10 @@ class TestCli:
         swept = json.loads(capsys.readouterr().out)
         assert swept["threshold"] in [round(0.1 * i, 1) for i in range(1, 10)]
 
+        assert main(["eval", "--model", model, "--data", data, "--rule",
+                     "per-label", "--thresholds", "0.5,0.5"]) == 1
+        assert "one threshold per label, 3 total" in capsys.readouterr().err
+
     def test_grad_check_command(self, capsys):
         assert main(["grad-check", "--loss", "ncrl_final", "--gamma", "0.05",
                      "--k", "3,5", "--trials", "25", "--seed", "1"]) == 0
@@ -328,6 +342,27 @@ class TestCli:
         assert main(["gen-data", "--config", str(cfg), "--out", out]) == 0
         capsys.readouterr()
         assert load_dataset(out).k == 4
+
+    def test_config_numbers_stay_values(self, tmp_path, capsys):
+        # "0" and "1" are boolean words only for store_true flags: gamma = 0
+        # must train at 0, and epochs = 1 must not become a bare --epochs
+        cfg = tmp_path / "ablate.cfg"
+        cfg.write_text("k = 3\ndim = 5\nn = 300\nseeds = 0\nepochs = 1\n"
+                       "batch_size = 64\nlr = 0.05\ngamma = 0\n")
+        out = str(tmp_path / "rows.csv")
+        assert main(["ablate", "--config", str(cfg), "--out", out]) == 0
+        capsys.readouterr()
+        assert {r.gamma for r in read_results_csv(out)} == {0.0}
+        cfg.write_text("grid = fine\nper_label = yes\n")
+        data, model = str(tmp_path / "data.jsonl"), str(tmp_path / "m.json")
+        assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "80",
+                     "--out", data]) == 0
+        assert main(["train", "--data", data, "--loss", "bce", "--epochs",
+                     "1", "--out", model]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg), "--model", model,
+                     "--data", data]) == 0
+        assert len(json.loads(capsys.readouterr().out)["thresholds"]) == 3
 
     def test_runtime_failure_leaves_no_file(self, tmp_path, capsys):
         out = tmp_path / "data.jsonl"

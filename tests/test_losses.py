@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ncrl_lab.losses import (atl, batch_loss, bce, bce_shifted, hamming_error,
-                             margin_regularization, margins, ncre_error,
-                             ncrl_final, ncrl_noreg, ncrl_plain,
+                             logistic_terms, margin_regularization, margins,
+                             ncre_error, ncrl_final, ncrl_noreg, ncrl_plain,
                              pairwise_ranking, ranking_error,
                              shifted_negative_prob, sigmoid, softplus,
                              validate_labels, with_none_flag)
@@ -20,6 +20,7 @@ LN2 = math.log(2)
 SHIFT_INVARIANT = [
     lambda y, f: ncrl_plain(y, f),
     lambda y, f: ncrl_final(y, f, 0.05),
+    lambda y, f: ncrl_noreg(y, f, 0.05),
     lambda y, f: margin_regularization(y, f),
     lambda y, f: atl(y, f),
 ]
@@ -141,6 +142,11 @@ class TestNcrlFinal:
             for _ in range(50):
                 y, f = random_case(rng)
                 gap = ncrl_final(y, f, gamma).value - ncrl_noreg(y, f, gamma).value
+                if gamma == 0.0:
+                    # unshifted, the ranking terms are exactly the plain loss
+                    noreg, plain = ncrl_noreg(y, f, gamma), ncrl_plain(y, f)
+                    assert noreg.value == plain.value
+                    assert np.array_equal(noreg.grad, plain.grad)
                 m0 = float(f[0] - f[1:].mean())
                 if with_none_flag(y)[0] == 1:
                     term = float(softplus(-m0))
@@ -301,11 +307,17 @@ class TestSharedInvariants:
             y = rng.integers(0, 2, size=k)
             f = rng.uniform(-1e3, 1e3, size=k + 1)
             for res in (ncrl_plain(y, f), ncrl_final(y, f, 0.05),
+                        ncrl_noreg(y, f, 0.05),
                         margin_regularization(y, f), bce(y, f),
                         bce_shifted(y, f, 0.05), atl(y, f),
                         pairwise_ranking(y, f)):
                 assert np.isfinite(res.value)
                 assert np.isfinite(res.grad).all()
+        # unshifted, a far-wrong negative keeps its full unit slope: the
+        # probability floor of the shifted branch must not reach it
+        _, dz = logistic_terms(np.array([800.0]), np.array([False]), 0.0)
+        assert dz[0] == 1.0
+        assert ncrl_noreg([0], [0.0, 800.0], 0.0).grad[1] == 1.0
 
 
 class TestLabelHelpers:

@@ -21,8 +21,8 @@ from .metrics import (ConfusionCounts, MetricsReport, average_precision,
                       confusion, evaluate, mean_average_precision, mean_ncre,
                       micro_macro_f1)
 from .model import (Adam, LinearScorer, MlpScorer, TrainConfig, TrainHistory,
-                    forward, grad_check, learning_rate_at, scorer_from_dict,
-                    scorer_to_dict, train)
+                    TrainResult, forward, grad_check, learning_rate_at,
+                    scorer_from_dict, scorer_to_dict, train)
 from .prediction import (COARSE_GRID, FINE_GRID, predict_adaptive,
                          predict_global, predict_per_label,
                          sweep_global_threshold, sweep_per_label_thresholds)

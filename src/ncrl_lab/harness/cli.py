@@ -121,7 +121,7 @@ def _cmd_train(args) -> int:
         warmup_fraction=args.warmup, seed=args.seed, hidden_width=args.hidden,
         weight_decay=args.weight_decay,
     )
-    scorer, history = train(data, dev, config)
+    scorer, history = train(data, dev, [config])[0]
     save_json(scorer_to_dict(scorer, config), args.out)
     _emit({
         "out": args.out,
@@ -142,10 +142,19 @@ def _prediction_flags(args, scores):
     return per_label_flags(scores, args.thresholds)
 
 
-def _cmd_eval(args) -> int:
+def _checkpoint_scores(args):
+    """Load --model and --data, check that they agree, and score the data."""
     scorer = scorer_from_dict(load_json(args.model))
     data = load_dataset(args.data)
-    scores = scorer.forward(data.features)
+    if (scorer.k, scorer.dim) != (data.k, data.dim):
+        raise ValueError(
+            f"checkpoint {args.model} has k={scorer.k}, dim={scorer.dim} but "
+            f"data {args.data} has k={data.k}, dim={data.dim}")
+    return data, scorer.forward(data.features)
+
+
+def _cmd_eval(args) -> int:
+    data, scores = _checkpoint_scores(args)
     report = evaluate(scores, data.labels, _prediction_flags(args, scores))
     _emit({"rule": args.rule, **report.as_dict()})
     return 0
@@ -177,9 +186,7 @@ def _cmd_consistency(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scorer = scorer_from_dict(load_json(args.model))
-    data = load_dataset(args.data)
-    scores = scorer.forward(data.features)
+    data, scores = _checkpoint_scores(args)
     grid = FINE_GRID if args.grid == "fine" else COARSE_GRID
     if args.per_label:
         thresholds = sweep_per_label_thresholds(scores, data.labels, grid)

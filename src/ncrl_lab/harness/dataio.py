@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -74,6 +75,12 @@ def _parse_instance(obj: dict, where: str):
     features = obj["features"]
     if not isinstance(features, list) or not features:
         raise ValueError(f"{where}: features must be a nonempty list")
+    # bool is a type of its own here, so JSON true/false fail as well
+    types = set(map(type, features))
+    if not types <= {int, float}:
+        raise ValueError(f"{where}: features must be numbers")
+    if int in types and any(abs(v) > sys.float_info.max for v in features):
+        raise ValueError(f"{where}: features must be finite numbers")
     labels = obj["labels"]
     if not isinstance(labels, list) or any(
             isinstance(i, bool) or not isinstance(i, int) for i in labels):
@@ -85,7 +92,9 @@ def _parse_instance(obj: dict, where: str):
         )
     if len(set(labels)) != len(labels):
         raise ValueError(f"{where}: duplicate label indices")
-    if "none" in obj and bool(obj["none"]) != (len(labels) == 0):
+    if "none" in obj and not isinstance(obj["none"], bool):
+        raise ValueError(f"{where}: \"none\" must be a JSON boolean")
+    if "none" in obj and obj["none"] != (len(labels) == 0):
         raise ValueError(
             f"{where}: y0-consistency violated; \"none\" flag contradicts labels"
         )
@@ -93,7 +102,7 @@ def _parse_instance(obj: dict, where: str):
 
 
 def load_dataset(path: str) -> Dataset:
-    features, flag_rows = [], []
+    features, flag_rows, line_nos = [], [], []
     k = dim = None
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -119,10 +128,15 @@ def load_dataset(path: str) -> Dataset:
             flags[0] = int(not labels)
             features.append(feats)
             flag_rows.append(flags)
+            line_nos.append(line_no)
     if not features:
         raise ValueError(f"{path}: no instances")
-    return Dataset(np.asarray(features, dtype=float), np.asarray(flag_rows),
-                   provenance={"source": path})
+    matrix = np.asarray(features, dtype=float)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():  # JSON NaN and Infinity parse as floats
+        raise ValueError(f"{path}:{line_nos[np.argmin(finite)]}: features "
+                         "must be finite numbers")
+    return Dataset(matrix, np.asarray(flag_rows), provenance={"source": path})
 
 
 def save_json(obj, path: str) -> None:

@@ -2,15 +2,16 @@
 
 Every suite trains one scorer per (variant, seed) cell on a shared per-seed
 split, evaluates on the test block with the loss's native prediction rule,
-and emits ResultRows. Cells are independent; NCRL_LAB_THREADS > 1 runs them
-in a thread pool without changing the output row order.
+and emits ResultRows. All of a seed's cells go to one `train` call, which
+trains the cells that share their settings as one stacked model; each cell's
+rows are identical to training it alone, and row order follows the configs.
+A cell's `seconds` is its even share of its stack's training time plus its
+own test evaluation.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,20 +50,8 @@ class ExperimentConfig:
 
 
 def thread_cap() -> int:
-    raw = os.environ.get("NCRL_LAB_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"NCRL_LAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, cap)
-
-
-def _run_jobs(jobs: list) -> list:
-    cap = thread_cap()
-    if cap == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(lambda job: job(), jobs))
+    """Always 1: suites run in one thread. Kept for perfbench/run.py's record."""
+    return 1
 
 
 def make_splits(synth: SyntheticConfig, seed: int):
@@ -96,20 +85,23 @@ def _native_test_flags(scorer, loss_kind: str, dev_part, test_scores):
     return global_flags(test_scores, t)
 
 
-def run_cell(experiment: str, tc: TrainConfig, seed: int, splits) -> list:
-    """Train one (variant, seed) cell and measure it on the test block."""
-    train_part, dev_part, test_part = splits
+def _error_row(experiment: str, tc: TrainConfig, seed: int, result) -> ResultRow:
+    return ResultRow(experiment, tc.loss_kind, tc.gamma, seed, "train",
+                     "error", 1.0, result.history.seconds)
+
+
+def run_cell(experiment: str, tc: TrainConfig, seed: int, splits,
+             result) -> list:
+    """Measure one trained (variant, seed) cell on the test block."""
+    if result.error is not None:
+        return [_error_row(experiment, tc, seed, result)]
+    _, dev_part, test_part = splits
     started = time.perf_counter()
-    cfg = replace(tc, seed=derive_seed(seed, "train", tc.loss_kind, tc.gamma))
-    try:
-        scorer, _ = train(train_part, dev_part, cfg)
-    except FloatingPointError:
-        return [ResultRow(experiment, tc.loss_kind, tc.gamma, seed, "train",
-                          "error", 1.0, time.perf_counter() - started)]
-    test_scores = scorer.forward(test_part.features)
-    flags = _native_test_flags(scorer, tc.loss_kind, dev_part, test_scores)
+    test_scores = result.scorer.forward(test_part.features)
+    flags = _native_test_flags(result.scorer, tc.loss_kind, dev_part,
+                               test_scores)
     stats = evaluate(test_scores, test_part.labels, flags).as_dict()
-    seconds = time.perf_counter() - started
+    seconds = result.history.seconds + time.perf_counter() - started
     return [ResultRow(experiment, tc.loss_kind, tc.gamma, seed, "test",
                       name, stats[name], seconds) for name in METRIC_NAMES]
 
@@ -142,15 +134,15 @@ def summarize(rows: list, experiment: str) -> list:
 def run_compare(config: ExperimentConfig) -> list:
     """Train every configured loss on the same per-seed data; emit summaries."""
     config.validate()
-    jobs = []
+    rows: list = []
     for seed in config.seeds:
         splits = make_splits(config.synth, seed)
-        for tc in config.train_configs:
-            jobs.append(lambda tc=tc, seed=seed, splits=splits:
-                        run_cell(config.kind, tc, seed, splits))
-    rows: list = []
-    for cell_rows in _run_jobs(jobs):
-        rows.extend(cell_rows)
+        configs = [replace(tc, seed=derive_seed(seed, "train", tc.loss_kind,
+                                                tc.gamma))
+                   for tc in config.train_configs]
+        results = train(splits[0], splits[1], configs)
+        for tc, result in zip(config.train_configs, results):
+            rows.extend(run_cell(config.kind, tc, seed, splits, result))
     rows.extend(summarize(rows, config.kind))
     return rows
 
@@ -195,18 +187,21 @@ def run_gamma_sweep(config: ExperimentConfig, gammas) -> list:
     return run_compare(replace(config, train_configs=variants))
 
 
-def _no_none_cell(base: TrainConfig, regime: str, parts, seed: int) -> list:
-    train_part, dev_part, test_part = parts
+def _no_none_cell(base: TrainConfig, regime: str, parts, seed: int,
+                  result) -> list:
+    """Score one trained regime cell with both prediction rules."""
     experiment = f"no_none_{regime}"
+    if result.error is not None:
+        return [_error_row(experiment, base, seed, result)]
+    _, dev_part, test_part = parts
     started = time.perf_counter()
-    cfg = replace(base, seed=derive_seed(seed, "train", regime, base.loss_kind))
-    scorer, _ = train(train_part, dev_part, cfg)
+    scorer = result.scorer
     test_scores = scorer.forward(test_part.features)
     adaptive_f1 = micro_f1_flags(adaptive_flags(test_scores), test_part.labels)
     t, _ = sweep_global_threshold(scorer.forward(dev_part.features),
                                   dev_part.labels, COARSE_GRID)
     swept_f1 = micro_f1_flags(global_flags(test_scores, t), test_part.labels)
-    seconds = time.perf_counter() - started
+    seconds = result.history.seconds + time.perf_counter() - started
     return [
         ResultRow(experiment, base.loss_kind, base.gamma, seed, "test",
                   "micro_f1_adaptive", float(adaptive_f1), seconds),
@@ -220,17 +215,18 @@ def run_no_none_study(config: ExperimentConfig) -> list:
 
     The stripped regime removes none-class instances from train, dev, and
     test, reproducing corpora where every instance has at least one label.
+    The two regimes' splits differ in size, so each trains as its own stack
+    of one. A diverged cell becomes an `error` row.
     """
     config.validate()
     base = config.train_configs[0]
-    jobs = []
+    rows: list = []
     for seed in config.seeds:
         full = make_splits(config.synth, seed)
         stripped = tuple(strip_none_instances(part) for part in full)
         for regime, parts in (("full", full), ("stripped", stripped)):
-            jobs.append(lambda regime=regime, parts=parts, seed=seed:
-                        _no_none_cell(base, regime, parts, seed))
-    rows: list = []
-    for cell_rows in _run_jobs(jobs):
-        rows.extend(cell_rows)
+            cfg = replace(base, seed=derive_seed(seed, "train", regime,
+                                                 base.loss_kind))
+            result, = train(parts[0], parts[1], [cfg])
+            rows.extend(_no_none_cell(base, regime, parts, seed, result))
     return rows

@@ -12,6 +12,7 @@ values are invariant to adding a constant to every score.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,8 @@ def _pair(pre_labels, scores, require_finite=True):
 
 # --- batched cores -----------------------------------------------------------
 # Y is a (B, K+1) binary matrix including the none column; F is (B, K+1) float.
-# Each returns per-instance values (B,) and per-instance gradients (B, K+1).
+# A cell stack adds a leading axis: (C, B, K+1), one loss kind and gamma per
+# cell. Cores return per-instance values (..., B) and gradients (..., B, K+1).
 
 
 def logistic_terms(z, positive, gamma):
@@ -123,62 +125,89 @@ def logistic_terms(z, positive, gamma):
 
     Positive entries give -log sigmoid(z). Negative entries give
     -log(min(sigmoid(-z) + gamma, 1)); terms with sigmoid(-z) >= 1 - gamma are
-    clamped to zero value and zero slope. At gamma = 0 negatives are exactly
-    softplus(z) with slope sigmoid(z), untouched by the probability floor.
-    Both sigmoids come from one exp(-|z|), so neither is formed as one minus
-    the other and precision holds at large |z|.
+    clamped to zero value and zero slope. gamma is a scalar or an array
+    broadcasting against z. Where gamma = 0 negatives are exactly softplus(z)
+    with slope sigmoid(z), untouched by the probability floor. Both sigmoids
+    come from one exp(-|z|), so neither is formed as one minus the other and
+    precision holds at large |z|.
     """
+    positive = np.asarray(positive, dtype=bool)
+    sign = 1.0 - 2.0 * positive  # -1 on positives, whose term is softplus(-z)
+    zs = z * sign
     e = np.exp(-np.abs(z))
-    tail = np.log1p(e)
-    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)  # sigmoid(z)
-    sig_neg = np.where(z >= 0, e, 1.0) / (1.0 + e)  # sigmoid(-z)
-    if gamma == 0.0:
-        neg_val, neg_dz = np.maximum(z, 0.0) + tail, sig
-    else:
-        clamped = sig_neg >= 1.0 - gamma
+    up = zs >= 0
+    # sigmoid(zs): the numerator is 1 or e, and e <= 1, so a max against the
+    # 0/1 flags picks it; sigmoid(-zs) takes the other one
+    denom = 1.0 + e
+    sig = np.maximum(e, up) / denom
+    value = np.maximum(zs, 0.0) + np.log1p(e)
+    dz = sig * sign
+    shifted = np.asarray(gamma, dtype=float) > 0.0
+    if shifted.any():  # tested on gamma alone, often much smaller than z
+        shifted = shifted & ~positive
+        sig_neg = np.maximum(e, ~up) / denom
+        kept = sig_neg < 1.0 - gamma  # not clamped; a 0/1 factor on finite terms
         p = np.maximum(np.minimum(sig_neg + gamma, 1.0), _P_FLOOR)
-        neg_val = np.where(clamped, 0.0, -np.log(p))
-        neg_dz = np.where(clamped, 0.0, sig * sig_neg / p)
-    return (np.where(positive, np.maximum(-z, 0.0) + tail, neg_val),
-            np.where(positive, -sig_neg, neg_dz))
+        value = np.where(shifted, -np.log(p) * kept, value)
+        dz = np.where(shifted, sig * sig_neg / p * kept, dz)
+    return value, dz
 
 
-# Oriented margins. Each maps (Y, F) to positive flags, margins z of shape
-# (B, n), and the linear map lifting dz back to the K+1 scores.
-
-
-def _rank_margin(Y, F):
-    """z_i = f_i - f_0 over the pre-defined labels."""
-    def lift(dz):
-        return np.concatenate([-dz.sum(axis=1, keepdims=True), dz], axis=1)
-    return Y[:, 1:] == 1, F[:, 1:] - F[:, :1], lift
-
-
-def _average_margin(Y, F):
-    """z = f_0 - mean(f_1..f_K), positive on none instances."""
-    k = F.shape[1] - 1
-    def lift(dz):
-        return np.concatenate([dz, np.repeat(-dz / k, k, axis=1)], axis=1)
-    return Y[:, :1] == 1, F[:, :1] - F[:, 1:].sum(axis=1, keepdims=True) / k, lift
-
-
-def _raw_margin(Y, F):
-    """z_i = f_i over the pre-defined labels; f_0 takes no part."""
-    def lift(dz):
-        return np.concatenate([np.zeros_like(dz[:, :1]), dz], axis=1)
-    return Y[:, 1:] == 1, F[:, 1:], lift
-
-
-# Each margin loss is a sum of logistic terms: kind -> ((margin, shifted), ...).
-# Only shifted terms apply gamma to their negatives.
-_MARGIN_TERMS = {
-    "ncrl_plain": ((_rank_margin, False),),
-    "ncrl_noreg": ((_rank_margin, True),),
-    "ncrl_final": ((_rank_margin, True), (_average_margin, True)),
-    "margin_regularization": ((_average_margin, False),),
-    "bce": ((_raw_margin, False),),
-    "bce_shifted": ((_raw_margin, True),),
+# Each margin kind is a weighted sum of logistic terms over K + 1 oriented
+# margins: the average margin z_0 = f_0 - mean(f_1..f_K), positive on none
+# instances, and K pre-defined columns z_i = f_i - a * f_0 (a = 1 ranks each
+# label against the none score, a = 0 is raw BCE), so the columns line up
+# with the label and score columns.
+# kind -> (a, (weight, shifted) of the average column, (weight, shifted) of
+# the pre-defined columns). Only shifted columns apply gamma to negatives.
+_MARGIN_KINDS = {
+    "ncrl_plain": (1.0, (0.0, False), (1.0, False)),
+    "ncrl_noreg": (1.0, (0.0, False), (1.0, True)),
+    "ncrl_final": (1.0, (1.0, True), (1.0, True)),
+    "margin_regularization": (1.0, (1.0, False), (0.0, False)),
+    "bce": (0.0, (0.0, False), (1.0, False)),
+    "bce_shifted": (0.0, (0.0, False), (1.0, True)),
 }
+
+
+@functools.lru_cache(maxsize=64)
+def _columns(kinds: tuple, gammas: tuple, k: int):
+    """Per-cell slope a (C, 1, 1), column weights and gammas (C, 1, K+1).
+
+    Cached, since a training run asks for the same stack every step; the
+    arrays are read-only.
+    """
+    slopes, weights, shifts = [], [], []
+    for kind, gamma in zip(kinds, gammas):
+        a, (avg_w, avg_s), (rank_w, rank_s) = _MARGIN_KINDS[kind]
+        if avg_s or rank_s:
+            gamma = check_gamma(gamma)
+        slopes.append(a)
+        weights.append([avg_w] + [rank_w] * k)
+        shifts.append([gamma if avg_s else 0.0] + [gamma if rank_s else 0.0] * k)
+    out = (np.array(slopes)[:, None, None], np.array(weights)[:, None, :],
+           np.array(shifts)[:, None, :])
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+def _margin_losses(kinds, Y, F, gammas):
+    """Every margin kind of a cell stack through one logistic_terms call."""
+    k = F.shape[-1] - 1
+    a, weight, gamma = _columns(tuple(kinds), tuple(gammas), k)
+    f0, f = F[..., :1], F[..., 1:]
+    z = F - a * f0
+    z[..., :1] = f0 - f.sum(axis=-1, keepdims=True) / k
+    value, dz = logistic_terms(z, Y == 1, gamma)
+    value *= weight
+    dz *= weight
+    # lift dz back to the scores: f_0 takes dz_0 and -a * dz_i from each
+    # pre-defined column; dz_0 spreads -dz_0 / k over f_1..f_K
+    avg_dz = dz[..., :1]
+    grads = dz - avg_dz / k
+    grads[..., :1] = avg_dz - a * dz[..., 1:].sum(axis=-1, keepdims=True)
+    return value[..., 1:].sum(axis=-1) + value[..., 0], grads
 
 
 def _masked_lse_softmax(F, mask):
@@ -225,20 +254,39 @@ def _ncre_batch(Y, F):
     return pen.sum(axis=1)
 
 
+_OWN_KERNELS = {"atl": _atl_batch, "pairwise": _pairwise_batch}
+
+
 def _instance_losses(kind, Y, F, gamma):
     """instance_losses over every kind, margin_regularization included."""
-    if kind == "atl":
-        return _atl_batch(Y, F)
-    if kind == "pairwise":
-        return _pairwise_batch(Y, F)
-    vals = grads = 0.0
-    for margin, shifted in _MARGIN_TERMS[kind]:
-        positive, z, lift = margin(Y, F)
-        value, dz = logistic_terms(z, positive,
-                                   check_gamma(gamma) if shifted else 0.0)
-        vals = vals + value.sum(axis=1)
-        grads = grads + lift(dz)
+    if kind in _OWN_KERNELS:
+        return _OWN_KERNELS[kind](Y, F)
+    vals, grads = _margin_losses([kind], Y[None], F[None], [gamma])
+    return vals[0], grads[0]
+
+
+def _stack_losses(kinds, Y, F, gammas):
+    """Per-instance values (C, B) and gradients (C, B, K+1) of a cell stack.
+
+    Margin cells share one fused call; atl and pairwise cells run their own
+    kernels one cell at a time.
+    """
+    own = [c for c, kind in enumerate(kinds) if kind in _OWN_KERNELS]
+    if not own:
+        return _margin_losses(kinds, Y, F, gammas)
+    vals, grads = np.empty(F.shape[:-1]), np.empty(F.shape)
+    fused = [c for c in range(len(kinds)) if c not in own]
+    if fused:
+        vals[fused], grads[fused] = _margin_losses(
+            [kinds[c] for c in fused], Y[fused], F[fused], [gammas[c] for c in fused])
+    for c in own:
+        vals[c], grads[c] = _OWN_KERNELS[kinds[c]](Y[c], F[c])
     return vals, grads
+
+
+def _check_kind(kind):
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
 def instance_losses(kind, Y, F, gamma=0.0):
@@ -246,17 +294,33 @@ def instance_losses(kind, Y, F, gamma=0.0):
 
     Y: (B, K+1) binary labels including the none column; F: (B, K+1) scores.
     """
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    _check_kind(kind)
     return _instance_losses(kind, Y, F, gamma)
 
 
 def batch_loss(kind, Y, F, gamma=0.0):
-    """Mean loss over a batch and the gradient of that mean w.r.t. F."""
+    """Mean loss over a batch and the gradient of that mean w.r.t. F.
+
+    With (B, K+1) arrays, one kind and one gamma, returns a float and a
+    (B, K+1) gradient. With a (C, B, K+1) cell stack, `kind` and `gamma` are
+    sequences of C, one per cell, and it returns the C per-cell means and the
+    (C, B, K+1) gradients, each cell exactly as its own 2-D call would give.
+    """
+    F = np.asarray(F, dtype=float)
     if not np.isfinite(F).all():
         raise ValueError("scores must be finite")
-    vals, grads = instance_losses(kind, Y, F, gamma)
-    return float(vals.mean()), grads / len(F)
+    if F.ndim == 2:
+        vals, grads = instance_losses(kind, Y, F, gamma)
+        return float(vals.mean()), grads / len(F)
+    kinds, gammas = list(kind), list(gamma)
+    if F.ndim != 3 or not len(kinds) == len(gammas) == len(F):
+        raise ValueError("a stacked batch needs (C, B, K+1) scores and C kinds "
+                         "and gammas")
+    for name in kinds:
+        _check_kind(name)
+    vals, grads = _stack_losses(kinds, np.asarray(Y), F, gammas)
+    grads /= F.shape[-2]
+    return vals.sum(axis=-1) / F.shape[-2], grads
 
 
 def batch_ncre(Y, F):

@@ -5,13 +5,16 @@ and checkpointing code treat them uniformly. Training uses an adaptive-moment
 optimizer with a linear-warmup, linear-decay learning-rate schedule and keeps
 the checkpoint with the best dev micro F1 under the loss's native prediction
 rule (adaptive thresholding for margin-based losses, a swept global threshold
-for the others).
+for the others). `train` takes a list of configs and trains the cells that
+share their settings as one stacked model, whose parameters carry a leading
+cell axis; every cell comes out as if trained alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -59,9 +62,55 @@ class TrainHistory:
     train_loss: list = field(default_factory=list)
     dev_metric: list = field(default_factory=list)
     best_epoch: int = 0
+    seconds: float = 0.0  # this cell's even share of its stack's training time
 
 
-class LinearScorer:
+@dataclass
+class TrainResult:
+    """One cell's outcome; unpacks to (scorer, history).
+
+    A diverged cell carries its FloatingPointError and raises it on unpacking.
+    """
+
+    scorer: object
+    history: TrainHistory
+    error: FloatingPointError | None = None
+
+    def __iter__(self):
+        if self.error is not None:
+            raise self.error
+        return iter((self.scorer, self.history))
+
+
+class _Scorer:
+    """Parameter layout shared by the scorers.
+
+    Every parameter may carry a leading cell axis. A stacked scorer holds C
+    cells and maps (C, B, d) features to (C, B, K+1) scores with one batched
+    matmul per layer; each cell's arithmetic is that of its own scorer.
+    """
+
+    @classmethod
+    def stack(cls, scorers):
+        """A stacked scorer holding copies of the given scorers' parameters."""
+        return cls(**{key: np.stack([s.params[key] for s in scorers])
+                      for key in scorers[0].params})
+
+    def cell(self, c: int):
+        """Cell c of a stacked scorer as a one-cell scorer viewing its arrays.
+
+        Unchecked: a cell may hold non-finite values until training drops it.
+        """
+        view = object.__new__(type(self))
+        view.params = {key: value[c] for key, value in self.params.items()}
+        return view
+
+    def _check_finite(self) -> None:
+        if not all(np.isfinite(p).all() for p in self.params.values()):
+            raise ValueError("parameters must be finite")
+
+
+class LinearScorer(_Scorer):
     """Affine map from features to K+1 scores."""
 
     kind = "linear"
@@ -72,10 +121,10 @@ class LinearScorer:
             "bias": np.asarray(bias, dtype=float),
         }
         w, b = self.params["weights"], self.params["bias"]
-        if w.ndim != 2 or b.shape != (w.shape[0],):
-            raise ValueError("weights must be (K+1, d) with a matching bias")
-        if not all(np.isfinite(p).all() for p in self.params.values()):
-            raise ValueError("parameters must be finite")
+        if w.ndim not in (2, 3) or b.shape != w.shape[:-1]:
+            raise ValueError("weights must be (K+1, d), or (C, K+1, d) for a "
+                             "cell stack, with a matching bias")
+        self._check_finite()
 
     @classmethod
     def create(cls, k: int, dim: int, rng: np.random.Generator):
@@ -84,20 +133,22 @@ class LinearScorer:
 
     @property
     def dim(self) -> int:
-        return self.params["weights"].shape[1]
+        return self.params["weights"].shape[-1]
 
     @property
     def k(self) -> int:
-        return self.params["weights"].shape[0] - 1
+        return self.params["weights"].shape[-2] - 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.params["weights"].T + self.params["bias"]
+        w, b = self.params["weights"], self.params["bias"]
+        return x @ w.swapaxes(-1, -2) + b[..., None, :]
 
     def backward(self, x: np.ndarray, d_scores: np.ndarray) -> dict:
-        return {"weights": d_scores.T @ x, "bias": d_scores.sum(axis=0)}
+        return {"weights": d_scores.swapaxes(-1, -2) @ x,
+                "bias": d_scores.sum(axis=-2)}
 
 
-class MlpScorer:
+class MlpScorer(_Scorer):
     """One-hidden-layer rectifier network emitting K+1 scores."""
 
     kind = "mlp"
@@ -109,10 +160,17 @@ class MlpScorer:
             "w2": np.asarray(w2, dtype=float),
             "b2": np.asarray(b2, dtype=float),
         }
-        if self.params["w1"].shape[0] < 1:
+        w1, b1, w2, b2 = self.params.values()
+        if (w1.ndim not in (2, 3) or w2.shape[:-2] != w1.shape[:-2]
+                or w2.ndim != w1.ndim or w2.shape[-1] != w1.shape[-2]
+                or b1.shape != w1.shape[:-1] or b2.shape != w2.shape[:-1]):
+            raise ValueError(
+                "MLP parameters must be w1 (H, d), b1 (H,), w2 (K+1, H) and "
+                "b2 (K+1,), or all four with one leading cell axis; got "
+                f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+        if w1.shape[-2] < 1:
             raise ValueError("hidden width must be >= 1")
-        if not all(np.isfinite(p).all() for p in self.params.values()):
-            raise ValueError("parameters must be finite")
+        self._check_finite()
 
     @classmethod
     def create(cls, k: int, dim: int, hidden: int, rng: np.random.Generator):
@@ -125,28 +183,29 @@ class MlpScorer:
 
     @property
     def dim(self) -> int:
-        return self.params["w1"].shape[1]
+        return self.params["w1"].shape[-1]
 
     @property
     def k(self) -> int:
-        return self.params["w2"].shape[0] - 1
+        return self.params["w2"].shape[-2] - 1
 
     def _hidden_pre(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.params["w1"].T + self.params["b1"]
+        return x @ self.params["w1"].swapaxes(-1, -2) + self.params["b1"][..., None, :]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         hidden = np.maximum(self._hidden_pre(x), 0.0)
-        return hidden @ self.params["w2"].T + self.params["b2"]
+        return (hidden @ self.params["w2"].swapaxes(-1, -2)
+                + self.params["b2"][..., None, :])
 
     def backward(self, x: np.ndarray, d_scores: np.ndarray) -> dict:
         pre = self._hidden_pre(x)
         hidden = np.maximum(pre, 0.0)
         d_hidden = (d_scores @ self.params["w2"]) * (pre > 0)
         return {
-            "w1": d_hidden.T @ x,
-            "b1": d_hidden.sum(axis=0),
-            "w2": d_scores.T @ hidden,
-            "b2": d_scores.sum(axis=0),
+            "w1": d_hidden.swapaxes(-1, -2) @ x,
+            "b1": d_hidden.sum(axis=-2),
+            "w2": d_scores.swapaxes(-1, -2) @ hidden,
+            "b2": d_scores.sum(axis=-2),
         }
 
 
@@ -208,58 +267,138 @@ def _snapshot(params: dict) -> dict:
     return {k: v.copy() for k, v in params.items()}
 
 
-def train(data: Dataset, dev: Dataset, config: TrainConfig, scorer=None):
-    """Mini-batch training; returns the best-dev-checkpoint scorer and history."""
-    config.validate()
+def _stack_key(config: TrainConfig, scorer) -> tuple:
+    """What cells must share to train as one stack: every setting but the
+    loss kind, gamma and seed, and the scorer's kind and shapes."""
+    shared = astuple(replace(config, loss_kind="", gamma=0.0, seed=0))
+    return shared, scorer.kind, tuple(v.shape for v in scorer.params.values())
+
+
+def train(data: Dataset, dev: Dataset, configs, scorers=None) -> list:
+    """Mini-batch training of one cell per config; one TrainResult per config.
+
+    Cells whose configs differ only in loss kind, gamma and seed train as one
+    stacked model: each step runs one forward, one batch_loss, one backward
+    and one Adam step for the whole stack. Each cell keeps its own init and
+    shuffle streams (drawn from its seed), its best-dev checkpoint and its
+    divergence, so its parameters are bit-identical to training it alone. A
+    cell whose scores or loss stop being finite leaves the stack at that step
+    and its result carries the FloatingPointError; the others train on.
+    `scorers` optionally gives a scorer (or None) per config; a given scorer
+    is trained in place and ends at its best-dev checkpoint.
+    """
+    if scorers is None:
+        scorers = [None] * len(configs)
+    if len(scorers) != len(configs):
+        raise ValueError("need one scorer (or None) per config")
     if data.dim != dev.dim or data.k != dev.k:
         raise ValueError("train and dev sets must share feature and label dims")
-    init_rng, shuffle_rng = map(
-        np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2)
-    )
-    if scorer is None:
-        if config.hidden_width > 0:
-            scorer = MlpScorer.create(data.k, data.dim, config.hidden_width, init_rng)
-        else:
-            scorer = LinearScorer.create(data.k, data.dim, init_rng)
-    elif scorer.dim != data.dim or scorer.k != data.k:
-        raise ValueError("scorer dimensions do not match the data")
+    cells = []
+    for config, scorer in zip(configs, scorers):
+        config.validate()
+        init_rng, shuffle_rng = map(
+            np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2)
+        )
+        if scorer is None:
+            if config.hidden_width > 0:
+                scorer = MlpScorer.create(data.k, data.dim, config.hidden_width,
+                                          init_rng)
+            else:
+                scorer = LinearScorer.create(data.k, data.dim, init_rng)
+        elif scorer.dim != data.dim or scorer.k != data.k:
+            raise ValueError("scorer dimensions do not match the data")
+        cells.append((config, scorer, shuffle_rng))
+    stacks: dict = {}
+    for i, (config, scorer, _) in enumerate(cells):
+        stacks.setdefault(_stack_key(config, scorer), []).append(i)
+    results = [None] * len(cells)
+    for members in stacks.values():
+        stack_results = _train_stack(data, dev, [cells[i] for i in members])
+        for i, result in zip(members, stack_results):
+            results[i] = result
+    return results
+
+
+def _train_stack(data: Dataset, dev: Dataset, cells: list) -> list:
+    """Train (config, scorer, shuffle_rng) cells that share a _stack_key."""
+    started = time.perf_counter()
+    config = cells[0][0]  # the settings every cell of the stack shares
+    stack = type(cells[0][1]).stack([scorer for _, scorer, _ in cells])
+    optimizer = Adam(stack.params)
+    live = list(range(len(cells)))  # the cell each stack row trains
+    kinds = [cell[0].loss_kind for cell in cells]
+    gammas = [cell[0].gamma for cell in cells]
+    histories = [TrainHistory() for _ in cells]
+    errors = [None] * len(cells)
+    best_metric = [-1.0] * len(cells)
+    best_params = [_snapshot(scorer.params) for _, scorer, _ in cells]
+
+    def drop(bad: np.ndarray, message: str, *arrays) -> list:
+        """Take the flagged rows out of the stack and out of `arrays`."""
+        for row in np.flatnonzero(bad):
+            errors[live[row]] = FloatingPointError(message)
+        keep = ~bad
+        for state in (stack.params, optimizer.m, optimizer.v):
+            for key in state:
+                state[key] = state[key][keep]
+        for rows in (live, kinds, gammas):
+            rows[:] = [r for r, k in zip(rows, keep) if k]
+        return [array[keep] for array in arrays]
 
     n = len(data)
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
-    optimizer = Adam(scorer.params)
-    history = TrainHistory()
-    best_metric, best_params = -1.0, _snapshot(scorer.params)
     step = 0
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
+        orders = np.stack([cells[c][2].permutation(n) for c in live])
+        loss_sum = np.zeros(len(live))
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+            idx = orders[:, start:start + config.batch_size]
             x, y = data.features[idx], data.labels[idx]
-            scores = scorer.forward(x)
+            scores = stack.forward(x)
             if not np.isfinite(scores).all():
-                raise FloatingPointError(f"training diverged at step {step}")
-            value, d_scores = batch_loss(config.loss_kind, y, scores,
-                                         config.gamma)
-            if not np.isfinite(value):
-                raise FloatingPointError(f"training loss diverged at step {step}")
-            loss_sum += value * len(idx)
+                orders, loss_sum, x, y, scores = drop(
+                    ~np.isfinite(scores).all(axis=(1, 2)),
+                    f"training diverged at step {step}",
+                    orders, loss_sum, x, y, scores)
+                if not live:
+                    break
+            values, d_scores = batch_loss(kinds, y, scores, gammas)
+            if not np.isfinite(values).all():
+                orders, loss_sum, x, values, d_scores = drop(
+                    ~np.isfinite(values),
+                    f"training loss diverged at step {step}",
+                    orders, loss_sum, x, values, d_scores)
+                if not live:
+                    break
+            loss_sum += values * idx.shape[1]
             lr = learning_rate_at(step, total_steps, config.learning_rate,
                                   config.warmup_fraction)
-            optimizer.step(scorer.params, scorer.backward(x, d_scores), lr,
+            optimizer.step(stack.params, stack.backward(x, d_scores), lr,
                            config.weight_decay)
             step += 1
-        history.train_loss.append(loss_sum / n)
-        metric = native_dev_metric(scorer, dev, config.loss_kind)
-        history.dev_metric.append(metric)
-        if metric > best_metric:
-            best_metric = metric
-            best_params = _snapshot(scorer.params)
-            history.best_epoch = epoch
-    for key, value in best_params.items():
-        scorer.params[key][...] = value
-    return scorer, history
+        if not live:
+            break
+        for row, c in enumerate(live):
+            history = histories[c]
+            history.train_loss.append(float(loss_sum[row] / n))
+            view = stack.cell(row)
+            metric = native_dev_metric(view, dev, kinds[row])
+            history.dev_metric.append(metric)
+            if metric > best_metric[c]:
+                best_metric[c] = metric
+                best_params[c] = _snapshot(view.params)
+                history.best_epoch = epoch
+    share = (time.perf_counter() - started) / len(cells)
+    results = []
+    for (_, scorer, _), history, error, best in zip(cells, histories, errors,
+                                                    best_params):
+        history.seconds = share
+        if error is None:
+            for key, value in best.items():
+                scorer.params[key][...] = value
+        results.append(TrainResult(scorer, history, error))
+    return results
 
 
 def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,
@@ -324,7 +463,11 @@ def scorer_from_dict(payload: dict):
     kind = payload.get("kind")
     params = payload.get("params", {})
     if kind == "linear":
-        return LinearScorer(params["weights"], params["bias"])
-    if kind == "mlp":
-        return MlpScorer(params["w1"], params["b1"], params["w2"], params["b2"])
-    raise ValueError(f"unknown scorer kind {kind!r}")
+        scorer = LinearScorer(params["weights"], params["bias"])
+    elif kind == "mlp":
+        scorer = MlpScorer(params["w1"], params["b1"], params["w2"], params["b2"])
+    else:
+        raise ValueError(f"unknown scorer kind {kind!r}")
+    if next(iter(scorer.params.values())).ndim != 2:
+        raise ValueError("a checkpoint holds one scorer, not a cell stack")
+    return scorer

@@ -134,7 +134,7 @@ def test_c4_separable_learning():
     train_part, dev_part, test_part = split(data, 5000, 1000)
     config = TrainConfig("ncrl_plain", epochs=200, batch_size=32,
                          learning_rate=0.1, seed=0)
-    scorer, history = train(train_part, dev_part, config)
+    scorer, history = train(train_part, dev_part, [config])[0]
     scores = scorer.forward(test_part.features)
     report = evaluate(scores, test_part.labels, adaptive_flags(scores))
     elapsed = time.perf_counter() - started

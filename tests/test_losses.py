@@ -366,3 +366,45 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             batch_loss("bce", np.array([[1, 0, 0]]),
                        np.array([[0.0, np.nan, 0.0]]))
+
+    def test_stacked_matches_per_cell_exactly(self):
+        # every margin kind at every gamma, plus atl and pairwise, in one
+        # (C, B, K+1) stack: each cell must equal its own 2-D call bit for bit
+        rng = np.random.default_rng(16)
+        b, k = 48, 6
+        cells = [(kind, gamma)
+                 for kind in ("ncrl_plain", "ncrl_final", "ncrl_noreg", "bce",
+                              "bce_shifted")
+                 for gamma in (0.0, 0.01, 0.05, 0.2)]
+        cells[5:5] = [("atl", 0.0), ("pairwise", 0.0)]
+        y = rng.integers(0, 2, size=(len(cells), b, k))
+        Y = np.concatenate([(y.max(axis=2, keepdims=True) == 0), y], axis=2)
+        F = rng.normal(0, 6, size=(len(cells), b, k + 1))
+        values, grads = batch_loss([c[0] for c in cells], Y, F,
+                                   [c[1] for c in cells])
+        assert values.shape == (len(cells),) and grads.shape == F.shape
+        for c, (kind, gamma) in enumerate(cells):
+            value, grad = batch_loss(kind, Y[c], F[c], gamma)
+            assert values[c] == value, (kind, gamma)
+            assert np.array_equal(grads[c], grad), (kind, gamma)
+            if gamma > 0 and kind in ("ncrl_noreg", "bce_shifted"):
+                # scores this wide clamp some negatives to exact zeros
+                negatives = grad[:, 1:][Y[c][:, 1:] == 0]
+                assert (negatives == 0.0).any(), (kind, gamma)
+        margin_only = [c for c, (kind, _) in enumerate(cells)
+                       if kind not in ("atl", "pairwise")]
+        values_m, grads_m = batch_loss([cells[c][0] for c in margin_only],
+                                       Y[margin_only], F[margin_only],
+                                       [cells[c][1] for c in margin_only])
+        assert np.array_equal(values_m, values[margin_only])
+        assert np.array_equal(grads_m, grads[margin_only])
+
+    def test_stacked_arguments_checked(self):
+        Y, F = np.zeros((2, 1, 3), dtype=int), np.zeros((2, 1, 3))
+        Y[:, :, 0] = 1
+        with pytest.raises(ValueError, match="stacked"):
+            batch_loss(["bce"], Y, F, [0.0])
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            batch_loss(["bce", "focal"], Y, F, [0.0, 0.0])
+        with pytest.raises(ValueError, match="shift parameter"):
+            batch_loss(["bce", "ncrl_final"], Y, F, [0.0, 1.5])

@@ -65,7 +65,7 @@ class TestTrain:
         train_part, dev_part, test_part = separable_splits()
         cfg = TrainConfig("ncrl_plain", epochs=200, batch_size=32,
                           learning_rate=0.1, seed=0)
-        scorer, history = train(train_part, dev_part, cfg)
+        scorer, history = train(train_part, dev_part, [cfg])[0]
         assert history.train_loss[-1] < 0.05
         assert history.dev_metric[history.best_epoch] >= 0.95
         scores = scorer.forward(test_part.features)
@@ -78,8 +78,8 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig("ncrl_plain", epochs=0).validate()
         _, history = train(train_part, dev_part,
-                           TrainConfig("ncrl_plain", epochs=1, batch_size=256,
-                                       learning_rate=0.05, seed=0))
+                           [TrainConfig("ncrl_plain", epochs=1, batch_size=256,
+                                        learning_rate=0.05, seed=0)])[0]
         assert len(history.train_loss) == 1
         assert len(history.dev_metric) == 1
 
@@ -88,8 +88,8 @@ class TestTrain:
                                                    n=7000, seed=2)
         cfg = TrainConfig("ncrl_final", gamma=0.05, epochs=3, batch_size=128,
                           learning_rate=0.05, seed=9)
-        a, _ = train(train_part, dev_part, cfg)
-        b, _ = train(train_part, dev_part, cfg)
+        a, _ = train(train_part, dev_part, [cfg])[0]
+        b, _ = train(train_part, dev_part, [cfg])[0]
         for key in a.params:
             assert np.array_equal(a.params[key], b.params[key])
 
@@ -99,8 +99,8 @@ class TestTrain:
                                         none_fraction_target=0.4, seed=5))
         train_part, dev_part = split(data, 2000)
         _, history = train(train_part, dev_part,
-                           TrainConfig("ncrl_plain", epochs=30, batch_size=64,
-                                       learning_rate=0.05, seed=0))
+                           [TrainConfig("ncrl_plain", epochs=30, batch_size=64,
+                                        learning_rate=0.05, seed=0)])[0]
         after_warmup = np.array(history.train_loss[3:])  # warmup spans 3 epochs
         assert (np.diff(after_warmup) <= 1e-3).all()
 
@@ -110,8 +110,8 @@ class TestTrain:
         scorer = LinearScorer.create(4, 8, np.random.default_rng(3))
         w0 = scorer.params["weights"][0].copy()
         train(train_part, dev_part,
-              TrainConfig("bce", epochs=3, batch_size=128, learning_rate=0.05,
-                          seed=0), scorer=scorer)
+              [TrainConfig("bce", epochs=3, batch_size=128, learning_rate=0.05,
+                           seed=0)], scorers=[scorer])
         assert np.array_equal(scorer.params["weights"][0], w0)
         assert scorer.params["bias"][0] == 0.0
 
@@ -122,7 +122,7 @@ class TestTrain:
                           learning_rate=1e160, hidden_width=4, seed=0)
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
                                                        match="step"):
-            train(train_part, dev_part, cfg)
+            _scorer, _history = train(train_part, dev_part, [cfg])[0]
 
     def test_dimension_mismatch_rejected(self):
         a = generate(SyntheticConfig(num_labels=3, feature_dim=5,
@@ -130,7 +130,7 @@ class TestTrain:
         b = generate(SyntheticConfig(num_labels=3, feature_dim=6,
                                      num_instances=50, seed=0))
         with pytest.raises(ValueError):
-            train(a, b, TrainConfig("bce", epochs=1))
+            train(a, b, [TrainConfig("bce", epochs=1)])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -143,6 +143,73 @@ class TestTrain:
             TrainConfig("bce", weight_decay=-0.1).validate()
         with pytest.raises(ValueError):
             TrainConfig("ncrl_final", gamma=1.0).validate()
+
+
+class TestStackedTraining:
+    def test_stack_matches_one_cell_training(self):
+        # margin kinds, atl and pairwise share the linear stack; two MLP cells
+        # form a second stack; the ncrl_plain cell in the middle diverges part
+        # way through its first epoch and must not disturb the others
+        data = generate(SyntheticConfig(num_labels=4, feature_dim=6,
+                                        num_instances=900,
+                                        none_fraction_target=0.3, seed=4))
+        train_part, dev_part = split(data, 700)
+        train_part.features[350, 0] = 1e6
+        shared = dict(epochs=3, batch_size=64, learning_rate=0.05)
+        configs = [
+            TrainConfig("ncrl_final", gamma=0.05, seed=1, **shared),
+            TrainConfig("atl", seed=2, **shared),
+            TrainConfig("bce_shifted", gamma=0.2, seed=3, **shared),
+            TrainConfig("ncrl_plain", seed=4, **shared),
+            TrainConfig("pairwise", seed=5, **shared),
+            TrainConfig("ncrl_noreg", gamma=0.01, seed=6, **shared),
+            TrainConfig("bce", seed=7, **shared),
+            TrainConfig("ncrl_final", gamma=0.01, seed=8, hidden_width=5,
+                        **shared),
+            TrainConfig("atl", seed=9, hidden_width=5, **shared),
+        ]
+
+        def scorers():
+            # feature 0 reaches 1e6 on one training row, which overflows this
+            # scorer's scores when its shuffle reaches that row
+            weights = np.full((5, 6), 0.1)
+            weights[1, 0] = 1e303
+            return [None] * 3 + [LinearScorer(weights, np.zeros(5))] + [None] * 5
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = train(train_part, dev_part, configs, scorers=scorers())
+        for config, scorer, result in zip(configs, scorers(), stacked):
+            with np.errstate(over="ignore", invalid="ignore"):
+                alone, = train(train_part, dev_part, [config], scorers=[scorer])
+            if config.loss_kind == "ncrl_plain":
+                assert result.error is not None and alone.error is not None
+                assert str(result.error) == str(alone.error)
+                assert str(result.error) != "training diverged at step 0"
+                with pytest.raises(FloatingPointError, match="diverged at step"):
+                    _scorer, _history = result
+                continue
+            assert result.error is None
+            for key, value in alone.scorer.params.items():
+                assert np.array_equal(result.scorer.params[key], value), config
+            assert result.history.train_loss == alone.history.train_loss
+            assert result.history.dev_metric == alone.history.dev_metric
+            assert result.history.best_epoch == alone.history.best_epoch
+
+    def test_stacked_scorer_cells(self):
+        rng = np.random.default_rng(8)
+        for cells in ([LinearScorer.create(3, 4, rng) for _ in range(3)],
+                      [MlpScorer.create(3, 4, 5, rng) for _ in range(3)]):
+            stack = type(cells[0]).stack(cells)
+            assert (stack.k, stack.dim) == (3, 4)
+            x = rng.normal(size=(3, 7, 4))
+            d = rng.normal(size=(3, 7, 4))
+            scores, grads = stack.forward(x), stack.backward(x, d)
+            for c, cell in enumerate(cells):
+                assert np.array_equal(scores[c], cell.forward(x[c]))
+                for key, grad in cell.backward(x[c], d[c]).items():
+                    assert np.array_equal(grads[key][c], grad)
+                for key, value in stack.cell(c).params.items():
+                    assert np.array_equal(value, cell.params[key])
 
 
 class TestGradCheck:
@@ -203,6 +270,24 @@ class TestCheckpoints:
         assert payload["config"]["loss_kind"] == "atl"
         for key in scorer.params:
             assert np.array_equal(clone.params[key], scorer.params[key])
+
+    def test_mlp_shapes_must_agree(self):
+        rng = np.random.default_rng(7)
+        good = MlpScorer.create(3, 4, 6, rng).params
+        for key, bad in (("w1", np.zeros((5, 4))), ("b1", np.zeros(5)),
+                         ("w2", np.zeros((4, 5))), ("b2", np.zeros(3)),
+                         ("w2", np.zeros((2, 4, 6)))):
+            with pytest.raises(ValueError, match="MLP parameters"):
+                MlpScorer(**{**good, key: bad})
+        stacked = {key: np.stack([value, value]) for key, value in good.items()}
+        assert MlpScorer(**stacked).k == 3
+        with pytest.raises(ValueError, match="MLP parameters"):
+            MlpScorer(**{**stacked, "b2": np.zeros((3, 4))})
+
+    def test_stacked_checkpoint_rejected(self):
+        stack = LinearScorer.stack([LinearScorer(np.zeros((3, 4)), np.zeros(3))] * 2)
+        with pytest.raises(ValueError, match="not a cell stack"):
+            scorer_from_dict(scorer_to_dict(stack))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

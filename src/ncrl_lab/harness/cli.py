@@ -144,7 +144,10 @@ def _prediction_flags(args, scores):
 
 def _checkpoint_scores(args):
     """Load --model and --data, check that they agree, and score the data."""
-    scorer = scorer_from_dict(load_json(args.model))
+    try:
+        scorer = scorer_from_dict(load_json(args.model))
+    except ValueError as exc:  # malformed JSON or checkpoint
+        raise ValueError(f"{args.model}: {exc}") from exc
     data = load_dataset(args.data)
     if (scorer.k, scorer.dim) != (data.k, data.dim):
         raise ValueError(

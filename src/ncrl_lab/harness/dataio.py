@@ -9,6 +9,7 @@ leave no partial outputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import sys
@@ -62,72 +63,68 @@ def save_dataset(data: Dataset, path: str) -> None:
     _atomic_text_write(path, "\n".join(lines) + "\n")
 
 
-def _parse_instance(obj: dict, where: str):
+def _parse_instance(obj: dict):
+    """(features, labels, k) of one decoded line; errors name no location."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object")
+        raise ValueError("expected a JSON object")
     for key in ("features", "labels", "k"):
         if key not in obj:
-            raise ValueError(f"{where}: missing required key {key!r}")
+            raise ValueError(f"missing required key {key!r}")
     k = obj["k"]
     # JSON true/false load as bool, a subclass of int; neither is an index
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError(f"{where}: k must be a positive integer")
+        raise ValueError("k must be a positive integer")
     features = obj["features"]
     if not isinstance(features, list) or not features:
-        raise ValueError(f"{where}: features must be a nonempty list")
+        raise ValueError("features must be a nonempty list")
     # bool is a type of its own here, so JSON true/false fail as well
     types = set(map(type, features))
     if not types <= {int, float}:
-        raise ValueError(f"{where}: features must be numbers")
+        raise ValueError("features must be numbers")
     if int in types and any(abs(v) > sys.float_info.max for v in features):
-        raise ValueError(f"{where}: features must be finite numbers")
+        raise ValueError("features must be finite numbers")
     labels = obj["labels"]
     if not isinstance(labels, list) or any(
             isinstance(i, bool) or not isinstance(i, int) for i in labels):
-        raise ValueError(f"{where}: labels must be a list of integer indices")
+        raise ValueError("labels must be a list of integer indices")
     if any(i < 1 or i > k for i in labels):
         raise ValueError(
-            f"{where}: y0-consistency violated; label indices must lie in 1..{k} "
+            f"y0-consistency violated; label indices must lie in 1..{k} "
             "(the none class is derived, never listed)"
         )
     if len(set(labels)) != len(labels):
-        raise ValueError(f"{where}: duplicate label indices")
+        raise ValueError("duplicate label indices")
     if "none" in obj and not isinstance(obj["none"], bool):
-        raise ValueError(f"{where}: \"none\" must be a JSON boolean")
+        raise ValueError("\"none\" must be a JSON boolean")
     if "none" in obj and obj["none"] != (len(labels) == 0):
-        raise ValueError(
-            f"{where}: y0-consistency violated; \"none\" flag contradicts labels"
-        )
+        raise ValueError("y0-consistency violated; \"none\" flag contradicts labels")
     return features, labels, k
 
 
 def load_dataset(path: str) -> Dataset:
-    features, flag_rows, line_nos = [], [], []
+    features, label_lists, line_nos = [], [], []
     k = dim = None
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}:{line_no}"
+            # the location is formatted only when a line is refused
             try:
-                obj = json.loads(line)
+                feats, labels, line_k = _parse_instance(json.loads(line))
+                if k is None:
+                    k, dim = line_k, len(feats)
+                elif line_k != k:
+                    raise ValueError(f"k changed from {k} to {line_k}")
+                elif len(feats) != dim:
+                    raise ValueError(f"feature length {len(feats)} != {dim}")
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: malformed JSON ({exc.msg})") from exc
-            feats, labels, line_k = _parse_instance(obj, where)
-            if k is None:
-                k, dim = line_k, len(feats)
-            elif line_k != k:
-                raise ValueError(f"{where}: k changed from {k} to {line_k}")
-            elif len(feats) != dim:
                 raise ValueError(
-                    f"{where}: feature length {len(feats)} != {dim}"
-                )
-            flags = np.zeros(k + 1, dtype=int)
-            flags[labels] = 1
-            flags[0] = int(not labels)
+                    f"{path}:{line_no}: malformed JSON ({exc.msg})") from exc
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
             features.append(feats)
-            flag_rows.append(flags)
+            label_lists.append(labels)
             line_nos.append(line_no)
     if not features:
         raise ValueError(f"{path}: no instances")
@@ -136,7 +133,12 @@ def load_dataset(path: str) -> Dataset:
     if not finite.all():  # JSON NaN and Infinity parse as floats
         raise ValueError(f"{path}:{line_nos[np.argmin(finite)]}: features "
                          "must be finite numbers")
-    return Dataset(matrix, np.asarray(flag_rows), provenance={"source": path})
+    counts = np.array([len(labels) for labels in label_lists])
+    flags = np.zeros((len(label_lists), k + 1), dtype=int)
+    flags[np.repeat(np.arange(len(label_lists)), counts),
+          list(itertools.chain.from_iterable(label_lists))] = 1
+    flags[:, 0] = counts == 0
+    return Dataset(matrix, flags, provenance={"source": path})
 
 
 def save_json(obj, path: str) -> None:

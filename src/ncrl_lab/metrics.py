@@ -55,11 +55,34 @@ def flags_from_sets(preds, k: int) -> np.ndarray:
     return flags
 
 
-def _gold_flags(gold) -> np.ndarray:
+def gold_flags(gold) -> np.ndarray:
+    """The (n, K) pre-defined columns of (n, K+1) gold label vectors, as ints."""
     g = np.asarray(gold, dtype=int)
     if g.ndim != 2 or g.shape[1] < 2:
         raise ValueError("gold labels must be (n, K+1) with the none column first")
     return g[:, 1:]
+
+
+def _tally(preds, gold, axis):
+    """TP, FP and FN counts along `axis` (None pools every label).
+
+    A flag or gold entry counts as positive when it is 1 and as negative when
+    it is 0, after a cast to int; other values count nowhere.
+    """
+    y = gold_flags(gold)
+    if len(preds) != len(y):
+        raise ValueError("predictions and gold must have equal instance counts")
+    p = np.asarray(preds) if isinstance(preds, np.ndarray) else None
+    if p is not None and p.ndim == 2:
+        if p.shape != y.shape:
+            raise ValueError("prediction flags must match gold shape")
+        p = np.asarray(p, dtype=int)
+    else:
+        p = flags_from_sets(preds, y.shape[1])
+    predicted, actual = p == 1, y == 1
+    return (np.count_nonzero(predicted & actual, axis=axis),
+            np.count_nonzero(predicted & (y == 0), axis=axis),
+            np.count_nonzero((p == 0) & actual, axis=axis))
 
 
 def confusion(preds, gold) -> ConfusionCounts:
@@ -68,21 +91,7 @@ def confusion(preds, gold) -> ConfusionCounts:
     preds is either a sequence of positive-index collections or an (n, K)
     flag matrix.
     """
-    y = _gold_flags(gold)
-    if len(preds) != len(y):
-        raise ValueError("predictions and gold must have equal instance counts")
-    p = np.asarray(preds) if isinstance(preds, np.ndarray) else None
-    if p is not None and p.ndim == 2:
-        if p.shape != y.shape:
-            raise ValueError("prediction flags must match gold shape")
-        p = p.astype(int)
-    else:
-        p = flags_from_sets(preds, y.shape[1])
-    return ConfusionCounts(
-        tp=((p == 1) & (y == 1)).sum(axis=0),
-        fp=((p == 1) & (y == 0)).sum(axis=0),
-        fn=((p == 0) & (y == 1)).sum(axis=0),
-    )
+    return ConfusionCounts(*_tally(preds, gold, axis=0))
 
 
 def _ratio(num, den) -> float:
@@ -95,22 +104,27 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def micro_macro_f1(counts: ConfusionCounts):
-    """(micro F1, macro F1, micro precision, micro recall) from pooled counts."""
-    tp, fp, fn = counts.tp.sum(), counts.fp.sum(), counts.fn.sum()
+def pooled_f1(tp, fp, fn):
+    """(micro F1, precision, recall) from counts pooled over all labels."""
     precision = _ratio(tp, tp + fp)
     recall = _ratio(tp, tp + fn)
+    return _f1(precision, recall), precision, recall
+
+
+def micro_macro_f1(counts: ConfusionCounts):
+    """(micro F1, macro F1, micro precision, micro recall) from pooled counts."""
+    micro, precision, recall = pooled_f1(counts.tp.sum(), counts.fp.sum(),
+                                         counts.fn.sum())
     per_label = [
         _f1(_ratio(t, t + p), _ratio(t, t + n))
         for t, p, n in zip(counts.tp, counts.fp, counts.fn)
     ]
-    return _f1(precision, recall), float(np.mean(per_label)), precision, recall
+    return micro, float(np.mean(per_label)), precision, recall
 
 
 def micro_f1_flags(pred_flags, gold) -> float:
     """Micro F1 straight from an (n, K) prediction flag matrix."""
-    micro, _, _, _ = micro_macro_f1(confusion(np.asarray(pred_flags), gold))
-    return micro
+    return pooled_f1(*_tally(np.asarray(pred_flags), gold, axis=None))[0]
 
 
 def average_precision(scores, gold_flags) -> float:
@@ -135,7 +149,7 @@ def average_precision(scores, gold_flags) -> float:
 def mean_average_precision(scores, gold) -> float:
     """Mean per-instance AP over instances with at least one positive label."""
     s = np.asarray(scores, dtype=float)
-    y = _gold_flags(gold)
+    y = gold_flags(gold)
     if len(s) != len(y):
         raise ValueError("scores and gold must have equal instance counts")
     qualifying = y.sum(axis=1) > 0

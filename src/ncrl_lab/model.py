@@ -106,8 +106,9 @@ class _Scorer:
         return view
 
     def _check_finite(self) -> None:
-        if not all(np.isfinite(p).all() for p in self.params.values()):
-            raise ValueError("parameters must be finite")
+        for key, value in self.params.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"parameter {key!r} must be finite")
 
 
 class LinearScorer(_Scorer):
@@ -459,15 +460,38 @@ def scorer_to_dict(scorer, config: TrainConfig | None = None) -> dict:
     return out
 
 
+_CHECKPOINT_KINDS = {"linear": ("weights", "bias"), "mlp": ("w1", "b1", "w2", "b2")}
+
+
 def scorer_from_dict(payload: dict):
+    """The scorer a `scorer_to_dict` checkpoint holds.
+
+    A malformed checkpoint raises ValueError naming the missing or ill-typed
+    key.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint must be a JSON object, got "
+                         f"{type(payload).__name__}")
     kind = payload.get("kind")
-    params = payload.get("params", {})
-    if kind == "linear":
-        scorer = LinearScorer(params["weights"], params["bias"])
-    elif kind == "mlp":
-        scorer = MlpScorer(params["w1"], params["b1"], params["w2"], params["b2"])
-    else:
+    if not isinstance(kind, str) or kind not in _CHECKPOINT_KINDS:
         raise ValueError(f"unknown scorer kind {kind!r}")
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("checkpoint key 'params' must be an object, got "
+                         f"{type(params).__name__}")
+    arrays = []
+    for key in _CHECKPOINT_KINDS[kind]:
+        if key not in params:
+            raise ValueError(f"checkpoint params lack {key!r}")
+        try:
+            value = np.asarray(params[key])
+            numeric = value.dtype.kind in "iuf"
+        except ValueError:  # ragged nested lists
+            numeric = False
+        if not numeric:
+            raise ValueError(f"checkpoint param {key!r} must be a numeric array")
+        arrays.append(value)
+    scorer = (LinearScorer if kind == "linear" else MlpScorer)(*arrays)
     if next(iter(scorer.params.values())).ndim != 2:
         raise ValueError("a checkpoint holds one scorer, not a cell stack")
     return scorer

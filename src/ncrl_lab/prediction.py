@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import sigmoid
-from .metrics import confusion, micro_f1_flags
+from .metrics import gold_flags, pooled_f1
 
 COARSE_GRID = tuple(round(i / 10, 1) for i in range(1, 10))
 FINE_GRID = tuple(round(i / 100, 2) for i in range(10, 91))
@@ -91,13 +91,42 @@ def predict_per_label(f, thresholds) -> np.ndarray:
     return _set_from_flags(per_label_flags(f[None, :], thresholds)[0])
 
 
-def sweep_global_threshold(scores, gold, grid=COARSE_GRID):
-    """(best threshold, best micro F1) over the grid; ties take the smaller t."""
+def _threshold_counts(scores, gold, grid):
+    """(grid, TP, FP, FN): each label's confusion counts at every grid threshold.
+
+    The counts are (G, K) arrays whose row j tallies the flags
+    sigmoid(f_i) > grid[j], as `confusion(global_flags(scores, t), gold)`
+    does for one t, but in one pass: each probability is bucketed by the
+    number of grid values below it, so it is predicted at threshold j iff
+    j < its bucket, and reverse cumulative sums of the per-(label, bucket)
+    counts give every threshold at once.
+    """
     g = _check_grid(grid)
     s = _score_matrix(scores)
+    y = gold_flags(gold)
+    if len(y) != len(s):
+        raise ValueError("predictions and gold must have equal instance counts")
+    if y.shape[1] != s.shape[1] - 1:
+        raise ValueError("prediction flags must match gold shape")
+    k = y.shape[1]
+    p = sigmoid(s[:, 1:])
+    bucket = np.searchsorted(g, p, side="left")
+    bucket[np.isnan(p)] = 0  # NaN exceeds no threshold
+    # gold class per entry: 0 negative, 1 positive, 2 neither (counts nowhere)
+    gold_class = np.where((y == 0) | (y == 1), y, 2)
+    cell = (gold_class * k + np.arange(k)) * (g.size + 1) + bucket
+    counts = np.bincount(cell.ravel(), minlength=3 * k * (g.size + 1))
+    above = np.cumsum(counts.reshape(3, k, -1)[:, :, ::-1], axis=2)[:, :, ::-1]
+    fp, tp = above[0, :, 1:].T, above[1, :, 1:].T
+    return g, tp, fp, above[1, :, :1].T - tp
+
+
+def sweep_global_threshold(scores, gold, grid=COARSE_GRID):
+    """(best threshold, best micro F1) over the grid; ties take the smaller t."""
+    g, tp, fp, fn = _threshold_counts(scores, gold, grid)
     best_t, best_f1 = None, -1.0
-    for t in g:
-        f1 = micro_f1_flags(global_flags(s, float(t)), gold)
+    for t, *counts in zip(g, tp.sum(axis=1), fp.sum(axis=1), fn.sum(axis=1)):
+        f1 = pooled_f1(*counts)[0]
         if f1 > best_f1:
             best_t, best_f1 = float(t), f1
     return best_t, best_f1
@@ -105,16 +134,7 @@ def sweep_global_threshold(scores, gold, grid=COARSE_GRID):
 
 def sweep_per_label_thresholds(scores, gold, grid=FINE_GRID) -> np.ndarray:
     """Per-label thresholds maximizing each label's own F1 independently."""
-    g = _check_grid(grid)
-    s = _score_matrix(scores)
-    k = s.shape[1] - 1
-    best_t = np.full(k, g[0])
-    best_f1 = np.full(k, -1.0)
-    for t in g:
-        counts = confusion(global_flags(s, float(t)), gold)
-        denom = 2 * counts.tp + counts.fp + counts.fn
-        f1 = np.where(denom > 0, 2 * counts.tp / np.maximum(denom, 1), 0.0)
-        better = f1 > best_f1
-        best_t[better] = float(t)
-        best_f1[better] = f1[better]
-    return best_t
+    g, tp, fp, fn = _threshold_counts(scores, gold, grid)
+    denom = 2 * tp + fp + fn
+    f1 = np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0)
+    return g[np.argmax(f1, axis=0)]  # the first maximum is the smallest t

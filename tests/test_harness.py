@@ -20,7 +20,7 @@ from ncrl_lab.harness.experiments import (ExperimentConfig, ablation_variants,
                                           summarize)
 from ncrl_lab.harness.featurizer import hashing_featurizer
 from ncrl_lab.harness.seeds import derive_seed, substream
-from ncrl_lab.model import TrainConfig
+from ncrl_lab.model import MlpScorer, TrainConfig, scorer_to_dict
 
 
 def tiny_synth(**overrides):
@@ -359,6 +359,34 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"checkpoint {model} has k=3, dim=5" in err
             assert f"data {other} has k=4, dim=6" in err
+
+    def test_malformed_checkpoint_exits_1_naming_the_key(self, tmp_path, capsys):
+        data, model = str(tmp_path / "data.jsonl"), str(tmp_path / "model.json")
+        assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "40",
+                     "--out", data]) == 0
+        mlp = scorer_to_dict(MlpScorer.create(3, 5, 4, np.random.default_rng(0)))
+        without_w2 = {**mlp, "params": {k: v for k, v in mlp["params"].items()
+                                        if k != "w2"}}
+        cases = (
+            ([], "checkpoint must be a JSON object, got list"),
+            ({"kind": "linear", "params": [1, 2]},
+             "checkpoint key 'params' must be an object, got list"),
+            (without_w2, "checkpoint params lack 'w2'"),
+            ({**mlp, "params": {**mlp["params"], "b1": "abc"}},
+             "checkpoint param 'b1' must be a numeric array"),
+            ({**mlp, "params": {**mlp["params"], "w1": [[1.0], [1.0, 2.0]]}},
+             "checkpoint param 'w1' must be a numeric array"),
+            ({"kind": ["mlp"]}, "unknown scorer kind ['mlp']"),
+        )
+        for payload, message in cases:
+            Path(model).write_text(json.dumps(payload))
+            for command in ("eval", "sweep"):
+                capsys.readouterr()
+                assert main([command, "--model", model, "--data", data]) == 1
+                assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        Path(model).write_text("{")
+        assert main(["sweep", "--model", model, "--data", data]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {model}: Expecting")
 
     def test_grad_check_command(self, capsys):
         assert main(["grad-check", "--loss", "ncrl_final", "--gamma", "0.05",

@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ncrl_lab.losses import ncre_error
-from ncrl_lab.prediction import (COARSE_GRID, adaptive_flags, global_flags,
+from ncrl_lab.metrics import confusion, micro_macro_f1
+from ncrl_lab.prediction import (COARSE_GRID, FINE_GRID, adaptive_flags,
+                                 global_flags,
                                  predict_adaptive, predict_global,
                                  predict_per_label, sweep_global_threshold,
                                  sweep_per_label_thresholds)
@@ -207,6 +212,100 @@ class TestSweepPerLabel:
             got = sweep_per_label_thresholds(scores, gold, COARSE_GRID)
             assert np.array_equal(got, brute_force_per_label(scores, gold,
                                                              COARSE_GRID))
+
+
+def scan_global(scores, gold, grid):
+    """One confusion pass per grid threshold, pooled into micro F1."""
+    best_t, best_f1 = None, -1.0
+    for t in grid:
+        f1 = micro_macro_f1(confusion(global_flags(scores, float(t)), gold))[0]
+        if f1 > best_f1:
+            best_t, best_f1 = float(t), f1
+    return best_t, best_f1
+
+
+def scan_per_label(scores, gold, grid):
+    """One confusion pass per grid threshold, scored per label."""
+    best_t = np.full(scores.shape[1] - 1, float(grid[0]))
+    best_f1 = np.full(scores.shape[1] - 1, -1.0)
+    for t in grid:
+        counts = confusion(global_flags(scores, float(t)), gold)
+        denom = 2 * counts.tp + counts.fp + counts.fn
+        f1 = np.where(denom > 0, 2 * counts.tp / np.maximum(denom, 1), 0.0)
+        better = f1 > best_f1
+        best_t[better] = float(t)
+        best_f1[better] = f1[better]
+    return best_t
+
+
+GRIDS = st.one_of(
+    st.sampled_from([COARSE_GRID, FINE_GRID, (0.5,), (0.37,)]),
+    st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12, unique=True)
+    .map(sorted),
+)
+
+
+@st.composite
+def swept_sets(draw):
+    """(scores, gold, grid) with scores on grid logits, at 0 and saturated."""
+    grid = draw(GRIDS)
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    on_grid = [math.log(t / (1 - t)) for t in grid]
+    score = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(on_grid),
+                      st.sampled_from([0.0, -1e3, 1e3, -40.0, 40.0]))
+    scores = draw(arrays(np.float64, (n, k + 1), elements=score))
+    y = draw(arrays(np.int64, (n, k), elements=st.integers(0, 1)))
+    shape = draw(st.sampled_from(["any", "all_none", "empty_label"]))
+    if shape == "all_none":
+        y[:] = 0
+    elif shape == "empty_label":
+        y[:, draw(st.integers(0, k - 1))] = 0
+    gold = np.column_stack([(y.max(axis=1) == 0).astype(int), y])
+    return scores, gold, grid
+
+
+class TestSweepExactness:
+    """Both sweeps equal a per-threshold confusion scan exactly (==)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(swept_sets())
+    def test_global_equals_scan(self, case):
+        scores, gold, grid = case
+        assert sweep_global_threshold(scores, gold, grid) == \
+            scan_global(scores, gold, grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(swept_sets())
+    def test_per_label_equals_scan(self, case):
+        scores, gold, grid = case
+        got = sweep_per_label_thresholds(scores, gold, grid)
+        assert got.tolist() == scan_per_label(scores, gold, grid).tolist()
+
+    def test_score_on_the_threshold_is_negative(self):
+        # sigmoid(0) is exactly 0.5, so t = 0.5 must not flag it
+        scores = np.array([[0.0, 0.0], [0.0, 1.0]])
+        gold = np.array([[1, 0], [0, 1]])
+        assert sweep_global_threshold(scores, gold, (0.5,)) == (0.5, 1.0)
+        assert sweep_global_threshold(scores, gold, (0.49, 0.5)) == (0.5, 1.0)
+        assert sweep_per_label_thresholds(scores, gold, (0.49, 0.5)).tolist() \
+            == [0.5]
+
+    def test_nan_score_flags_nothing(self):
+        # sigmoid(NaN) > t is false at every t, as global_flags has it
+        scores = np.array([[0.0, np.nan, 2.0], [0.0, 1.0, np.nan]])
+        gold = np.array([[0, 1, 1], [0, 1, 0]])
+        for grid in (COARSE_GRID, FINE_GRID):
+            assert sweep_global_threshold(scores, gold, grid) == \
+                scan_global(scores, gold, grid)
+            assert sweep_per_label_thresholds(scores, gold, grid).tolist() == \
+                scan_per_label(scores, gold, grid).tolist()
+
+    def test_ties_take_the_smallest_threshold(self):
+        scores = np.array([[0.0, 5.0], [0.0, -5.0]])
+        gold = np.array([[0, 1], [1, 0]])
+        assert sweep_global_threshold(scores, gold, FINE_GRID) == (0.1, 1.0)
+        assert sweep_per_label_thresholds(scores, gold, FINE_GRID).tolist() \
+            == [0.1]
 
 
 class TestFlagHelpers:

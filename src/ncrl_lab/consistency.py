@@ -9,11 +9,10 @@ recovered scores fall in the Bayes-optimal set for the ranking error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .losses import sigmoid
 
 # margins this close to zero count as ties when checking Bayes membership
 TIE_TOL = 1e-6
@@ -89,18 +88,44 @@ def optimal_margin_closed_form(delta) -> np.ndarray:
 def _descend(deltas: np.ndarray, scores: np.ndarray, step: float, iters: int):
     """Gradient descent on the conditional surrogate risk, batched over trials.
 
-    deltas is (T, K), scores (T, K+1) mutated in place. The risk gradient is
-    sigmoid(f_i - f_0) - delta_i per label and minus their sum for f_0, so the
-    per-trial score sum stays constant throughout.
+    deltas is (T, K), scores (T, K+1), updated in place and returned. The risk
+    gradient is sigmoid(f_i - f_0) - delta_i per label and minus their sum for
+    f_0, so the per-trial score sum stays constant throughout. The label and
+    none scores live in contiguous arrays, the loop reuses its buffers, and
+    each iteration checks the margins it computes: an overflow raises
+    FloatingPointError even while the scores stay finite.
     """
-    if step <= 0 or iters < 0:
-        raise ValueError("step must be positive and iters nonnegative")
+    if not math.isfinite(step) or step <= 0:
+        raise ValueError(f"step must be finite and positive, got {step}")
+    if iters < 0:
+        raise ValueError("iters must be nonnegative")
+    f = scores[:, 1:].copy()
+    f0 = scores[:, :1].copy()
+    m = f - f0
+    e, g = np.empty_like(f), np.empty_like(f)
+    up = np.empty(f.shape, dtype=bool)
+    row = np.empty(len(f))
     for it in range(iters):
-        g = sigmoid(scores[:, 1:] - scores[:, :1]) - deltas
-        scores[:, 1:] -= step * g
-        scores[:, 0] += step * g.sum(axis=1)
-        if not np.isfinite(scores).all():
-            raise FloatingPointError(f"non-finite scores at iteration {it}")
+        # sigmoid(m) = max(e, m >= 0) / (1 + e) with e = exp(-|m|), as in
+        # losses.logistic_terms: the numerator is 1 or e, and e <= 1
+        np.abs(m, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.greater_equal(m, 0.0, out=up)
+        np.maximum(e, up, out=g)
+        e += 1.0
+        g /= e
+        g -= deltas
+        g.sum(axis=1, out=row)
+        g *= step
+        f -= g
+        row *= step
+        f0[:, 0] += row
+        np.subtract(f, f0, out=m)
+        if not np.isfinite(m).all():
+            raise FloatingPointError(f"non-finite margins at iteration {it}")
+    scores[:, 1:] = f
+    scores[:, :1] = f0
     return scores
 
 

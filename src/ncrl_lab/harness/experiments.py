@@ -1,9 +1,10 @@
 """Prebuilt experiment suites over synthetic data.
 
-Every suite trains one scorer per (variant, seed) cell on a shared per-seed
-split, evaluates on the test block with the loss's native prediction rule,
-and emits ResultRows. All of a seed's cells go to one `train` call, which
-trains the cells that share their settings as one stacked model; each cell's
+Every suite trains one scorer per (variant, seed) cell on a per-seed split,
+evaluates on the test block with the loss's native prediction rule, and
+emits ResultRows. All of a seed's cells go to one `train` call, which trains
+the cells that share their settings as one stacked model, even when their
+splits differ (the no-none study's full and stripped regimes); each cell's
 rows are identical to training it alone, and row order follows the configs.
 A cell's `seconds` is its even share of its stack's training time plus its
 own test evaluation.
@@ -215,8 +216,9 @@ def run_no_none_study(config: ExperimentConfig) -> list:
 
     The stripped regime removes none-class instances from train, dev, and
     test, reproducing corpora where every instance has at least one label.
-    The two regimes' splits differ in size, so each trains as its own stack
-    of one. A diverged cell becomes an `error` row.
+    Both regimes of a seed go to one `train` call with their own splits, so
+    they train as one stacked model that steps in lockstep until the smaller
+    split's cell has run its epochs. A diverged cell becomes an `error` row.
     """
     config.validate()
     base = config.train_configs[0]
@@ -224,9 +226,12 @@ def run_no_none_study(config: ExperimentConfig) -> list:
     for seed in config.seeds:
         full = make_splits(config.synth, seed)
         stripped = tuple(strip_none_instances(part) for part in full)
-        for regime, parts in (("full", full), ("stripped", stripped)):
-            cfg = replace(base, seed=derive_seed(seed, "train", regime,
-                                                 base.loss_kind))
-            result, = train(parts[0], parts[1], [cfg])
+        regimes = (("full", full), ("stripped", stripped))
+        configs = [replace(base, seed=derive_seed(seed, "train", regime,
+                                                  base.loss_kind))
+                   for regime, _ in regimes]
+        results = train([parts[0] for _, parts in regimes],
+                        [parts[1] for _, parts in regimes], configs)
+        for (regime, parts), result in zip(regimes, results):
             rows.extend(_no_none_cell(base, regime, parts, seed, result))
     return rows

@@ -5,9 +5,10 @@ and checkpointing code treat them uniformly. Training uses an adaptive-moment
 optimizer with a linear-warmup, linear-decay learning-rate schedule and keeps
 the checkpoint with the best dev micro F1 under the loss's native prediction
 rule (adaptive thresholding for margin-based losses, a swept global threshold
-for the others). `train` takes a list of configs and trains the cells that
-share their settings as one stacked model, whose parameters carry a leading
-cell axis; every cell comes out as if trained alone.
+for the others). `train` takes a list of configs, with one data set for all
+or one per config, and trains the cells that share their settings as one
+stacked model, whose parameters carry a leading cell axis; every cell comes
+out as if trained alone.
 """
 
 from __future__ import annotations
@@ -47,14 +48,16 @@ class TrainConfig:
         check_gamma(self.gamma)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError("learning_rate must be finite and positive, got "
+                             f"{self.learning_rate}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must lie in [0, 1)")
         if self.hidden_width < 0:
             raise ValueError("hidden_width must be nonnegative")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not math.isfinite(self.weight_decay) or self.weight_decay < 0:
+            raise ValueError("weight_decay must be finite and nonnegative, got "
+                             f"{self.weight_decay}")
 
 
 @dataclass
@@ -96,8 +99,9 @@ class _Scorer:
         return cls(**{key: np.stack([s.params[key] for s in scorers])
                       for key in scorers[0].params})
 
-    def cell(self, c: int):
-        """Cell c of a stacked scorer as a one-cell scorer viewing its arrays.
+    def cell(self, c):
+        """Cell c of a stacked scorer as a one-cell scorer viewing its arrays;
+        an index array of cells gives a stacked scorer holding their copies.
 
         Unchecked: a cell may hold non-finite values until training drops it.
         """
@@ -228,11 +232,13 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
-    def step(self, params: dict, grads: dict, lr: float,
+    def step(self, params: dict, grads: dict, lr,
              weight_decay: float = 0.0) -> None:
+        """One update; lr is a scalar or one rate per cell of a stack."""
         self.t += 1
         c1 = 1 - self.beta1 ** self.t
         c2 = 1 - self.beta2 ** self.t
+        per_cell = np.ndim(lr) > 0
         for key, g in grads.items():
             m = self.m[key]
             v = self.v[key]
@@ -240,11 +246,12 @@ class Adam:
             m += (1 - self.beta1) * g
             v *= self.beta2
             v += (1 - self.beta2) * g * g
-            params[key] -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            rate = np.reshape(lr, (-1,) + (1,) * (g.ndim - 1)) if per_cell else lr
+            params[key] -= rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
             if weight_decay:
                 # decoupled decay; anchors the score level that shift-invariant
                 # losses leave unconstrained
-                params[key] -= lr * weight_decay * params[key]
+                params[key] -= rate * weight_decay * params[key]
 
 
 def learning_rate_at(step: int, total_steps: int, peak: float,
@@ -275,27 +282,44 @@ def _stack_key(config: TrainConfig, scorer) -> tuple:
     return shared, scorer.kind, tuple(v.shape for v in scorer.params.values())
 
 
-def train(data: Dataset, dev: Dataset, configs, scorers=None) -> list:
+def _per_config(sets, count: int, name: str) -> list:
+    """One Dataset per config: a single Dataset serves them all."""
+    if isinstance(sets, Dataset):
+        return [sets] * count
+    sets = list(sets)
+    if len(sets) != count:
+        raise ValueError(f"need one {name} set per config, got {len(sets)} "
+                         f"for {count} configs")
+    return sets
+
+
+def train(data, dev, configs, scorers=None) -> list:
     """Mini-batch training of one cell per config; one TrainResult per config.
 
-    Cells whose configs differ only in loss kind, gamma and seed train as one
-    stacked model: each step runs one forward, one batch_loss, one backward
-    and one Adam step for the whole stack. Each cell keeps its own init and
-    shuffle streams (drawn from its seed), its best-dev checkpoint and its
-    divergence, so its parameters are bit-identical to training it alone. A
-    cell whose scores or loss stop being finite leaves the stack at that step
-    and its result carries the FloatingPointError; the others train on.
-    `scorers` optionally gives a scorer (or None) per config; a given scorer
-    is trained in place and ends at its best-dev checkpoint.
+    `data` and `dev` are each a Dataset shared by every config, or a list
+    with one Dataset per config. Cells whose configs differ only in loss
+    kind, gamma and seed train as one stacked model, whatever their data:
+    the cells advance in lockstep by step index, and each step runs one
+    forward, one batch_loss, one backward and one Adam step for the whole
+    stack. Each cell keeps its own init and shuffle streams (drawn from its
+    seed), epoch length, learning-rate schedule, dev evaluation, best-dev
+    checkpoint and divergence, so its parameters are bit-identical to
+    training it alone. A cell that has run all its steps leaves the stack;
+    so does a cell whose scores or loss stop being finite, and its result
+    carries the FloatingPointError while the others train on. `scorers`
+    optionally gives a scorer (or None) per config; a given scorer is
+    trained in place and ends at its best-dev checkpoint.
     """
     if scorers is None:
         scorers = [None] * len(configs)
     if len(scorers) != len(configs):
         raise ValueError("need one scorer (or None) per config")
-    if data.dim != dev.dim or data.k != dev.k:
-        raise ValueError("train and dev sets must share feature and label dims")
+    datas = _per_config(data, len(configs), "training")
+    devs = _per_config(dev, len(configs), "dev")
     cells = []
-    for config, scorer in zip(configs, scorers):
+    for config, scorer, data, dev in zip(configs, scorers, datas, devs):
+        if data.dim != dev.dim or data.k != dev.k:
+            raise ValueError("train and dev sets must share feature and label dims")
         config.validate()
         init_rng, shuffle_rng = map(
             np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2)
@@ -308,23 +332,39 @@ def train(data: Dataset, dev: Dataset, configs, scorers=None) -> list:
                 scorer = LinearScorer.create(data.k, data.dim, init_rng)
         elif scorer.dim != data.dim or scorer.k != data.k:
             raise ValueError("scorer dimensions do not match the data")
-        cells.append((config, scorer, shuffle_rng))
+        cells.append((config, scorer, shuffle_rng, data, dev))
     stacks: dict = {}
-    for i, (config, scorer, _) in enumerate(cells):
+    for i, (config, scorer, *_) in enumerate(cells):
         stacks.setdefault(_stack_key(config, scorer), []).append(i)
     results = [None] * len(cells)
     for members in stacks.values():
-        stack_results = _train_stack(data, dev, [cells[i] for i in members])
+        # cells that share a training set become adjacent stack rows
+        first: dict = {}
+        members.sort(key=lambda i: first.setdefault(id(datas[i]), len(first)))
+        stack_results = _train_stack([cells[i] for i in members])
         for i, result in zip(members, stack_results):
             results[i] = result
     return results
 
 
-def _train_stack(data: Dataset, dev: Dataset, cells: list) -> list:
-    """Train (config, scorer, shuffle_rng) cells that share a _stack_key."""
+@dataclass
+class _Feed:
+    """A training set and the adjacent stack rows whose cells train on it."""
+
+    data: Dataset
+    rows: int  # live stack rows in the block
+    steps: int  # batches per epoch
+    total: int  # steps over all epochs
+    orders: np.ndarray | None = None  # this epoch's shuffle of each row's cell
+
+
+def _train_stack(cells: list) -> list:
+    """Train (config, scorer, shuffle_rng, data, dev) cells that share a
+    _stack_key, with the cells that share a training set adjacent."""
     started = time.perf_counter()
     config = cells[0][0]  # the settings every cell of the stack shares
-    stack = type(cells[0][1]).stack([scorer for _, scorer, _ in cells])
+    size = config.batch_size
+    stack = type(cells[0][1]).stack([cell[1] for cell in cells])
     optimizer = Adam(stack.params)
     live = list(range(len(cells)))  # the cell each stack row trains
     kinds = [cell[0].loss_kind for cell in cells]
@@ -332,74 +372,156 @@ def _train_stack(data: Dataset, dev: Dataset, cells: list) -> list:
     histories = [TrainHistory() for _ in cells]
     errors = [None] * len(cells)
     best_metric = [-1.0] * len(cells)
-    best_params = [_snapshot(scorer.params) for _, scorer, _ in cells]
+    best_params = [_snapshot(cell[1].params) for cell in cells]
+    feeds: list = []
+    for cell in cells:
+        if feeds and feeds[-1].data is cell[3]:
+            feeds[-1].rows += 1
+        else:
+            steps = math.ceil(len(cell[3]) / size)
+            feeds.append(_Feed(cell[3], 1, steps, config.epochs * steps))
+    loss_sum = np.zeros(len(cells))
 
-    def drop(bad: np.ndarray, message: str, *arrays) -> list:
-        """Take the flagged rows out of the stack and out of `arrays`."""
-        for row in np.flatnonzero(bad):
-            errors[live[row]] = FloatingPointError(message)
-        keep = ~bad
-        for state in (stack.params, optimizer.m, optimizer.v):
+    def drop(keep: np.ndarray, grads: dict) -> None:
+        """Keep only the flagged rows of the stack, its feeds and `grads`."""
+        nonlocal loss_sum
+        for state in (stack.params, optimizer.m, optimizer.v, grads):
             for key in state:
                 state[key] = state[key][keep]
+        lo = 0
+        for feed in feeds:
+            block = keep[lo:lo + feed.rows]
+            lo += feed.rows
+            feed.rows = int(block.sum())
+            feed.orders = feed.orders[block]
+        feeds[:] = [feed for feed in feeds if feed.rows]
         for rows in (live, kinds, gammas):
             rows[:] = [r for r, k in zip(rows, keep) if k]
-        return [array[keep] for array in arrays]
+        loss_sum = loss_sum[keep]
 
-    n = len(data)
-    steps_per_epoch = math.ceil(n / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
     step = 0
-    for epoch in range(config.epochs):
-        orders = np.stack([cells[c][2].permutation(n) for c in live])
-        loss_sum = np.zeros(len(live))
-        for start in range(0, n, config.batch_size):
-            idx = orders[:, start:start + config.batch_size]
-            x, y = data.features[idx], data.labels[idx]
-            scores = stack.forward(x)
-            if not np.isfinite(scores).all():
-                orders, loss_sum, x, y, scores = drop(
-                    ~np.isfinite(scores).all(axis=(1, 2)),
-                    f"training diverged at step {step}",
-                    orders, loss_sum, x, y, scores)
-                if not live:
-                    break
-            values, d_scores = batch_loss(kinds, y, scores, gammas)
-            if not np.isfinite(values).all():
-                orders, loss_sum, x, values, d_scores = drop(
-                    ~np.isfinite(values),
-                    f"training loss diverged at step {step}",
-                    orders, loss_sum, x, values, d_scores)
-                if not live:
-                    break
-            loss_sum += values * idx.shape[1]
-            lr = learning_rate_at(step, total_steps, config.learning_rate,
-                                  config.warmup_fraction)
-            optimizer.step(stack.params, stack.backward(x, d_scores), lr,
-                           config.weight_decay)
-            step += 1
-        if not live:
-            break
-        for row, c in enumerate(live):
-            history = histories[c]
-            history.train_loss.append(float(loss_sum[row] / n))
-            view = stack.cell(row)
-            metric = native_dev_metric(view, dev, kinds[row])
-            history.dev_metric.append(metric)
-            if metric > best_metric[c]:
-                best_metric[c] = metric
-                best_params[c] = _snapshot(view.params)
-                history.best_epoch = epoch
+    while live:
+        # a cell starting an epoch reshuffles; feeds group by batch length,
+        # which differs only where a cell is on its short last batch
+        by_length: dict = {}
+        lo = 0
+        for feed in feeds:
+            at = step % feed.steps
+            if at == 0:
+                feed.orders = np.stack([cells[c][2].permutation(len(feed.data))
+                                        for c in live[lo:lo + feed.rows]])
+                loss_sum[lo:lo + feed.rows] = 0.0
+            idx = feed.orders[:, at * size:(at + 1) * size]
+            by_length.setdefault(idx.shape[1], []).append((feed, lo, idx))
+            lo += feed.rows
+        pieces = [_gather(group, len(by_length) > 1)
+                  for group in by_length.values()]
+        failed = {}  # stack row -> divergence message
+        grads = {}
+        for rows, x, y in pieces:
+            _piece_step(stack, rows, x, y, kinds, gammas, step, failed,
+                        loss_sum, grads)
+        if failed:
+            keep = np.ones(len(live), dtype=bool)
+            for row, message in failed.items():
+                errors[live[row]] = FloatingPointError(message)
+                keep[row] = False
+            drop(keep, grads)
+            if not live:
+                break
+        rates = [learning_rate_at(step, feed.total, config.learning_rate,
+                                  config.warmup_fraction) for feed in feeds]
+        lr = (rates[0] if len(set(rates)) == 1 else
+              np.array([rate for feed, rate in zip(feeds, rates)
+                        for _ in range(feed.rows)]))
+        optimizer.step(stack.params, grads, lr, config.weight_decay)
+        step += 1
+        # a cell ending an epoch records it; one ending its last epoch leaves
+        keep, lo = None, 0
+        for feed in feeds:
+            if step % feed.steps == 0:
+                for row in range(lo, lo + feed.rows):
+                    c = live[row]
+                    history = histories[c]
+                    history.train_loss.append(
+                        float(loss_sum[row] / len(feed.data)))
+                    view = stack.cell(row)
+                    metric = native_dev_metric(view, cells[c][4], kinds[row])
+                    history.dev_metric.append(metric)
+                    if metric > best_metric[c]:
+                        best_metric[c] = metric
+                        best_params[c] = _snapshot(view.params)
+                        history.best_epoch = step // feed.steps - 1
+                if step == feed.total:
+                    if keep is None:
+                        keep = np.ones(len(live), dtype=bool)
+                    keep[lo:lo + feed.rows] = False
+            lo += feed.rows
+        if keep is not None:
+            drop(keep, {})
     share = (time.perf_counter() - started) / len(cells)
     results = []
-    for (_, scorer, _), history, error, best in zip(cells, histories, errors,
-                                                    best_params):
+    for cell, history, error, best in zip(cells, histories, errors, best_params):
         history.seconds = share
         if error is None:
             for key, value in best.items():
-                scorer.params[key][...] = value
-        results.append(TrainResult(scorer, history, error))
+                cell[1].params[key][...] = value
+        results.append(TrainResult(cell[1], history, error))
     return results
+
+
+def _gather(group: list, partial: bool) -> tuple:
+    """(stack rows, x, y) of the (feed, first row, index) entries of one batch
+    length, with one gather per training set; rows is None unless `partial`.
+    """
+    xs = [feed.data.features.take(idx, axis=0) for feed, _, idx in group]
+    ys = [feed.data.labels.take(idx, axis=0) for feed, _, idx in group]
+    x, y = (xs[0], ys[0]) if len(group) == 1 else map(np.concatenate, (xs, ys))
+    rows = (np.concatenate([np.arange(lo, lo + feed.rows)
+                            for feed, lo, _ in group]) if partial else None)
+    return rows, x, y
+
+
+def _piece_step(stack, rows, x, y, kinds, gammas, step, failed, loss_sum,
+                grads) -> None:
+    """Forward, loss and backward for the stack rows `rows` (None: all rows).
+
+    Adds each row's batch loss to `loss_sum` and its gradients to `grads`;
+    a row whose scores or loss are not finite goes to `failed` instead.
+    """
+    scorer = stack if rows is None else stack.cell(rows)
+    scores = scorer.forward(x)
+    if not np.isfinite(scores).all():
+        ok = np.isfinite(scores).all(axis=(1, 2))
+        rows = np.arange(len(x)) if rows is None else rows
+        failed.update(dict.fromkeys(rows[~ok].tolist(),
+                                    f"training diverged at step {step}"))
+        rows, x, y, scores = rows[ok], x[ok], y[ok], scores[ok]
+        scorer = stack.cell(rows)
+    if len(x) == 0:
+        return
+    piece_kinds = kinds if rows is None else [kinds[r] for r in rows]
+    piece_gammas = gammas if rows is None else [gammas[r] for r in rows]
+    values, d_scores = batch_loss(piece_kinds, y, scores, piece_gammas)
+    if not np.isfinite(values).all():
+        ok = np.isfinite(values)
+        rows = np.arange(len(x)) if rows is None else rows
+        failed.update(dict.fromkeys(rows[~ok].tolist(),
+                                    f"training loss diverged at step {step}"))
+        rows, x, values, d_scores = rows[ok], x[ok], values[ok], d_scores[ok]
+        scorer = stack.cell(rows)
+        if len(x) == 0:
+            return
+    piece_grads = scorer.backward(x, d_scores)
+    if rows is None:
+        loss_sum += values * x.shape[1]
+        grads.update(piece_grads)
+        return
+    loss_sum[rows] += values * x.shape[1]
+    for key, value in piece_grads.items():
+        if key not in grads:
+            grads[key] = np.empty_like(stack.params[key])
+        grads[key][rows] = value
 
 
 def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,
@@ -467,7 +589,7 @@ def scorer_from_dict(payload: dict):
     """The scorer a `scorer_to_dict` checkpoint holds.
 
     A malformed checkpoint raises ValueError naming the missing or ill-typed
-    key.
+    key, as does a `k` or `dim` that differs from the parameter shapes.
     """
     if not isinstance(payload, dict):
         raise ValueError("checkpoint must be a JSON object, got "
@@ -494,4 +616,14 @@ def scorer_from_dict(payload: dict):
     scorer = (LinearScorer if kind == "linear" else MlpScorer)(*arrays)
     if next(iter(scorer.params.values())).ndim != 2:
         raise ValueError("a checkpoint holds one scorer, not a cell stack")
+    for key, actual in (("k", scorer.k), ("dim", scorer.dim)):
+        if key not in payload:
+            raise ValueError(f"checkpoint lacks {key!r}")
+        value = payload[key]
+        if type(value) is not int:  # bool is an int subclass; refuse it too
+            raise ValueError(f"checkpoint key {key!r} must be an int, got "
+                             f"{type(value).__name__}")
+        if value != actual:
+            raise ValueError(f"checkpoint has {key}={value} but its parameters "
+                             f"have {key}={actual}")
     return scorer

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncrl_lab.consistency import (bayes_ncre_risk, bayes_optimal_membership,
+from ncrl_lab.consistency import (_descend, bayes_ncre_risk,
+                                  bayes_optimal_membership,
                                   minimize_conditional_ncrl,
                                   ncre_conditional_risk,
                                   optimal_margin_closed_form,
@@ -93,6 +94,43 @@ class TestMinimizer:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             minimize_conditional_ncrl([0.8], step=0.0)
+
+    def test_non_finite_step_rejected(self):
+        # a NaN step used to surface as "non-finite scores at iteration 0"
+        for step in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="step must be finite"):
+                minimize_conditional_ncrl([0.8], step=step)
+
+    def test_margin_overflow_raises(self):
+        # at step 1e308 the scores stay finite while their margins overflow,
+        # which used to end in a report with margin deviations near 1e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite margins"):
+            run_consistency_experiment(trials=20, k=5, seed=7, step=1e308,
+                                       iters=50)
+
+
+def _plain_descent(deltas, scores, step, iters):
+    """The descent as a plain loop over strided slices of the scores."""
+    for _ in range(iters):
+        m = scores[:, 1:] - scores[:, :1]
+        z = np.exp(-np.abs(m))
+        g = np.where(m >= 0, 1.0 / (1.0 + z), z / (1.0 + z)) - deltas
+        scores[:, 1:] -= step * g
+        scores[:, 0] += step * g.sum(axis=1)
+    return scores
+
+
+class TestDescentExactness:
+    def test_matches_plain_loop(self):
+        rng = np.random.default_rng(3)
+        for k in (1, 3, 5, 8, 28):
+            deltas = rng.uniform(0.05, 0.95, size=(300, k))
+            for init in (np.zeros((300, k + 1)),
+                         rng.normal(0.0, 3.0, size=(300, k + 1))):
+                expected = _plain_descent(deltas, init.copy(), 0.5, 200)
+                got = _descend(deltas, init.copy(), 0.5, 200)
+                assert np.array_equal(got, expected), k
 
 
 class TestExperiment:

@@ -388,6 +388,40 @@ class TestCli:
         assert main(["sweep", "--model", model, "--data", data]) == 1
         assert capsys.readouterr().err.startswith(f"error: {model}: Expecting")
 
+    def test_checkpoint_header_must_match_parameters(self, tmp_path, capsys):
+        data, model = str(tmp_path / "data.jsonl"), str(tmp_path / "model.json")
+        assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "40",
+                     "--out", data]) == 0
+        assert main(["train", "--data", data, "--loss", "bce", "--epochs",
+                     "1", "--out", model]) == 0
+        edited = {**json.loads(Path(model).read_text()), "k": 99, "dim": 1}
+        Path(model).write_text(json.dumps(edited))
+        for command in ("eval", "sweep"):
+            capsys.readouterr()
+            assert main([command, "--model", model, "--data", data]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {model}: checkpoint has k=99 but its parameters "
+                "have k=3\n")
+
+    def test_non_finite_hyperparameters_exit_1(self, tmp_path, capsys):
+        data, model = str(tmp_path / "data.jsonl"), str(tmp_path / "model.json")
+        assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "40",
+                     "--out", data]) == 0
+        for flag, value, message in (("--lr", "nan", "learning_rate"),
+                                     ("--lr", "inf", "learning_rate"),
+                                     ("--weight-decay", "nan", "weight_decay")):
+            capsys.readouterr()
+            assert main(["train", "--data", data, "--loss", "bce", "--epochs",
+                         "1", flag, value, "--out", model]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: {message} must be finite")
+        for value, message in (("nan", "step must be finite"),
+                               ("1e308", "non-finite margins")):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["consistency", "--trials", "20", "--iters", "50",
+                             "--step", value]) == 1
+            assert message in capsys.readouterr().err
+
     def test_grad_check_command(self, capsys):
         assert main(["grad-check", "--loss", "ncrl_final", "--gamma", "0.05",
                      "--k", "3,5", "--trials", "25", "--seed", "1"]) == 0

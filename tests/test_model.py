@@ -1,10 +1,17 @@
 """Scorers, training loop, optimizer schedule, and gradient checking."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncrl_lab.datagen import SyntheticConfig, generate, split
+from ncrl_lab.datagen import (SyntheticConfig, generate, split,
+                              strip_none_instances, take)
+from ncrl_lab.harness.experiments import (ExperimentConfig, _no_none_cell,
+                                          make_splits, run_no_none_study)
+from ncrl_lab.harness.seeds import derive_seed
 from ncrl_lab.losses import ncrl_final
 from ncrl_lab.metrics import mean_ncre, micro_f1_flags
 from ncrl_lab.model import (Adam, LinearScorer, MlpScorer, TrainConfig,
@@ -144,6 +151,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig("ncrl_final", gamma=1.0).validate()
 
+    def test_non_finite_rates_rejected(self):
+        # a NaN rate used to pass and surface as "diverged at step 1"
+        for key in ("learning_rate", "weight_decay"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{key} must be finite"):
+                    TrainConfig("bce", **{key: value}).validate()
+
 
 class TestStackedTraining:
     def test_stack_matches_one_cell_training(self):
@@ -194,6 +208,102 @@ class TestStackedTraining:
             assert result.history.train_loss == alone.history.train_loss
             assert result.history.dev_metric == alone.history.dev_metric
             assert result.history.best_epoch == alone.history.best_epoch
+
+    def test_uneven_stack_matches_one_cell_training(self):
+        # every cell has its own training set, some their own dev set: sizes
+        # that batches of 32 do not divide, one set smaller than a batch, two
+        # sets whose 6-step epochs end on the same step with last batches of
+        # 10 and 20 rows, and a cell that diverges part way through its first
+        # epoch; margin kinds and atl share the stack, two MLP cells another
+        data = generate(SyntheticConfig(num_labels=4, feature_dim=6,
+                                        num_instances=1500,
+                                        none_fraction_target=0.3, seed=6))
+        rows = np.random.default_rng(0).permutation(len(data))
+        a, b, c, d, e, dev_a, dev_b = (
+            take(data, rows[lo:hi]) for lo, hi in
+            ((0, 300), (300, 470), (470, 490), (490, 670), (670, 920),
+             (920, 1100), (1100, 1250)))
+        e.features[130, 0] = 1e6
+        shared = dict(epochs=3, batch_size=32, learning_rate=0.05)
+        cells = [
+            (TrainConfig("ncrl_final", gamma=0.05, seed=1, **shared), a, dev_a),
+            (TrainConfig("bce_shifted", gamma=0.2, seed=2, **shared), b, dev_b),
+            (TrainConfig("atl", seed=3, **shared), a, dev_b),
+            (TrainConfig("ncrl_noreg", gamma=0.01, seed=4, **shared), c, dev_a),
+            (TrainConfig("ncrl_plain", seed=5, **shared), e, dev_a),
+            (TrainConfig("bce", seed=6, **shared), d, dev_b),
+            (TrainConfig("atl", seed=7, hidden_width=5, **shared), c, dev_a),
+            (TrainConfig("ncrl_final", gamma=0.01, seed=8, hidden_width=5,
+                         **shared), b, dev_b),
+        ]
+        configs = [config for config, _, _ in cells]
+
+        def scorers():
+            # feature 0 reaches 1e6 on one row of set e, which overflows this
+            # scorer's scores when its shuffle reaches that row
+            weights = np.full((5, 6), 0.1)
+            weights[1, 0] = 1e303
+            return [None] * 4 + [LinearScorer(weights, np.zeros(5))] + [None] * 3
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = train([cell[1] for cell in cells],
+                            [cell[2] for cell in cells], configs,
+                            scorers=scorers())
+        for (config, part, dev), scorer, result in zip(cells, scorers(),
+                                                        stacked):
+            with np.errstate(over="ignore", invalid="ignore"):
+                alone, = train(part, dev, [config], scorers=[scorer])
+            if part is e:
+                assert result.error is not None and alone.error is not None
+                assert str(result.error) == str(alone.error)
+                assert str(result.error) != "training diverged at step 0"
+                assert result.history.train_loss == []
+                continue
+            assert result.error is None
+            assert len(result.history.train_loss) == 3
+            for key, value in alone.scorer.params.items():
+                assert np.array_equal(result.scorer.params[key], value), config
+            assert result.history.train_loss == alone.history.train_loss
+            assert result.history.dev_metric == alone.history.dev_metric
+            assert result.history.best_epoch == alone.history.best_epoch
+
+    def test_per_config_sets_checked(self):
+        data = generate(SyntheticConfig(num_labels=3, feature_dim=5,
+                                        num_instances=60, seed=0))
+        other = generate(SyntheticConfig(num_labels=3, feature_dim=4,
+                                         num_instances=60, seed=0))
+        configs = [TrainConfig("bce", epochs=1), TrainConfig("atl", epochs=1)]
+        with pytest.raises(ValueError, match="one training set per config"):
+            train([data], data, configs)
+        with pytest.raises(ValueError, match="one dev set per config"):
+            train(data, [data] * 3, configs)
+        with pytest.raises(ValueError, match="share feature and label dims"):
+            train([data, other], data, configs)
+
+    def test_no_none_study_matches_one_train_call_per_regime(self):
+        base = TrainConfig("ncrl_final", gamma=0.01, epochs=3, batch_size=32,
+                           learning_rate=0.03, weight_decay=0.015)
+        config = ExperimentConfig(
+            "no_none", SyntheticConfig(num_labels=4, feature_dim=6,
+                                       num_instances=700,
+                                       none_fraction_target=0.4),
+            [base], seeds=[0, 1])
+        expected = []
+        for seed in config.seeds:
+            full = make_splits(config.synth, seed)
+            stripped = tuple(strip_none_instances(part) for part in full)
+            for regime, parts in (("full", full), ("stripped", stripped)):
+                cfg = replace(base, seed=derive_seed(seed, "train", regime,
+                                                     base.loss_kind))
+                result, = train(parts[0], parts[1], [cfg])
+                expected.extend(_no_none_cell(base, regime, parts, seed,
+                                              result))
+
+        def fields(rows):
+            return [(r.experiment, r.loss, r.gamma, r.seed, r.split, r.metric,
+                     r.value) for r in rows]
+
+        assert fields(run_no_none_study(config)) == fields(expected)
 
     def test_stacked_scorer_cells(self):
         rng = np.random.default_rng(8)
@@ -249,6 +359,24 @@ class TestSchedule:
         opt.step(params, {"w": np.array([1e6])}, lr=0.1)
         assert abs(params["w"][0]) <= 0.1 + 1e-12
 
+    def test_per_cell_rate_matches_scalar_steps(self):
+        rng = np.random.default_rng(9)
+        stacked = {"w": rng.normal(size=(3, 4, 5)), "b": rng.normal(size=(3, 4))}
+        cells = [{key: value[c].copy() for key, value in stacked.items()}
+                 for c in range(3)]
+        rates = np.array([0.1, 0.02, 0.003])
+        optimizer, alone = Adam(stacked), [Adam(cell) for cell in cells]
+        for _ in range(4):
+            grads = {key: rng.normal(size=value.shape)
+                     for key, value in stacked.items()}
+            optimizer.step(stacked, grads, rates, weight_decay=0.01)
+            for c, (cell, cell_optimizer) in enumerate(zip(cells, alone)):
+                cell_optimizer.step(cell, {key: g[c] for key, g in grads.items()},
+                                    float(rates[c]), weight_decay=0.01)
+        for c, cell in enumerate(cells):
+            for key, value in cell.items():
+                assert np.array_equal(stacked[key][c], value)
+
     def test_decoupled_weight_decay_shrinks_parameters(self):
         params = {"w": np.array([10.0])}
         opt = Adam(params)
@@ -288,6 +416,22 @@ class TestCheckpoints:
         stack = LinearScorer.stack([LinearScorer(np.zeros((3, 4)), np.zeros(3))] * 2)
         with pytest.raises(ValueError, match="not a cell stack"):
             scorer_from_dict(scorer_to_dict(stack))
+
+    def test_header_must_match_parameters(self):
+        good = scorer_to_dict(LinearScorer.create(3, 4, np.random.default_rng(1)))
+        cases = (
+            ({"k": 99, "dim": 1}, "checkpoint has k=99 but its parameters have k=3"),
+            ({"dim": 1}, "checkpoint has dim=1 but its parameters have dim=4"),
+            ({"k": True}, "checkpoint key 'k' must be an int, got bool"),
+            ({"dim": 4.0}, "checkpoint key 'dim' must be an int, got float"),
+        )
+        for edit, message in cases:
+            with pytest.raises(ValueError, match=message):
+                scorer_from_dict({**good, **edit})
+        for key in ("k", "dim"):
+            without = {name: v for name, v in good.items() if name != key}
+            with pytest.raises(ValueError, match=f"checkpoint lacks '{key}'"):
+                scorer_from_dict(without)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

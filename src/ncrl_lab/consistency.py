@@ -105,25 +105,27 @@ def _descend(deltas: np.ndarray, scores: np.ndarray, step: float, iters: int):
     e, g = np.empty_like(f), np.empty_like(f)
     up = np.empty(f.shape, dtype=bool)
     row = np.empty(len(f))
-    for it in range(iters):
-        # sigmoid(m) = max(e, m >= 0) / (1 + e) with e = exp(-|m|), as in
-        # losses.logistic_terms: the numerator is 1 or e, and e <= 1
-        np.abs(m, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        np.greater_equal(m, 0.0, out=up)
-        np.maximum(e, up, out=g)
-        e += 1.0
-        g /= e
-        g -= deltas
-        g.sum(axis=1, out=row)
-        g *= step
-        f -= g
-        row *= step
-        f0[:, 0] += row
-        np.subtract(f, f0, out=m)
-        if not np.isfinite(m).all():
-            raise FloatingPointError(f"non-finite margins at iteration {it}")
+    # the margin check raises on overflow; numpy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(iters):
+            # sigmoid(m) = max(e, m >= 0) / (1 + e) with e = exp(-|m|), as in
+            # losses.logistic_terms: the numerator is 1 or e, and e <= 1
+            np.abs(m, out=e)
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            np.greater_equal(m, 0.0, out=up)
+            np.maximum(e, up, out=g)
+            e += 1.0
+            g /= e
+            g -= deltas
+            g.sum(axis=1, out=row)
+            g *= step
+            f -= g
+            row *= step
+            f0[:, 0] += row
+            np.subtract(f, f0, out=m)
+            if not np.isfinite(m).all():
+                raise FloatingPointError(f"non-finite margins at iteration {it}")
     scores[:, 1:] = f
     scores[:, :1] = f0
     return scores

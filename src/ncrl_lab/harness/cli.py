@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from ..prediction import (COARSE_GRID, FINE_GRID, adaptive_flags, global_flags,
                           sweep_per_label_thresholds)
 from .dataio import (load_dataset, load_json, read_config_file, save_dataset,
                      save_json, write_results_csv)
-from .experiments import (ExperimentConfig, run_ablation, run_compare,
-                          run_gamma_sweep, run_no_none_study)
+from .experiments import (DEV_FRACTION, ExperimentConfig, run_ablation,
+                          run_compare, run_gamma_sweep, run_no_none_study)
 
 GRAD_CHECK_TOLERANCE = 1e-4
 
@@ -35,26 +35,31 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _parse_list(text: str, parse) -> list:
+    """Parse each entry of a comma list; an empty list is a usage error."""
+    values = [parse(part.strip()) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"need a comma list of at least one value, got {text!r}")
+    return values
+
+
 def _float_list(text: str) -> list:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return _parse_list(text, float)
 
 
 def _int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part.strip()]
+    return _parse_list(text, int)
+
+
+def _loss_entry(part: str) -> tuple:
+    kind, _, gamma = part.partition(":")
+    return kind, float(gamma) if gamma else 0.0
 
 
 def _loss_list(text: str) -> list:
     """Parse \"kind[:gamma],kind[:gamma],...\" into (kind, gamma) pairs."""
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        kind, _, gamma = part.partition(":")
-        out.append((kind, float(gamma) if gamma else 0.0))
-    if not out:
-        raise argparse.ArgumentTypeError("need at least one loss kind")
-    return out
+    return _parse_list(text, _loss_entry)
 
 
 def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
@@ -106,21 +111,26 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _train_config_base(args, loss_kind: str, gamma: float) -> TrainConfig:
+    return TrainConfig(
+        loss_kind=loss_kind, gamma=gamma, epochs=args.epochs,
+        batch_size=args.batch_size, learning_rate=args.lr,
+        warmup_fraction=args.warmup, hidden_width=args.hidden,
+        weight_decay=args.weight_decay,
+    )
+
+
 def _cmd_train(args) -> int:
     data = load_dataset(args.data)
     if args.dev:
         dev = load_dataset(args.dev)
     else:
-        n_dev = max(1, int(0.15 * len(data)))
+        n_dev = max(1, int(DEV_FRACTION * len(data)))
         if n_dev >= len(data):
             raise ValueError("dataset too small to carve out a dev split")
         data, dev = split(data, len(data) - n_dev)
-    config = TrainConfig(
-        loss_kind=args.loss, gamma=args.gamma, epochs=args.epochs,
-        batch_size=args.batch_size, learning_rate=args.lr,
-        warmup_fraction=args.warmup, seed=args.seed, hidden_width=args.hidden,
-        weight_decay=args.weight_decay,
-    )
+    config = replace(_train_config_base(args, args.loss, args.gamma),
+                     seed=args.seed)
     scorer, history = train(data, dev, [config])[0]
     save_json(scorer_to_dict(scorer, config), args.out)
     _emit({
@@ -164,12 +174,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    worst = 0.0
-    results = {}
-    for k in args.k:
-        err = grad_check(args.loss, args.gamma, k, args.trials, args.seed)
-        results[str(k)] = err
-        worst = max(worst, err)
+    results = {str(k): grad_check(args.loss, args.gamma, k, args.trials,
+                                  args.seed)
+               for k in args.k}
+    worst = max(results.values())
     _emit({
         "loss": args.loss,
         "gamma": args.gamma,
@@ -200,16 +208,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _train_config_base(args, loss_kind: str = "ncrl_final",
-                       gamma: float = 0.0) -> TrainConfig:
-    return TrainConfig(
-        loss_kind=loss_kind, gamma=gamma, epochs=args.epochs,
-        batch_size=args.batch_size, learning_rate=args.lr,
-        warmup_fraction=args.warmup, hidden_width=args.hidden,
-        weight_decay=args.weight_decay,
-    )
-
-
 def _write_rows(rows, out_path: str) -> int:
     write_results_csv(rows, out_path)
     _emit({"out": out_path, "rows": len(rows)})
@@ -231,12 +229,12 @@ def _cmd_compare(args) -> int:
 
 def _cmd_ablate(args) -> int:
     config = ExperimentConfig(
-        kind="gamma_sweep" if args.sweep_gamma else "ablation",
+        kind="gamma_sweep" if args.sweep_gamma is not None else "ablation",
         synth=_synth_config(args),
         train_configs=[_train_config_base(args, "ncrl_final", args.gamma)],
         seeds=args.seeds,
     )
-    if args.sweep_gamma:
+    if args.sweep_gamma is not None:
         rows = run_gamma_sweep(config, args.sweep_gamma)
     else:
         rows = run_ablation(config)

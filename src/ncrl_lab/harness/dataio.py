@@ -9,19 +9,17 @@ leave no partial outputs.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..datagen import Dataset
-
-CSV_HEADER = ("experiment", "loss", "gamma", "seed", "split", "metric",
-              "value", "seconds")
 
 
 @dataclass
@@ -36,6 +34,9 @@ class ResultRow:
     metric: str
     value: float
     seconds: float
+
+
+CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 def _atomic_text_write(path: str, body: str) -> None:
@@ -151,8 +152,6 @@ def load_json(path: str):
 
 
 def write_results_csv(rows, path: str) -> None:
-    import io
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)

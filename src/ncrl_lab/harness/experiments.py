@@ -13,21 +13,20 @@ own test evaluation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from ..datagen import (SyntheticConfig, generate, inject_false_negatives,
                        inject_symmetric_noise, split, strip_none_instances)
-from ..metrics import evaluate, micro_f1_flags
+from ..metrics import MetricsReport, evaluate, micro_f1_flags
 from ..model import ADAPTIVE_KINDS, TrainConfig, train
 from ..prediction import (COARSE_GRID, adaptive_flags, global_flags,
                           sweep_global_threshold)
 from .dataio import ResultRow
 from .seeds import derive_seed
 
-METRIC_NAMES = ("micro_f1", "macro_f1", "micro_precision", "micro_recall",
-                "mean_ap", "mean_ncre")
+METRIC_NAMES = tuple(f.name for f in fields(MetricsReport))
 
 TRAIN_FRACTION = 0.7
 DEV_FRACTION = 0.15
@@ -109,19 +108,13 @@ def run_cell(experiment: str, tc: TrainConfig, seed: int, splits,
 
 def summarize(rows: list, experiment: str) -> list:
     """Mean and std rows over seeds per (loss, gamma, metric), in row order."""
-    groups: dict = {}
-    order = []
+    groups: dict = {}  # insertion-ordered, so groups keep row order
     for row in rows:
         if row.metric == "error" or row.seed == "all":
             continue
-        key = (row.loss, row.gamma, row.metric)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row.loss, row.gamma, row.metric), []).append(row)
     out = []
-    for loss, gamma, metric in order:
-        cells = groups[(loss, gamma, metric)]
+    for (loss, gamma, metric), cells in groups.items():
         values = np.array([r.value for r in cells])
         seconds = float(sum(r.seconds for r in cells))
         std = float(values.std(ddof=1)) if len(values) > 1 else 0.0

@@ -95,6 +95,11 @@ def margins(f) -> Margins:
     return Margins(m_pos=m_pos, m_neg=-m_pos, m0_pos=m0_pos, m0_neg=-m0_pos)
 
 
+def check_kind(kind: str) -> None:
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+
+
 def check_gamma(gamma: float) -> float:
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"shift parameter must lie in [0, 1), got {gamma}")
@@ -239,41 +244,29 @@ def _pairwise_batch(Y, F):
     f = F[:, 1:]
     diff = f[:, None, :] - f[:, :, None]  # diff[b, i, j] = f_j - f_i
     pair = (y == 1)[:, :, None] & (y == 0)[:, None, :]
-    vals = (softplus(diff) * pair).sum(axis=(1, 2))
-    sig = sigmoid(diff) * pair
+    value, slope = logistic_terms(diff, False, 0.0)  # softplus and sigmoid
+    vals = (value * pair).sum(axis=(1, 2))
+    slope *= pair
     grads = np.zeros_like(F)
-    grads[:, 1:] = sig.sum(axis=1) - sig.sum(axis=2)
+    grads[:, 1:] = slope.sum(axis=1) - slope.sum(axis=2)
     return vals, grads
-
-
-def _ncre_batch(Y, F):
-    y = Y[:, 1:]
-    f = F[:, 1:]
-    f0 = F[:, :1]
-    pen = (y == 1) * (f < f0) + (y == 0) * (f > f0) + 0.5 * (f == f0)
-    return pen.sum(axis=1)
 
 
 _OWN_KERNELS = {"atl": _atl_batch, "pairwise": _pairwise_batch}
 
 
-def _instance_losses(kind, Y, F, gamma):
-    """instance_losses over every kind, margin_regularization included."""
-    if kind in _OWN_KERNELS:
-        return _OWN_KERNELS[kind](Y, F)
-    vals, grads = _margin_losses([kind], Y[None], F[None], [gamma])
-    return vals[0], grads[0]
-
-
 def _stack_losses(kinds, Y, F, gammas):
     """Per-instance values (C, B) and gradients (C, B, K+1) of a cell stack.
 
-    Margin cells share one fused call; atl and pairwise cells run their own
-    kernels one cell at a time.
+    The one dispatch from loss kind to kernel: margin cells share one fused
+    call; atl and pairwise cells run their own kernels one cell at a time.
     """
     own = [c for c, kind in enumerate(kinds) if kind in _OWN_KERNELS]
     if not own:
         return _margin_losses(kinds, Y, F, gammas)
+    if len(kinds) == 1:  # a lone atl or pairwise cell needs no stack buffers
+        vals, grads = _OWN_KERNELS[kinds[0]](Y[0], F[0])
+        return vals[None], grads[None]
     vals, grads = np.empty(F.shape[:-1]), np.empty(F.shape)
     fused = [c for c in range(len(kinds)) if c not in own]
     if fused:
@@ -284,9 +277,10 @@ def _stack_losses(kinds, Y, F, gammas):
     return vals, grads
 
 
-def _check_kind(kind):
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+def _instance_losses(kind, Y, F, gamma):
+    """instance_losses of every kind, margin_regularization too, as one cell."""
+    vals, grads = _stack_losses([kind], Y[None], F[None], [gamma])
+    return vals[0], grads[0]
 
 
 def instance_losses(kind, Y, F, gamma=0.0):
@@ -294,7 +288,7 @@ def instance_losses(kind, Y, F, gamma=0.0):
 
     Y: (B, K+1) binary labels including the none column; F: (B, K+1) scores.
     """
-    _check_kind(kind)
+    check_kind(kind)
     return _instance_losses(kind, Y, F, gamma)
 
 
@@ -304,28 +298,34 @@ def batch_loss(kind, Y, F, gamma=0.0):
     With (B, K+1) arrays, one kind and one gamma, returns a float and a
     (B, K+1) gradient. With a (C, B, K+1) cell stack, `kind` and `gamma` are
     sequences of C, one per cell, and it returns the C per-cell means and the
-    (C, B, K+1) gradients, each cell exactly as its own 2-D call would give.
+    (C, B, K+1) gradients. A 2-D call runs as a stack of one cell, so each
+    cell of a stack comes out exactly as its own 2-D call would give.
     """
     F = np.asarray(F, dtype=float)
     if not np.isfinite(F).all():
         raise ValueError("scores must be finite")
-    if F.ndim == 2:
-        vals, grads = instance_losses(kind, Y, F, gamma)
-        return float(vals.mean()), grads / len(F)
+    Y = np.asarray(Y)
+    one = F.ndim == 2  # a stack of one cell, unwrapped on return
+    if one:
+        kind, Y, F, gamma = [kind], Y[None], F[None], [gamma]
     kinds, gammas = list(kind), list(gamma)
     if F.ndim != 3 or not len(kinds) == len(gammas) == len(F):
         raise ValueError("a stacked batch needs (C, B, K+1) scores and C kinds "
                          "and gammas")
     for name in kinds:
-        _check_kind(name)
-    vals, grads = _stack_losses(kinds, np.asarray(Y), F, gammas)
+        check_kind(name)
+    vals, grads = _stack_losses(kinds, Y, F, gammas)
     grads /= F.shape[-2]
-    return vals.sum(axis=-1) / F.shape[-2], grads
+    means = vals.sum(axis=-1) / F.shape[-2]
+    return (float(means[0]), grads[0]) if one else (means, grads)
 
 
 def batch_ncre(Y, F):
     """Ranking error of every instance in a batch (labels include none column)."""
-    return _ncre_batch(np.asarray(Y), np.asarray(F, dtype=float))
+    y, F = np.asarray(Y)[:, 1:], np.asarray(F, dtype=float)
+    f, f0 = F[:, 1:], F[:, :1]
+    pen = (y == 1) * (f < f0) + (y == 0) * (f > f0) + 0.5 * (f == f0)
+    return pen.sum(axis=1)
 
 
 # --- per-instance operations -------------------------------------------------
@@ -338,7 +338,7 @@ def ncre_error(y, f) -> float:
     add 1; an exact tie with f0 adds 1/2. The result lies in [0, K].
     """
     Y, F = _pair(y, f, require_finite=False)
-    return float(_ncre_batch(Y, F)[0])
+    return float(batch_ncre(Y, F)[0])
 
 
 def _per_instance(kind, doc, takes_gamma=False, name=None):

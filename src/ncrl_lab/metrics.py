@@ -8,7 +8,7 @@ ratios (precision, recall, F1) evaluate to 0 so runs stay comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,14 +34,7 @@ class MetricsReport:
     mean_ncre: float
 
     def as_dict(self) -> dict:
-        return {
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "micro_precision": self.micro_precision,
-            "micro_recall": self.micro_recall,
-            "mean_ap": self.mean_ap,
-            "mean_ncre": self.mean_ncre,
-        }
+        return asdict(self)
 
 
 def flags_from_sets(preds, k: int) -> np.ndarray:

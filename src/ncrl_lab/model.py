@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
 from .datagen import Dataset
-from .losses import LOSS_KINDS, batch_loss, check_gamma, instance_losses
+from .losses import (batch_loss, check_gamma, check_kind, instance_losses,
+                     with_none_flag)
 from .metrics import micro_f1_flags
 from .prediction import COARSE_GRID, adaptive_flags, sweep_global_threshold
 
@@ -41,10 +42,7 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def validate(self) -> None:
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(
-                f"unknown loss kind {self.loss_kind!r}; expected one of {LOSS_KINDS}"
-            )
+        check_kind(self.loss_kind)
         check_gamma(self.gamma)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
@@ -534,6 +532,8 @@ def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     eye = np.eye(k + 1)
     worst = 0.0
@@ -544,15 +544,12 @@ def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,
         elif trial == 1:
             y[:] = 1
         f = rng.normal(0.0, 1.5, size=k + 1)
-        full = np.concatenate([[1 - y.max()], y])
-
-        _, analytic = instance_losses(loss_kind, full[None, :], f[None, :], gamma)
-        probes = np.concatenate([f + fd_step * eye, f - fd_step * eye])
-        values, _ = instance_losses(
-            loss_kind, np.tile(full, (2 * (k + 1), 1)), probes, gamma
-        )
-        fd = (values[:k + 1] - values[k + 1:]) / (2 * fd_step)
-        gap = np.abs(analytic[0] - fd)
+        # row 0 scores f itself, the rest its central-difference probes
+        points = np.concatenate([f[None, :], f + fd_step * eye, f - fd_step * eye])
+        values, grads = instance_losses(
+            loss_kind, np.tile(with_none_flag(y), (len(points), 1)), points, gamma)
+        fd = (values[1:k + 2] - values[k + 2:]) / (2 * fd_step)
+        gap = np.abs(grads[0] - fd)
         denom = np.abs(fd)
         err = np.where(denom >= 1e-8, gap / np.maximum(denom, 1e-300), gap)
         worst = max(worst, float(err.max()))
@@ -568,17 +565,7 @@ def scorer_to_dict(scorer, config: TrainConfig | None = None) -> dict:
         "params": {key: value.tolist() for key, value in scorer.params.items()},
     }
     if config is not None:
-        out["config"] = {
-            "loss_kind": config.loss_kind,
-            "gamma": config.gamma,
-            "epochs": config.epochs,
-            "batch_size": config.batch_size,
-            "learning_rate": config.learning_rate,
-            "warmup_fraction": config.warmup_fraction,
-            "seed": config.seed,
-            "hidden_width": config.hidden_width,
-            "weight_decay": config.weight_decay,
-        }
+        out["config"] = asdict(config)
     return out
 
 

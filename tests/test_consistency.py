@@ -1,6 +1,7 @@
 """Conditional-risk minimization against the closed-form optimum."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestMinimizer:
                 pytest.raises(FloatingPointError, match="non-finite margins"):
             run_consistency_experiment(trials=20, k=5, seed=7, step=1e308,
                                        iters=50)
+
+    def test_margin_overflow_raises_without_warnings(self):
+        # the overflow used to surface first as a numpy RuntimeWarning; with
+        # warnings as errors, only the located FloatingPointError may come out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="iteration 1"):
+                run_consistency_experiment(3, 5, 7, step=1e308, iters=3)
 
 
 def _plain_descent(deltas, scores, step, iters):

@@ -429,6 +429,41 @@ class TestCli:
         assert report["pass"] is True
         assert report["max_rel_error"] < 1e-4
 
+    def test_grad_check_label_count_exits_1(self, capsys):
+        for k in ("0", "-1"):
+            assert main(["grad-check", "--loss", "ncrl_plain", "--k", k,
+                         "--trials", "3"]) == 1
+            assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+
+    def test_empty_comma_list_is_usage_error(self, tmp_path, capsys):
+        # an empty --k used to run no check and report "pass": true, and an
+        # empty --sweep-gamma used to run the six-variant ablation instead
+        out = tmp_path / "rows.csv"
+        for argv in (["grad-check", "--loss", "ncrl_plain", "--k", ""],
+                     ["grad-check", "--loss", "ncrl_plain", "--k", " , "],
+                     ["ablate", "--k", "3", "--dim", "5", "--n", "300",
+                      "--seeds", "0", "--epochs", "1", "--sweep-gamma", "",
+                      "--out", str(out)],
+                     ["compare", "--losses", "bce", "--seeds", "",
+                      "--out", str(out)],
+                     ["compare", "--losses", ",", "--out", str(out)],
+                     ["eval", "--model", "m.json", "--data", "d.jsonl",
+                      "--rule", "per-label", "--thresholds", ""]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "at least one value" in capsys.readouterr().err, argv
+        assert not out.exists()
+
+    def test_consistency_overflow_prints_one_error_line(self):
+        # numpy's overflow warnings used to precede the error line
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncrl_lab", "consistency", "--trials", "3",
+             "--k", "5", "--step", "1e308", "--iters", "3"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: non-finite margins at iteration 1\n"
+
     def test_consistency_command(self, capsys):
         assert main(["consistency", "--trials", "30", "--k", "3",
                      "--seed", "7"]) == 0

@@ -344,6 +344,13 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check("bce", trials=0)
 
+    def test_label_count_validated(self):
+        # k = 0 used to end in numpy's "zero-size array to reduction
+        # operation maximum", k = -1 in "negative dimensions are not allowed"
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+                grad_check("ncrl_plain", k=k)
+
 
 class TestSchedule:
     def test_warmup_then_decay(self):

@@ -348,7 +348,8 @@ def _expand_config_args(argv: list, parser: argparse.ArgumentParser) -> list:
     """Splice --config file entries in as flags ahead of explicit ones.
 
     Boolean words turn the subcommand's store_true flags on or off; every
-    other entry becomes a flag followed by its value.
+    other entry becomes one `--flag=value` token, so a value that starts
+    with "-" is not taken for a flag.
     """
     path = None
     rest = []
@@ -378,7 +379,7 @@ def _expand_config_args(argv: list, parser: argparse.ArgumentParser) -> list:
         if flag in switches and value.lower() in _TRUE_WORDS:
             injected.append(flag)
         elif flag not in switches or value.lower() not in _FALSE_WORDS:
-            injected.extend([flag, value])
+            injected.append(f"{flag}={value}")
     return rest[:1] + injected + rest[1:]
 
 

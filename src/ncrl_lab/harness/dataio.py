@@ -180,7 +180,10 @@ def read_results_csv(path: str) -> list:
 
 
 def read_config_file(path: str) -> dict:
-    """Flat `key = value` config; # starts a comment, blank lines ignored."""
+    """Flat `key = value` config; # starts a comment, blank lines ignored.
+
+    An empty key and a key given twice are refused with the line's location.
+    """
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -190,5 +193,10 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key = value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if not key:
+                raise ValueError(f"{path}:{line_no}: empty key before '='")
+            if key in values:
+                raise ValueError(f"{path}:{line_no}: key {key!r} given twice")
+            values[key] = value.strip()
     return values

@@ -12,8 +12,11 @@ values are invariant to adding a constant to every score.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,6 +126,34 @@ def _pair(pre_labels, scores, require_finite=True):
 # Y is a (B, K+1) binary matrix including the none column; F is (B, K+1) float.
 # A cell stack adds a leading axis: (C, B, K+1), one loss kind and gamma per
 # cell. Cores return per-instance values (..., B) and gradients (..., B, K+1).
+# In a stack sorted by `stack_rank`, each step of the fused margin path runs
+# on one contiguous run of cells and writes into the buffers of a Workspace.
+
+
+class Workspace:
+    """Scratch buffers for the loss kernels of one cell stack.
+
+    `take` returns views of a named flat buffer, which grows to the largest
+    size asked of it and no further. The arrays `batch_loss` returns with a
+    workspace are such views, valid until its next call with that workspace.
+    """
+
+    def __init__(self):
+        self._buffers, self._views = {}, {}
+
+    def take(self, name: str, shape: tuple, dtype=float, parts: int = 0):
+        """An array of `shape`, or with `parts` a tuple of that many; the
+        same views again while the request stays the same."""
+        key, views = self._views.get(name, (None, None))
+        if key != (shape, parts):
+            size = math.prod(shape) * max(parts, 1)
+            buffer = self._buffers.get(name)
+            if buffer is None or buffer.size < size:
+                buffer = self._buffers[name] = np.empty(size, dtype)
+            views = buffer[:size].reshape((parts,) + shape if parts else shape)
+            views = tuple(views) if parts else views
+            self._views[name] = (shape, parts), views
+        return views
 
 
 def logistic_terms(z, positive, gamma):
@@ -136,83 +167,171 @@ def logistic_terms(z, positive, gamma):
     come from one exp(-|z|), so neither is formed as one minus the other and
     precision holds at large |z|.
     """
+    z = np.asarray(z, dtype=float)
     positive = np.asarray(positive, dtype=bool)
-    sign = 1.0 - 2.0 * positive  # -1 on positives, whose term is softplus(-z)
-    zs = z * sign
-    e = np.exp(-np.abs(z))
-    up = zs >= 0
-    # sigmoid(zs): the numerator is 1 or e, and e <= 1, so a max against the
-    # 0/1 flags picks it; sigmoid(-zs) takes the other one
-    denom = 1.0 + e
-    sig = np.maximum(e, up) / denom
-    value = np.maximum(zs, 0.0) + np.log1p(e)
-    dz = sig * sign
-    shifted = np.asarray(gamma, dtype=float) > 0.0
-    if shifted.any():  # tested on gamma alone, often much smaller than z
-        shifted = shifted & ~positive
-        sig_neg = np.maximum(e, ~up) / denom
-        kept = sig_neg < 1.0 - gamma  # not clamped; a 0/1 factor on finite terms
-        p = np.maximum(np.minimum(sig_neg + gamma, 1.0), _P_FLOOR)
-        value = np.where(shifted, -np.log(p) * kept, value)
-        dz = np.where(shifted, sig * sig_neg / p * kept, dz)
+    sign, value, dz, *work = (np.empty(z.shape) for _ in range(7))
+    np.multiply(positive, -2.0, out=sign)  # -1 on positives, +1 on negatives
+    sign += 1.0
+    _logistic(z, sign, value, dz, work)
+    gamma = np.asarray(gamma, dtype=float)
+    if (gamma > 0.0).any():  # tested on gamma alone, often much smaller than z
+        mask = np.broadcast_to((gamma > 0.0) & ~positive, z.shape)
+        _shift(work, gamma, mask, value, dz, np.empty(z.shape, bool))
     return value, dz
 
 
-# Each margin kind is a weighted sum of logistic terms over K + 1 oriented
-# margins: the average margin z_0 = f_0 - mean(f_1..f_K), positive on none
-# instances, and K pre-defined columns z_i = f_i - a * f_0 (a = 1 ranks each
-# label against the none score, a = 0 is raw BCE), so the columns line up
-# with the label and score columns.
-# kind -> (a, (weight, shifted) of the average column, (weight, shifted) of
-# the pre-defined columns). Only shifted columns apply gamma to negatives.
-_MARGIN_KINDS = {
-    "ncrl_plain": (1.0, (0.0, False), (1.0, False)),
-    "ncrl_noreg": (1.0, (0.0, False), (1.0, True)),
-    "ncrl_final": (1.0, (1.0, True), (1.0, True)),
-    "margin_regularization": (1.0, (1.0, False), (0.0, False)),
-    "bce": (0.0, (0.0, False), (1.0, False)),
-    "bce_shifted": (0.0, (0.0, False), (1.0, True)),
-}
+def _logistic(z, sign, value, dz, work) -> None:
+    """The unshifted terms of logistic_terms into value and dz, given sign
+    -1 on positives and +1 on negatives. The four `work` arrays are left
+    holding what _shift reads: e, 1 + e, sign(zs) and sigmoid(zs), where
+    zs = z * sign."""
+    e, denom, side, sig = work
+    zs = np.multiply(z, sign, out=value)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=denom)
+    # the numerator of sigmoid(zs) is 1 where zs > 0 and e where zs < 0, and
+    # e <= 1, so a max against sign(zs) picks it (at zs = 0, e = 1);
+    # sigmoid(-zs) takes the other one
+    np.sign(zs, out=side)
+    np.maximum(e, side, out=sig)
+    sig /= denom
+    np.maximum(zs, 0.0, out=value)
+    value += np.log1p(e, out=dz)
+    np.multiply(sig, sign, out=dz)
+
+
+def _shift(work, gamma, mask, value, dz, kept) -> None:
+    """Overwrite value and dz with the shifted terms where `mask` is set.
+
+    `work` is as _logistic left it for the same entries, and is spent here;
+    `kept` is a bool array shaped like value.
+    """
+    e, denom, side, sig = work
+    sig_neg = np.negative(side, out=side)
+    np.maximum(e, sig_neg, out=sig_neg)
+    sig_neg /= denom
+    np.less(sig_neg, 1.0 - gamma, out=kept)  # not clamped; a 0/1 factor
+    p = np.add(sig_neg, gamma, out=denom)
+    np.minimum(p, 1.0, out=p)
+    np.maximum(p, _P_FLOOR, out=p)
+    term = np.log(p, out=e)
+    np.negative(term, out=term)
+    term *= kept
+    np.putmask(value, mask, term)
+    np.multiply(sig, sig_neg, out=term)
+    term /= p
+    term *= kept
+    np.putmask(dz, mask, term)
+
+
+# Each margin kind sums logistic terms over K + 1 oriented margins with 0/1
+# weights: the average margin z_0 = f_0 - mean(f_1..f_K), positive on none
+# instances, counts for ncrl_final and margin_regularization, and the K
+# pre-defined columns z_i = f_i - a * f_0 (a = 1 ranks each label against the
+# none score, a = 0 is raw BCE) count for every other kind, so the columns
+# line up with the label and score columns. gamma shifts the negatives of
+# ncrl_final (both column kinds), ncrl_noreg and bce_shifted; at gamma = 0
+# these are the kinds they reduce to. (kind, shifted) -> place in a sorted
+# stack, which keeps each setting on one run: a = 0 on 0 and 6, the average
+# column on 2-4, shifting on 4-6 (the average column's on 4),
+# margin_regularization on 2, and the cells with their own kernels last.
+_RANKS = {("bce", False): 0, ("bce_shifted", False): 0,
+          ("ncrl_plain", False): 1, ("ncrl_noreg", False): 1,
+          ("margin_regularization", False): 2,
+          ("ncrl_final", False): 3, ("ncrl_final", True): 4,
+          ("ncrl_noreg", True): 5, ("bce_shifted", True): 6,
+          ("atl", False): 7, ("pairwise", False): 8}
+_SHIFTED_KINDS = frozenset({"ncrl_final", "ncrl_noreg", "bce_shifted"})
+
+
+def stack_rank(kind: str, gamma: float) -> int:
+    """Sort key of a cell in a kind-sorted stack; checks a shifted kind's gamma."""
+    return _RANKS[kind, kind in _SHIFTED_KINDS and check_gamma(gamma) > 0.0]
+
+
+class _Plan(NamedTuple):
+    """Where each setting of a kind-sorted stack applies, and its constants;
+    `order` is None for a sorted stack and its sorting permutation otherwise.
+    """
+
+    order: object = None
+    margin: int = 0  # cells 0..margin-1 take the fused path
+    average: slice = slice(0)  # cells whose average column counts
+    unranked: slice = slice(0)  # margin_regularization cells
+    shifted: int = 0  # cells shifted..margin-1 shift their negatives
+    slope: object = None  # a per margin cell, (margin, 1, 1)
+    gamma: object = None  # of the shifted cells: a float if shared, else (n, 1, 1)
 
 
 @functools.lru_cache(maxsize=64)
-def _columns(kinds: tuple, gammas: tuple, k: int):
-    """Per-cell slope a (C, 1, 1), column weights and gammas (C, 1, K+1).
-
-    Cached, since a training run asks for the same stack every step; the
-    arrays are read-only.
-    """
-    slopes, weights, shifts = [], [], []
-    for kind, gamma in zip(kinds, gammas):
-        a, (avg_w, avg_s), (rank_w, rank_s) = _MARGIN_KINDS[kind]
-        if avg_s or rank_s:
-            gamma = check_gamma(gamma)
-        slopes.append(a)
-        weights.append([avg_w] + [rank_w] * k)
-        shifts.append([gamma if avg_s else 0.0] + [gamma if rank_s else 0.0] * k)
-    out = (np.array(slopes)[:, None, None], np.array(weights)[:, None, :],
-           np.array(shifts)[:, None, :])
-    for array in out:
+def _plan(kinds: tuple, gammas: tuple) -> _Plan:
+    """Cached, since a training run asks for the same stack every step; the
+    arrays are read-only."""
+    ranks = [stack_rank(kind, gamma) for kind, gamma in zip(kinds, gammas)]
+    order = sorted(range(len(ranks)), key=ranks.__getitem__)
+    if order != list(range(len(ranks))):
+        return _Plan(order=np.array(order))
+    start = [bisect.bisect_left(ranks, rank) for rank in range(10)]
+    margin, shifted = start[7], start[4]
+    slope = np.array([float(0 < rank < 6) for rank in ranks[:margin]])[:, None, None]
+    gamma = np.array(gammas[shifted:margin], dtype=float)[:, None, None]
+    for array in (slope, gamma):
         array.flags.writeable = False
-    return out
+    return _Plan(None, margin, slice(start[2], start[5]), slice(start[2], start[3]),
+                 shifted, slope,
+                 float(gamma[0, 0, 0]) if len(set(gamma.flat)) == 1 else gamma)
 
 
-def _margin_losses(kinds, Y, F, gammas):
-    """Every margin kind of a cell stack through one logistic_terms call."""
+def _margin_losses(plan, Y, F, ws, vals, grads) -> None:
+    """Values into vals (M, B) and gradients into grads (M, B, K+1) of the
+    margin cells of a kind-sorted stack, one contiguous run per setting.
+
+    Every sum stays along one cell's rows, so each cell's numbers are those
+    it gets alone, whatever else the stack holds.
+    """
     k = F.shape[-1] - 1
-    a, weight, gamma = _columns(tuple(kinds), tuple(gammas), k)
-    f0, f = F[..., :1], F[..., 1:]
-    z = F - a * f0
-    z[..., :1] = f0 - f.sum(axis=-1, keepdims=True) / k
-    value, dz = logistic_terms(z, Y == 1, gamma)
-    value *= weight
-    dz *= weight
+    z, sign, value, *work = ws.take("float", F.shape, parts=7)
+    positive, mask, kept = ws.take("bool", F.shape, bool, parts=3)
+    af0, total, mean, spread = ws.take("small", vals.shape, parts=4)
+    avg, cells = plan.average, slice(plan.shifted, plan.margin)
+    np.subtract(F, np.multiply(plan.slope, F[..., :1], out=af0[..., None]), out=z)
+    if avg.start < avg.stop:
+        mean = np.add.reduce(F[avg, :, 1:], axis=-1, out=mean[avg])
+        mean /= k
+        np.subtract(F[avg, :, 0], mean, out=z[avg, :, 0])
+    np.equal(Y, 1, out=positive)
+    np.multiply(positive, -2.0, out=sign)  # -1 on positives, +1 on negatives
+    sign += 1.0
+    _logistic(z, sign, value, grads, work)
+    if cells.start < cells.stop:
+        # the negatives, on the average column only for ncrl_final
+        mask = np.logical_not(positive[cells], out=mask[cells])
+        mask[avg.stop - cells.start:, :, 0] = False
+        _shift([w[cells] for w in work], plan.gamma, mask, value[cells],
+               grads[cells], kept[cells])
+    # 0/1 weights: only the average column and margin_regularization's
+    # pre-defined columns can carry a 0
+    for lo, hi in ((0, avg.start), (avg.stop, plan.margin)):
+        if lo < hi:
+            value[lo:hi, :, 0] *= 0.0
+            grads[lo:hi, :, 0] *= 0.0
+    if plan.unranked.start < plan.unranked.stop:
+        value[plan.unranked, :, 1:] *= 0.0
+        grads[plan.unranked, :, 1:] *= 0.0
     # lift dz back to the scores: f_0 takes dz_0 and -a * dz_i from each
-    # pre-defined column; dz_0 spreads -dz_0 / k over f_1..f_K
-    avg_dz = dz[..., :1]
-    grads = dz - avg_dz / k
-    grads[..., :1] = avg_dz - a * dz[..., 1:].sum(axis=-1, keepdims=True)
-    return value[..., 1:].sum(axis=-1) + value[..., 0], grads
+    # pre-defined column; dz_0 spreads -dz_0 / k over f_1..f_K (outside the
+    # average cells dz_0 is a signed zero that leaves them as they are)
+    np.add.reduce(grads[..., 1:], axis=-1, out=total)
+    total *= plan.slope[..., 0]
+    np.subtract(grads[..., 0], total, out=total)  # the f_0 column
+    if avg.start < avg.stop:
+        spread = np.divide(grads[avg, :, :1], k, out=spread[avg, :, None])
+        grads[avg] -= spread  # column 0 is overwritten below
+    grads[..., 0] = total
+    np.add.reduce(value[..., 1:], axis=-1, out=vals)
+    vals += value[..., 0]
 
 
 def _masked_lse_softmax(F, mask):
@@ -255,24 +374,30 @@ def _pairwise_batch(Y, F):
 _OWN_KERNELS = {"atl": _atl_batch, "pairwise": _pairwise_batch}
 
 
-def _stack_losses(kinds, Y, F, gammas):
+def _stack_losses(kinds, Y, F, gammas, workspace=None):
     """Per-instance values (C, B) and gradients (C, B, K+1) of a cell stack.
 
     The one dispatch from loss kind to kernel: margin cells share one fused
     call; atl and pairwise cells run their own kernels one cell at a time.
+    A stack not sorted by `stack_rank` is sorted here and its results put
+    back in the given order.
     """
-    own = [c for c, kind in enumerate(kinds) if kind in _OWN_KERNELS]
-    if not own:
-        return _margin_losses(kinds, Y, F, gammas)
-    if len(kinds) == 1:  # a lone atl or pairwise cell needs no stack buffers
+    plan = _plan(tuple(kinds), tuple(gammas))
+    if plan.order is not None:
+        order = plan.order
+        vals, grads = _stack_losses([kinds[c] for c in order], Y[order], F[order],
+                                    [gammas[c] for c in order], workspace)
+        inverse = np.argsort(order)
+        return vals[inverse], grads[inverse]
+    if len(kinds) == 1 and not plan.margin:  # a lone atl or pairwise cell
         vals, grads = _OWN_KERNELS[kinds[0]](Y[0], F[0])
         return vals[None], grads[None]
-    vals, grads = np.empty(F.shape[:-1]), np.empty(F.shape)
-    fused = [c for c in range(len(kinds)) if c not in own]
-    if fused:
-        vals[fused], grads[fused] = _margin_losses(
-            [kinds[c] for c in fused], Y[fused], F[fused], [gammas[c] for c in fused])
-    for c in own:
+    ws = Workspace() if workspace is None else workspace
+    vals, grads = ws.take("vals", F.shape[:-1]), ws.take("grads", F.shape)
+    if plan.margin:
+        m = plan.margin
+        _margin_losses(plan, Y[:m], F[:m], ws, vals[:m], grads[:m])
+    for c in range(plan.margin, len(kinds)):
         vals[c], grads[c] = _OWN_KERNELS[kinds[c]](Y[c], F[c])
     return vals, grads
 
@@ -292,14 +417,16 @@ def instance_losses(kind, Y, F, gamma=0.0):
     return _instance_losses(kind, Y, F, gamma)
 
 
-def batch_loss(kind, Y, F, gamma=0.0):
+def batch_loss(kind, Y, F, gamma=0.0, workspace=None):
     """Mean loss over a batch and the gradient of that mean w.r.t. F.
 
     With (B, K+1) arrays, one kind and one gamma, returns a float and a
     (B, K+1) gradient. With a (C, B, K+1) cell stack, `kind` and `gamma` are
     sequences of C, one per cell, and it returns the C per-cell means and the
     (C, B, K+1) gradients. A 2-D call runs as a stack of one cell, so each
-    cell of a stack comes out exactly as its own 2-D call would give.
+    cell of a stack comes out exactly as its own 2-D call would give, in any
+    cell order; a stack sorted by `stack_rank` skips a sort and a copy. A
+    `workspace` lends its buffers, and the gradients are then a view of them.
     """
     F = np.asarray(F, dtype=float)
     if not np.isfinite(F).all():
@@ -314,9 +441,9 @@ def batch_loss(kind, Y, F, gamma=0.0):
                          "and gammas")
     for name in kinds:
         check_kind(name)
-    vals, grads = _stack_losses(kinds, Y, F, gammas)
+    vals, grads = _stack_losses(kinds, Y, F, gammas, workspace)
     grads /= F.shape[-2]
-    means = vals.sum(axis=-1) / F.shape[-2]
+    means = np.add.reduce(vals, axis=-1) / F.shape[-2]
     return (float(means[0]), grads[0]) if one else (means, grads)
 
 

@@ -1,14 +1,14 @@
 """Trainable scorers emitting K+1 scores, with manual backpropagation.
 
-Both scorers keep their parameters in a plain dict of arrays so the optimizer
-and checkpointing code treat them uniformly. Training uses an adaptive-moment
-optimizer with a linear-warmup, linear-decay learning-rate schedule and keeps
-the checkpoint with the best dev micro F1 under the loss's native prediction
-rule (adaptive thresholding for margin-based losses, a swept global threshold
-for the others). `train` takes a list of configs, with one data set for all
-or one per config, and trains the cells that share their settings as one
-stacked model, whose parameters carry a leading cell axis; every cell comes
-out as if trained alone.
+Both scorers name their parameter arrays in a dict, which checkpoints save.
+Training uses an adaptive-moment optimizer with a linear-warmup, linear-decay
+learning-rate schedule and keeps the checkpoint with the best dev micro F1
+under the loss's native prediction rule (adaptive thresholding for
+margin-based losses, a swept global threshold for the others). `train` takes
+a list of configs, with one data set for all or one per config, and trains
+the cells that share their settings as one stacked model: one flat (C, P)
+array holds its parameters, a row per cell, with the cells sorted by
+training set and loss kind. Every cell comes out as if trained alone.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 import numpy as np
 
 from .datagen import Dataset
-from .losses import (batch_loss, check_gamma, check_kind, instance_losses,
-                     with_none_flag)
+from .losses import (Workspace, batch_loss, check_gamma, check_kind,
+                     instance_losses, stack_rank, with_none_flag)
 from .metrics import micro_f1_flags
 from .prediction import COARSE_GRID, adaptive_flags, sweep_global_threshold
 
@@ -88,21 +88,25 @@ class _Scorer:
 
     Every parameter may carry a leading cell axis. A stacked scorer holds C
     cells and maps (C, B, d) features to (C, B, K+1) scores with one batched
-    matmul per layer; each cell's arithmetic is that of its own scorer.
+    matmul per layer; each cell's arithmetic is that of its own scorer. One
+    built by `stack` keeps a cell's parameters in one row of a (C, P) array
+    `flat`, which its `params` view, so a cell's state is a row to step, copy
+    or drop. `backward` writes into the arrays of a dict `out` if given.
     """
 
     @classmethod
     def stack(cls, scorers):
         """A stacked scorer holding copies of the given scorers' parameters."""
-        return cls(**{key: np.stack([s.params[key] for s in scorers])
-                      for key in scorers[0].params})
+        new = object.__new__(cls)
+        new.flat = np.stack([np.concatenate(list(s.params.values()), axis=None)
+                             for s in scorers])
+        new.params = _views(new.flat, {k: v.shape for k, v in scorers[0].params.items()})
+        return new
 
     def cell(self, c):
         """Cell c of a stacked scorer as a one-cell scorer viewing its arrays;
         an index array of cells gives a stacked scorer holding their copies.
-
-        Unchecked: a cell may hold non-finite values until training drops it.
-        """
+        Unchecked: a cell may hold non-finite values until training drops it."""
         view = object.__new__(type(self))
         view.params = {key: value[c] for key, value in self.params.items()}
         return view
@@ -146,9 +150,10 @@ class LinearScorer(_Scorer):
         w, b = self.params["weights"], self.params["bias"]
         return x @ w.swapaxes(-1, -2) + b[..., None, :]
 
-    def backward(self, x: np.ndarray, d_scores: np.ndarray) -> dict:
-        return {"weights": d_scores.swapaxes(-1, -2) @ x,
-                "bias": d_scores.sum(axis=-2)}
+    def backward(self, x: np.ndarray, d_scores: np.ndarray, out=None) -> dict:
+        out = out or dict.fromkeys(self.params)
+        return {"weights": np.matmul(d_scores.swapaxes(-1, -2), x, out=out["weights"]),
+                "bias": d_scores.sum(axis=-2, out=out["bias"])}
 
 
 class MlpScorer(_Scorer):
@@ -200,16 +205,24 @@ class MlpScorer(_Scorer):
         return (hidden @ self.params["w2"].swapaxes(-1, -2)
                 + self.params["b2"][..., None, :])
 
-    def backward(self, x: np.ndarray, d_scores: np.ndarray) -> dict:
+    def backward(self, x: np.ndarray, d_scores: np.ndarray, out=None) -> dict:
+        out = out or dict.fromkeys(self.params)
         pre = self._hidden_pre(x)
         hidden = np.maximum(pre, 0.0)
         d_hidden = (d_scores @ self.params["w2"]) * (pre > 0)
         return {
-            "w1": d_hidden.swapaxes(-1, -2) @ x,
-            "b1": d_hidden.sum(axis=-2),
-            "w2": d_scores.swapaxes(-1, -2) @ hidden,
-            "b2": d_scores.sum(axis=-2),
+            "w1": np.matmul(d_hidden.swapaxes(-1, -2), x, out=out["w1"]),
+            "b1": d_hidden.sum(axis=-2, out=out["b1"]),
+            "w2": np.matmul(d_scores.swapaxes(-1, -2), hidden, out=out["w2"]),
+            "b2": d_scores.sum(axis=-2, out=out["b2"]),
         }
+
+
+def _views(flat: np.ndarray, shapes: dict) -> dict:
+    """Per-key views of the rows of a (C, P) array, shaped (C, *shape)."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    return {key: flat[:, end - math.prod(shape):end].reshape((len(flat),) + shape)
+            for (key, shape), end in zip(shapes.items(), ends)}
 
 
 def forward(scorer, features) -> np.ndarray:
@@ -221,7 +234,9 @@ def forward(scorer, features) -> np.ndarray:
 
 
 class Adam:
-    """Adaptive-moment optimizer over a dict of parameter arrays."""
+    """Adaptive-moment optimizer over a dict of parameter arrays; each key
+    costs a dozen whole-array passes into kept scratch, so the trainer hands
+    it one key: a stack's (C, P) flat parameters, a row per cell."""
 
     def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -229,27 +244,32 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+        self._scratch = {}
 
     def step(self, params: dict, grads: dict, lr,
              weight_decay: float = 0.0) -> None:
         """One update; lr is a scalar or one rate per cell of a stack."""
         self.t += 1
-        c1 = 1 - self.beta1 ** self.t
-        c2 = 1 - self.beta2 ** self.t
+        c1, c2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
         per_cell = np.ndim(lr) > 0
         for key, g in grads.items():
-            m = self.m[key]
-            v = self.v[key]
+            m, v, p = self.m[key], self.v[key], params[key]
+            if self._scratch.get(key, g).shape != (2,) + g.shape:
+                self._scratch[key] = np.empty((2,) + g.shape)
+            a, b = self._scratch[key]
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(g, 1 - self.beta1, out=a)
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
+            v += np.multiply(np.multiply(g, 1 - self.beta2, out=a), g, out=a)
             rate = np.reshape(lr, (-1,) + (1,) * (g.ndim - 1)) if per_cell else lr
-            params[key] -= rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            # p -= rate * (m / c1) / (sqrt(v / c2) + eps)
+            np.sqrt(np.divide(v, c2, out=a), out=a)
+            a += self.eps
+            p -= np.divide(np.multiply(rate, np.divide(m, c1, out=b), out=b), a, out=b)
             if weight_decay:
                 # decoupled decay; anchors the score level that shift-invariant
                 # losses leave unconstrained
-                params[key] -= rate * weight_decay * params[key]
+                p -= np.multiply(rate * weight_decay, p, out=b)
 
 
 def learning_rate_at(step: int, total_steps: int, peak: float,
@@ -267,10 +287,6 @@ def native_dev_metric(scorer, dev: Dataset, loss_kind: str) -> float:
     if loss_kind in ADAPTIVE_KINDS:
         return micro_f1_flags(adaptive_flags(scores), dev.labels)
     return sweep_global_threshold(scores, dev.labels, COARSE_GRID)[1]
-
-
-def _snapshot(params: dict) -> dict:
-    return {k: v.copy() for k, v in params.items()}
 
 
 def _stack_key(config: TrainConfig, scorer) -> tuple:
@@ -336,11 +352,12 @@ def train(data, dev, configs, scorers=None) -> list:
         stacks.setdefault(_stack_key(config, scorer), []).append(i)
     results = [None] * len(cells)
     for members in stacks.values():
-        # cells that share a training set become adjacent stack rows
+        # cells that share a training set become adjacent stack rows, and
+        # within them the loss kernel wants its cells sorted by kind
         first: dict = {}
-        members.sort(key=lambda i: first.setdefault(id(datas[i]), len(first)))
-        stack_results = _train_stack([cells[i] for i in members])
-        for i, result in zip(members, stack_results):
+        members.sort(key=lambda i: (first.setdefault(id(datas[i]), len(first)),
+                                    stack_rank(configs[i].loss_kind, configs[i].gamma)))
+        for i, result in zip(members, _train_stack([cells[i] for i in members])):
             results[i] = result
     return results
 
@@ -358,19 +375,22 @@ class _Feed:
 
 def _train_stack(cells: list) -> list:
     """Train (config, scorer, shuffle_rng, data, dev) cells that share a
-    _stack_key, with the cells that share a training set adjacent."""
+    _stack_key, with the cells that share a training set adjacent. Parameters,
+    gradients and Adam moments are (C, P) arrays, a row per live cell."""
     started = time.perf_counter()
     config = cells[0][0]  # the settings every cell of the stack shares
     size = config.batch_size
     stack = type(cells[0][1]).stack([cell[1] for cell in cells])
-    optimizer = Adam(stack.params)
+    shapes = {key: value.shape[1:] for key, value in stack.params.items()}
+    grads = np.empty_like(stack.flat)
+    grad_views = _views(grads, shapes)
+    optimizer = Adam({"flat": stack.flat})
+    workspace = Workspace()
     live = list(range(len(cells)))  # the cell each stack row trains
-    kinds = [cell[0].loss_kind for cell in cells]
-    gammas = [cell[0].gamma for cell in cells]
+    kinds, gammas = [c[0].loss_kind for c in cells], [c[0].gamma for c in cells]
     histories = [TrainHistory() for _ in cells]
-    errors = [None] * len(cells)
-    best_metric = [-1.0] * len(cells)
-    best_params = [_snapshot(cell[1].params) for cell in cells]
+    errors, best_metric = [None] * len(cells), [-1.0] * len(cells)
+    best = stack.flat.copy()  # row c: cell c's parameters at its best dev epoch
     feeds: list = []
     for cell in cells:
         if feeds and feeds[-1].data is cell[3]:
@@ -380,12 +400,13 @@ def _train_stack(cells: list) -> list:
             feeds.append(_Feed(cell[3], 1, steps, config.epochs * steps))
     loss_sum = np.zeros(len(cells))
 
-    def drop(keep: np.ndarray, grads: dict) -> None:
-        """Keep only the flagged rows of the stack, its feeds and `grads`."""
-        nonlocal loss_sum
-        for state in (stack.params, optimizer.m, optimizer.v, grads):
-            for key in state:
-                state[key] = state[key][keep]
+    def drop(keep: np.ndarray) -> None:
+        """Keep only the flagged rows of the stack and its feeds."""
+        nonlocal grads, grad_views, loss_sum
+        stack.flat, grads = stack.flat[keep], grads[keep]
+        stack.params, grad_views = _views(stack.flat, shapes), _views(grads, shapes)
+        optimizer.m["flat"] = optimizer.m["flat"][keep]
+        optimizer.v["flat"] = optimizer.v["flat"][keep]
         lo = 0
         for feed in feeds:
             block = keep[lo:lo + feed.rows]
@@ -415,16 +436,15 @@ def _train_stack(cells: list) -> list:
         pieces = [_gather(group, len(by_length) > 1)
                   for group in by_length.values()]
         failed = {}  # stack row -> divergence message
-        grads = {}
         for rows, x, y in pieces:
             _piece_step(stack, rows, x, y, kinds, gammas, step, failed,
-                        loss_sum, grads)
+                        loss_sum, grad_views, workspace)
         if failed:
             keep = np.ones(len(live), dtype=bool)
             for row, message in failed.items():
                 errors[live[row]] = FloatingPointError(message)
                 keep[row] = False
-            drop(keep, grads)
+            drop(keep)
             if not live:
                 break
         rates = [learning_rate_at(step, feed.total, config.learning_rate,
@@ -432,40 +452,36 @@ def _train_stack(cells: list) -> list:
         lr = (rates[0] if len(set(rates)) == 1 else
               np.array([rate for feed, rate in zip(feeds, rates)
                         for _ in range(feed.rows)]))
-        optimizer.step(stack.params, grads, lr, config.weight_decay)
+        optimizer.step({"flat": stack.flat}, {"flat": grads}, lr, config.weight_decay)
         step += 1
         # a cell ending an epoch records it; one ending its last epoch leaves
-        keep, lo = None, 0
+        keep, lo = np.ones(len(live), dtype=bool), 0
         for feed in feeds:
             if step % feed.steps == 0:
                 for row in range(lo, lo + feed.rows):
                     c = live[row]
                     history = histories[c]
-                    history.train_loss.append(
-                        float(loss_sum[row] / len(feed.data)))
-                    view = stack.cell(row)
-                    metric = native_dev_metric(view, cells[c][4], kinds[row])
+                    history.train_loss.append(float(loss_sum[row] / len(feed.data)))
+                    metric = native_dev_metric(stack.cell(row), cells[c][4], kinds[row])
                     history.dev_metric.append(metric)
                     if metric > best_metric[c]:
                         best_metric[c] = metric
-                        best_params[c] = _snapshot(view.params)
+                        best[c] = stack.flat[row]
                         history.best_epoch = step // feed.steps - 1
                 if step == feed.total:
-                    if keep is None:
-                        keep = np.ones(len(live), dtype=bool)
                     keep[lo:lo + feed.rows] = False
             lo += feed.rows
-        if keep is not None:
-            drop(keep, {})
+        if not keep.all():
+            drop(keep)
     share = (time.perf_counter() - started) / len(cells)
-    results = []
-    for cell, history, error, best in zip(cells, histories, errors, best_params):
+    best_params = _views(best, shapes)
+    for c, (cell, history, error) in enumerate(zip(cells, histories, errors)):
         history.seconds = share
         if error is None:
-            for key, value in best.items():
-                cell[1].params[key][...] = value
-        results.append(TrainResult(cell[1], history, error))
-    return results
+            for key, value in cell[1].params.items():
+                value[...] = best_params[key][c]
+    return [TrainResult(cell[1], history, error)
+            for cell, history, error in zip(cells, histories, errors)]
 
 
 def _gather(group: list, partial: bool) -> tuple:
@@ -481,11 +497,11 @@ def _gather(group: list, partial: bool) -> tuple:
 
 
 def _piece_step(stack, rows, x, y, kinds, gammas, step, failed, loss_sum,
-                grads) -> None:
+                grads, workspace) -> None:
     """Forward, loss and backward for the stack rows `rows` (None: all rows).
 
-    Adds each row's batch loss to `loss_sum` and its gradients to `grads`;
-    a row whose scores or loss are not finite goes to `failed` instead.
+    Adds each row's batch loss to `loss_sum` and writes its gradients into its
+    rows of `grads`; a row whose scores or loss are not finite goes to `failed`.
     """
     scorer = stack if rows is None else stack.cell(rows)
     scores = scorer.forward(x)
@@ -500,7 +516,7 @@ def _piece_step(stack, rows, x, y, kinds, gammas, step, failed, loss_sum,
         return
     piece_kinds = kinds if rows is None else [kinds[r] for r in rows]
     piece_gammas = gammas if rows is None else [gammas[r] for r in rows]
-    values, d_scores = batch_loss(piece_kinds, y, scores, piece_gammas)
+    values, d_scores = batch_loss(piece_kinds, y, scores, piece_gammas, workspace)
     if not np.isfinite(values).all():
         ok = np.isfinite(values)
         rows = np.arange(len(x)) if rows is None else rows
@@ -510,15 +526,12 @@ def _piece_step(stack, rows, x, y, kinds, gammas, step, failed, loss_sum,
         scorer = stack.cell(rows)
         if len(x) == 0:
             return
-    piece_grads = scorer.backward(x, d_scores)
     if rows is None:
         loss_sum += values * x.shape[1]
-        grads.update(piece_grads)
+        scorer.backward(x, d_scores, out=grads)
         return
     loss_sum[rows] += values * x.shape[1]
-    for key, value in piece_grads.items():
-        if key not in grads:
-            grads[key] = np.empty_like(stack.params[key])
+    for key, value in scorer.backward(x, d_scores).items():
         grads[key][rows] = value
 
 

@@ -183,6 +183,21 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key = value"):
             read_config_file(str(path))
 
+    def test_empty_and_repeated_keys_exit_1_with_location(self, tmp_path, capsys):
+        # an empty key used to splice in a bare "--" that hid the given
+        # flags from argparse; a repeated key silently kept the last value
+        data, model = str(tmp_path / "d.jsonl"), str(tmp_path / "m.json")
+        cfg = tmp_path / "train.cfg"
+        for body, message in (("epochs = 1\n = 5\n", "2: empty key before '='"),
+                              ("epochs = 1\nepochs = 2\n",
+                               "2: key 'epochs' given twice")):
+            cfg.write_text(body)
+            rc = main(["train", "--config", str(cfg), "--data", data,
+                       "--loss", "bce", "--out", model])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+            assert not (tmp_path / "m.json").exists()
+
 
 class TestExperimentSuites:
     def test_compare_row_structure(self):
@@ -498,6 +513,16 @@ class TestCli:
         assert main(["gen-data", "--config", str(cfg), "--out", out]) == 0
         capsys.readouterr()
         assert load_dataset(out).k == 4
+
+    def test_config_value_starting_with_minus_stays_a_value(self, tmp_path, capsys):
+        # "-1e-05" is no plain negative number to argparse, which took it for
+        # a flag when the config entry became two tokens
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("k = 2\ndim = 3\nn = 40\nbias = -1e-05,0.5\n")
+        out = str(tmp_path / "data.jsonl")
+        assert main(["gen-data", "--config", str(cfg), "--out", out]) == 0
+        capsys.readouterr()
+        assert load_dataset(out).k == 2
 
     def test_config_numbers_stay_values(self, tmp_path, capsys):
         # "0" and "1" are boolean words only for store_true flags: gamma = 0

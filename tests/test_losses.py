@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncrl_lab.losses import (atl, batch_loss, bce, bce_shifted, hamming_error,
-                             logistic_terms, margin_regularization, margins,
-                             ncre_error, ncrl_final, ncrl_noreg, ncrl_plain,
+from ncrl_lab.losses import (Workspace, atl, batch_loss, bce, bce_shifted,
+                             hamming_error, logistic_terms,
+                             margin_regularization, margins, ncre_error,
+                             ncrl_final, ncrl_noreg, ncrl_plain,
                              pairwise_ranking, ranking_error,
                              shifted_negative_prob, sigmoid, softplus,
-                             validate_labels, with_none_flag)
+                             stack_rank, validate_labels, with_none_flag)
 
 LN2 = math.log(2)
 
@@ -369,7 +370,9 @@ class TestBatchLoss:
 
     def test_stacked_matches_per_cell_exactly(self):
         # every margin kind at every gamma, plus atl and pairwise, in one
-        # (C, B, K+1) stack: each cell must equal its own 2-D call bit for bit
+        # (C, B, K+1) stack: each cell must equal its own 2-D call bit for bit,
+        # whatever the cell order. The kind-sorted order is the trainer's and
+        # runs as given; the others are sorted inside and put back.
         rng = np.random.default_rng(16)
         b, k = 48, 6
         cells = [(kind, gamma)
@@ -380,24 +383,28 @@ class TestBatchLoss:
         y = rng.integers(0, 2, size=(len(cells), b, k))
         Y = np.concatenate([(y.max(axis=2, keepdims=True) == 0), y], axis=2)
         F = rng.normal(0, 6, size=(len(cells), b, k + 1))
-        values, grads = batch_loss([c[0] for c in cells], Y, F,
-                                   [c[1] for c in cells])
-        assert values.shape == (len(cells),) and grads.shape == F.shape
+        alone = [batch_loss(kind, Y[c], F[c], gamma)
+                 for c, (kind, gamma) in enumerate(cells)]
         for c, (kind, gamma) in enumerate(cells):
-            value, grad = batch_loss(kind, Y[c], F[c], gamma)
-            assert values[c] == value, (kind, gamma)
-            assert np.array_equal(grads[c], grad), (kind, gamma)
             if gamma > 0 and kind in ("ncrl_noreg", "bce_shifted"):
                 # scores this wide clamp some negatives to exact zeros
-                negatives = grad[:, 1:][Y[c][:, 1:] == 0]
+                negatives = alone[c][1][:, 1:][Y[c][:, 1:] == 0]
                 assert (negatives == 0.0).any(), (kind, gamma)
+        n = len(cells)
+        interleaved = [c for pair in zip(range(n // 2), range(n - 1, n // 2 - 1, -1))
+                       for c in pair]
+        ranked = sorted(range(n), key=lambda c: stack_rank(*cells[c]))
         margin_only = [c for c, (kind, _) in enumerate(cells)
                        if kind not in ("atl", "pairwise")]
-        values_m, grads_m = batch_loss([cells[c][0] for c in margin_only],
-                                       Y[margin_only], F[margin_only],
-                                       [cells[c][1] for c in margin_only])
-        assert np.array_equal(values_m, values[margin_only])
-        assert np.array_equal(grads_m, grads[margin_only])
+        for order in (list(range(n)), interleaved, ranked, ranked[::-1],
+                      margin_only, margin_only[::-1], [5, 6], [6, 0, 5]):
+            values, grads = batch_loss([cells[c][0] for c in order], Y[order],
+                                       F[order], [cells[c][1] for c in order],
+                                       workspace=Workspace())
+            assert values.shape == (len(order),) and grads.shape == F[order].shape
+            for row, c in enumerate(order):
+                assert values[row] == alone[c][0], cells[c]
+                assert np.array_equal(grads[row], alone[c][1]), cells[c]
 
     def test_stacked_arguments_checked(self):
         Y, F = np.zeros((2, 1, 3), dtype=int), np.zeros((2, 1, 3))

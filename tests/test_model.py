@@ -311,6 +311,9 @@ class TestStackedTraining:
                       [MlpScorer.create(3, 4, 5, rng) for _ in range(3)]):
             stack = type(cells[0]).stack(cells)
             assert (stack.k, stack.dim) == (3, 4)
+            # every parameter is a view of the one (C, P) array
+            assert stack.flat.shape == (3, sum(v[0].size for v in stack.params.values()))
+            assert all(np.shares_memory(v, stack.flat) for v in stack.params.values())
             x = rng.normal(size=(3, 7, 4))
             d = rng.normal(size=(3, 7, 4))
             scores, grads = stack.forward(x), stack.backward(x, d)
@@ -367,22 +370,34 @@ class TestSchedule:
         assert abs(params["w"][0]) <= 0.1 + 1e-12
 
     def test_per_cell_rate_matches_scalar_steps(self):
+        # per-key stacked arrays, the trainer's one-key flat (C, P) layout
+        # and each cell alone all step to the same bits, under one scalar
+        # rate and under a rate per cell, with decoupled decay
         rng = np.random.default_rng(9)
-        stacked = {"w": rng.normal(size=(3, 4, 5)), "b": rng.normal(size=(3, 4))}
-        cells = [{key: value[c].copy() for key, value in stacked.items()}
-                 for c in range(3)]
-        rates = np.array([0.1, 0.02, 0.003])
-        optimizer, alone = Adam(stacked), [Adam(cell) for cell in cells]
-        for _ in range(4):
-            grads = {key: rng.normal(size=value.shape)
-                     for key, value in stacked.items()}
-            optimizer.step(stacked, grads, rates, weight_decay=0.01)
-            for c, (cell, cell_optimizer) in enumerate(zip(cells, alone)):
-                cell_optimizer.step(cell, {key: g[c] for key, g in grads.items()},
-                                    float(rates[c]), weight_decay=0.01)
-        for c, cell in enumerate(cells):
-            for key, value in cell.items():
-                assert np.array_equal(stacked[key][c], value)
+        for lr in (np.array([0.1, 0.02, 0.003]), 0.02):
+            rates = np.broadcast_to(lr, 3)
+            stacked = {"w": rng.normal(size=(3, 4, 5)), "b": rng.normal(size=(3, 4))}
+            flat = {"flat": np.concatenate([stacked["w"].reshape(3, -1),
+                                            stacked["b"]], axis=1)}
+            cells = [{key: value[c].copy() for key, value in stacked.items()}
+                     for c in range(3)]
+            optimizer, flat_optimizer = Adam(stacked), Adam(flat)
+            alone = [Adam(cell) for cell in cells]
+            for _ in range(4):
+                grads = {key: rng.normal(size=value.shape)
+                         for key, value in stacked.items()}
+                optimizer.step(stacked, grads, lr, weight_decay=0.01)
+                flat_grads = np.concatenate([grads["w"].reshape(3, -1), grads["b"]],
+                                            axis=1)
+                flat_optimizer.step(flat, {"flat": flat_grads}, lr, weight_decay=0.01)
+                for c, (cell, cell_optimizer) in enumerate(zip(cells, alone)):
+                    cell_optimizer.step(cell, {key: g[c] for key, g in grads.items()},
+                                        float(rates[c]), weight_decay=0.01)
+            assert np.array_equal(flat["flat"][:, :20].reshape(3, 4, 5), stacked["w"])
+            assert np.array_equal(flat["flat"][:, 20:], stacked["b"])
+            for c, cell in enumerate(cells):
+                for key, value in cell.items():
+                    assert np.array_equal(stacked[key][c], value)
 
     def test_decoupled_weight_decay_shrinks_parameters(self):
         params = {"w": np.array([10.0])}

@@ -84,7 +84,7 @@ class Dataset:
             raise ValueError("labels need a none column plus K >= 1 label columns")
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
-        if not np.isin(self.labels, (0, 1)).all():
+        if self.labels.min() < 0 or self.labels.max() > 1:
             raise ValueError("labels must be binary flags")
         derived = (self.labels[:, 1:].max(axis=1) == 0).astype(int)
         if not np.array_equal(self.labels[:, 0], derived):

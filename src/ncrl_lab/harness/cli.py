@@ -349,9 +349,10 @@ def _expand_config_args(argv: list, parser: argparse.ArgumentParser) -> list:
 
     Boolean words turn the subcommand's store_true flags on or off; every
     other entry becomes one `--flag=value` token, so a value that starts
-    with "-" is not taken for a flag.
+    with "-" is not taken for a flag. A second --config is refused, not
+    merged or dropped.
     """
-    path = None
+    paths = []
     rest = []
     i = 0
     while i < len(argv):
@@ -359,22 +360,24 @@ def _expand_config_args(argv: list, parser: argparse.ArgumentParser) -> list:
         if token == "--config":
             if i + 1 >= len(argv):
                 raise ValueError("--config requires a file path")
-            path = argv[i + 1]
+            paths.append(argv[i + 1])
             i += 2
             continue
         if token.startswith("--config="):
-            path = token.split("=", 1)[1]
+            paths.append(token.split("=", 1)[1])
             i += 1
             continue
         rest.append(token)
         i += 1
-    if path is None:
+    if not paths:
         return rest
+    if len(paths) > 1:
+        raise ValueError("--config given more than once: " + ", ".join(paths))
     if not rest:
         raise ValueError("--config must follow a subcommand")
     switches = _switches(parser, rest[0])
     injected = []
-    for key, value in read_config_file(path).items():
+    for key, value in read_config_file(paths[0]).items():
         flag = "--" + key.replace("_", "-")
         if flag in switches and value.lower() in _TRUE_WORDS:
             injected.append(flag)

@@ -2,15 +2,19 @@
 
 Datasets are one JSON object per line, `{"features": [...], "labels":
 [positive indices 1..K], "k": K}`; the none flag is derived on load, never
-stored. All writers go through a temp file plus atomic rename so failed runs
-leave no partial outputs.
+stored. Datasets stream line by line: saving writes each line as soon as it
+is formed, and loading appends each line's checked features to one growing
+float64 buffer that becomes the feature matrix without a copy, so neither
+holds a whole-file copy of the text or of the values as Python objects. All
+writers go through a temp file plus atomic rename so failed runs leave no
+partial outputs.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import io
-import itertools
 import json
 import os
 import sys
@@ -39,12 +43,14 @@ class ResultRow:
 CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
-def _atomic_text_write(path: str, body: str) -> None:
+def _atomic_text_write(path: str, chunks) -> None:
+    """Write the strings of the iterable `chunks` to `path` as they come; a
+    failure part way, in a write or in forming a chunk, leaves no file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(body)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,15 +59,11 @@ def _atomic_text_write(path: str, body: str) -> None:
 
 
 def save_dataset(data: Dataset, path: str) -> None:
-    lines = []
-    for row in range(len(data)):
-        positives = np.nonzero(data.labels[row, 1:])[0] + 1
-        lines.append(json.dumps({
-            "features": data.features[row].tolist(),
-            "labels": [int(i) for i in positives],
-            "k": data.k,
-        }))
-    _atomic_text_write(path, "\n".join(lines) + "\n")
+    _atomic_text_write(path, (json.dumps({
+        "features": features.tolist(),
+        "labels": (np.flatnonzero(flags[1:]) + 1).tolist(),
+        "k": data.k,
+    }) + "\n" for features, flags in zip(data.features, data.labels)))
 
 
 def _parse_instance(obj: dict):
@@ -103,7 +105,8 @@ def _parse_instance(obj: dict):
 
 
 def load_dataset(path: str) -> Dataset:
-    features, label_lists, line_nos = [], [], []
+    values = array.array("d")  # row-major features, grown line by line
+    labels, counts, line_nos = (array.array("q") for _ in range(3))
     k = dim = None
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -112,7 +115,7 @@ def load_dataset(path: str) -> Dataset:
                 continue
             # the location is formatted only when a line is refused
             try:
-                feats, labels, line_k = _parse_instance(json.loads(line))
+                feats, line_labels, line_k = _parse_instance(json.loads(line))
                 if k is None:
                     k, dim = line_k, len(feats)
                 elif line_k != k:
@@ -124,26 +127,27 @@ def load_dataset(path: str) -> Dataset:
                     f"{path}:{line_no}: malformed JSON ({exc.msg})") from exc
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
-            features.append(feats)
-            label_lists.append(labels)
+            values.extend(feats)
+            labels.extend(line_labels)
+            counts.append(len(line_labels))
             line_nos.append(line_no)
-    if not features:
+    if not counts:
         raise ValueError(f"{path}: no instances")
-    matrix = np.asarray(features, dtype=float)
+    matrix = np.frombuffer(values, dtype=float).reshape(len(counts), dim)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():  # JSON NaN and Infinity parse as floats
         raise ValueError(f"{path}:{line_nos[np.argmin(finite)]}: features "
                          "must be finite numbers")
-    counts = np.array([len(labels) for labels in label_lists])
-    flags = np.zeros((len(label_lists), k + 1), dtype=int)
-    flags[np.repeat(np.arange(len(label_lists)), counts),
-          list(itertools.chain.from_iterable(label_lists))] = 1
+    counts = np.frombuffer(counts, dtype=np.int64)
+    flags = np.zeros((len(counts), k + 1), dtype=int)
+    flags[np.repeat(np.arange(len(counts)), counts),
+          np.frombuffer(labels, dtype=np.int64)] = 1
     flags[:, 0] = counts == 0
     return Dataset(matrix, flags, provenance={"source": path})
 
 
 def save_json(obj, path: str) -> None:
-    _atomic_text_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_text_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def load_json(path: str):
@@ -161,7 +165,7 @@ def write_results_csv(rows, path: str) -> None:
             row.split, row.metric, repr(float(row.value)),
             repr(float(row.seconds)),
         ])
-    _atomic_text_write(path, buffer.getvalue())
+    _atomic_text_write(path, [buffer.getvalue()])
 
 
 def read_results_csv(path: str) -> list:

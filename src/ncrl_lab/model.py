@@ -505,18 +505,24 @@ def _piece_step(stack, rows, x, y, kinds, gammas, step, failed, loss_sum,
     """
     scorer = stack if rows is None else stack.cell(rows)
     scores = scorer.forward(x)
-    if not np.isfinite(scores).all():
+    piece_kinds = kinds if rows is None else [kinds[r] for r in rows]
+    piece_gammas = gammas if rows is None else [gammas[r] for r in rows]
+    try:  # batch_loss refuses non-finite scores, so they are sought only then
+        values, d_scores = batch_loss(piece_kinds, y, scores, piece_gammas,
+                                      workspace)
+    except ValueError:
         ok = np.isfinite(scores).all(axis=(1, 2))
+        if ok.all():
+            raise
         rows = np.arange(len(x)) if rows is None else rows
         failed.update(dict.fromkeys(rows[~ok].tolist(),
                                     f"training diverged at step {step}"))
         rows, x, y, scores = rows[ok], x[ok], y[ok], scores[ok]
+        if len(x) == 0:
+            return
         scorer = stack.cell(rows)
-    if len(x) == 0:
-        return
-    piece_kinds = kinds if rows is None else [kinds[r] for r in rows]
-    piece_gammas = gammas if rows is None else [gammas[r] for r in rows]
-    values, d_scores = batch_loss(piece_kinds, y, scores, piece_gammas, workspace)
+        values, d_scores = batch_loss([kinds[r] for r in rows], y, scores,
+                                      [gammas[r] for r in rows], workspace)
     if not np.isfinite(values).all():
         ok = np.isfinite(values)
         rows = np.arange(len(x)) if rows is None else rows

@@ -211,8 +211,9 @@ class TestDatasetOps:
         feats = np.zeros((2, 3))
         with pytest.raises(ValueError, match="row 1"):
             Dataset(feats, np.array([[1, 0, 0], [1, 1, 0]]))
-        with pytest.raises(ValueError):
-            Dataset(feats, np.array([[1, 0, 2], [1, 0, 0]]))
+        for bad in ([[1, 0, 2], [1, 0, 0]], [[0, -1, 1], [1, 0, 0]]):
+            with pytest.raises(ValueError, match="labels must be binary flags"):
+                Dataset(feats, np.array(bad))
         with pytest.raises(ValueError):
             Dataset(np.array([[np.nan, 0, 0], [0, 0, 0]]),
                     np.array([[1, 0, 0], [1, 0, 0]]))

@@ -2,8 +2,10 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 
 from ncrl_lab.datagen import SyntheticConfig, generate
 from ncrl_lab.harness.cli import main
-from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow, load_dataset,
+from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow,
+                                     _atomic_text_write, load_dataset,
                                      read_config_file, read_results_csv,
                                      save_dataset, write_results_csv)
 from ncrl_lab.harness.experiments import (ExperimentConfig, ablation_variants,
@@ -39,6 +42,16 @@ def tiny_train(kind="ncrl_plain", **overrides):
 def rows_without_seconds(rows):
     return [(r.experiment, r.loss, r.gamma, r.seed, r.split, r.metric, r.value)
             for r in rows]
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while `fn(*args)` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSeeds:
@@ -142,6 +155,31 @@ class TestDatasetIo:
         path.write_text('{"features": [1.0], "labels": [1, 1], "k": 2}\n')
         with pytest.raises(ValueError, match="duplicate"):
             load_dataset(str(path))
+
+    # tracemalloc counts numpy buffers too; a whole-file copy of the text on
+    # save, or of the values as Python floats on load, exceeds these bounds
+    def test_save_streams_lines(self, tmp_path):
+        data = generate(tiny_synth(num_labels=10, feature_dim=20,
+                                   num_instances=3000))
+        path = str(tmp_path / "data.jsonl")
+        peak = traced_peak(save_dataset, data, path)
+        assert peak < 0.5 * os.path.getsize(path)
+
+    def test_load_streams_lines(self, tmp_path):
+        path = str(tmp_path / "data.jsonl")
+        save_dataset(generate(tiny_synth(num_labels=10, feature_dim=20,
+                                         num_instances=3000)), path)
+        assert traced_peak(load_dataset, path) < 2 * os.path.getsize(path)
+
+    def test_write_failing_midway_leaves_no_file(self, tmp_path):
+        def lines():
+            yield "first line\n"
+            raise ValueError("line two cannot be formed")
+
+        target = tmp_path / "data.jsonl"
+        with pytest.raises(ValueError, match="line two"):
+            _atomic_text_write(str(target), lines())
+        assert list(tmp_path.iterdir()) == []
 
     def test_atomic_write_needs_directory(self, tmp_path):
         data = generate(tiny_synth(num_instances=5))
@@ -513,6 +551,17 @@ class TestCli:
         assert main(["gen-data", "--config", str(cfg), "--out", out]) == 0
         capsys.readouterr()
         assert load_dataset(out).k == 4
+
+    def test_repeated_config_exits_1_naming_both(self, tmp_path, capsys):
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("k = 4\n")
+        second.write_text("dim = 3\n")
+        out = tmp_path / "data.jsonl"
+        assert main(["gen-data", "--config", str(first), "--n", "20",
+                     f"--config={second}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(first) in err and str(second) in err
+        assert not out.exists()
 
     def test_config_value_starting_with_minus_stays_a_value(self, tmp_path, capsys):
         # "-1e-05" is no plain negative number to argparse, which took it for

@@ -1,10 +1,12 @@
 """Round-trip properties of the file formats a user writes by hand or by tool.
 
-A dataset saved as JSONL loads back bit for bit, and a config file parses to
-the namespace the same flags give on the command line, for every flag type
-the train, compare and ablate subcommands take.
+A dataset saved as JSONL is written as plain `json.dumps` lines and loads
+back bit for bit, and a config file parses to the namespace the same flags
+give on the command line, for every flag type the train, compare and ablate
+subcommands take.
 """
 
+import json
 import os
 import tempfile
 
@@ -44,7 +46,16 @@ class TestDatasetRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.jsonl")
             save_dataset(data, path)
+            with open(path, "rb") as handle:
+                written = handle.read()
             back = load_dataset(path)
+        reference = "".join(
+            json.dumps({"features": [float(v) for v in data.features[row]],
+                        "labels": [int(i) for i in range(1, data.k + 1)
+                                   if data.labels[row, i]],
+                        "k": data.k}) + "\n"
+            for row in range(len(data)))
+        assert written == reference.encode("utf-8")
         # compared as bits, so -0.0 and every subnormal must survive
         assert back.features.dtype == np.float64
         assert np.array_equal(back.features.view(np.int64),

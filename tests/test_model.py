@@ -1,6 +1,7 @@
 """Scorers, training loop, optimizer schedule, and gradient checking."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -266,6 +267,40 @@ class TestStackedTraining:
             assert result.history.train_loss == alone.history.train_loss
             assert result.history.dev_metric == alone.history.dev_metric
             assert result.history.best_epoch == alone.history.best_epoch
+
+    def test_loss_divergence_leaves_other_cells_alone(self):
+        # biases near +-1e308 keep one cell's scores finite but overflow its
+        # margins, so its loss, not its scores, stops being finite
+        data = generate(SyntheticConfig(num_labels=4, feature_dim=6,
+                                        num_instances=500,
+                                        none_fraction_target=0.3, seed=5))
+        train_part, dev_part = split(data, 400)
+        shared = dict(epochs=2, batch_size=64, learning_rate=0.05)
+        configs = [TrainConfig("ncrl_final", gamma=0.05, seed=1, **shared),
+                   TrainConfig("ncrl_plain", seed=2, **shared),
+                   TrainConfig("atl", seed=3, **shared),
+                   TrainConfig("bce_shifted", gamma=0.2, seed=4, **shared)]
+
+        def scorers():
+            bias = np.full(5, 1e308)
+            bias[0] = -1e308
+            return [None, LinearScorer(np.full((5, 6), 0.1), bias), None, None]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = train(train_part, dev_part, configs, scorers=scorers())
+        for config, scorer, result in zip(configs, scorers(), stacked):
+            with np.errstate(over="ignore", invalid="ignore"):
+                alone, = train(train_part, dev_part, [config], scorers=[scorer])
+            if config.loss_kind == "ncrl_plain":
+                assert re.fullmatch(r"training loss diverged at step \d+",
+                                    str(result.error))
+                assert str(alone.error) == str(result.error)
+                continue
+            assert result.error is None
+            for key, value in alone.scorer.params.items():
+                assert np.array_equal(result.scorer.params[key], value), config
+            assert result.history.train_loss == alone.history.train_loss
+            assert result.history.dev_metric == alone.history.dev_metric
 
     def test_per_config_sets_checked(self):
         data = generate(SyntheticConfig(num_labels=3, feature_dim=5,

@@ -45,12 +45,16 @@ CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 def _atomic_text_write(path: str, chunks) -> None:
     """Write the strings of the iterable `chunks` to `path` as they come; a
-    failure part way, in a write or in forming a chunk, leaves no file."""
+    failure part way, in a write or in forming a chunk, leaves no file. The
+    file gets the mode `open` would give it, 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+    umask = os.umask(0)  # read by setting it, then put back at once
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")  # mode 0600
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -104,12 +108,29 @@ def _parse_instance(obj: dict):
     return features, labels, k
 
 
+def _lines(handle, path: str):
+    """Numbered lines of a text file. Text mode decodes whole chunks, so a
+    byte that is not UTF-8 is located by rescanning the raw lines."""
+    try:
+        yield from enumerate(handle, start=1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:  # bytes split lines as text mode does
+            for line_no, line in enumerate(raw.read().splitlines(True), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise ValueError(f"{path}:{line_no}: not UTF-8 text (0x"
+                                     f"{line[bad.start]:02x} at byte {bad.start + 1} "
+                                     f"of the line: {bad.reason})") from bad
+        raise
+
+
 def load_dataset(path: str) -> Dataset:
     values = array.array("d")  # row-major features, grown line by line
     labels, counts, line_nos = (array.array("q") for _ in range(3))
     k = dim = None
     with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+        for line_no, line in _lines(handle, path):
             line = line.strip()
             if not line:
                 continue
@@ -190,7 +211,7 @@ def read_config_file(path: str) -> dict:
     """
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+        for line_no, line in _lines(handle, path):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -105,8 +105,8 @@ class _Scorer:
 
     def cell(self, c):
         """Cell c of a stacked scorer as a one-cell scorer viewing its arrays;
-        an index array of cells gives a stacked scorer holding their copies.
-        Unchecked: a cell may hold non-finite values until training drops it."""
+        a slice of cells gives a stacked scorer viewing their rows. Unchecked:
+        a cell may hold non-finite values until training drops it."""
         view = object.__new__(type(self))
         view.params = {key: value[c] for key, value in self.params.items()}
         return view
@@ -314,15 +314,17 @@ def train(data, dev, configs, scorers=None) -> list:
     with one Dataset per config. Cells whose configs differ only in loss
     kind, gamma and seed train as one stacked model, whatever their data:
     the cells advance in lockstep by step index, and each step runs one
-    forward, one batch_loss, one backward and one Adam step for the whole
-    stack. Each cell keeps its own init and shuffle streams (drawn from its
-    seed), epoch length, learning-rate schedule, dev evaluation, best-dev
-    checkpoint and divergence, so its parameters are bit-identical to
-    training it alone. A cell that has run all its steps leaves the stack;
-    so does a cell whose scores or loss stop being finite, and its result
-    carries the FloatingPointError while the others train on. `scorers`
-    optionally gives a scorer (or None) per config; a given scorer is
-    trained in place and ends at its best-dev checkpoint.
+    forward, one batch_loss and one backward per run of adjacent cells with
+    one batch length (the whole stack on most steps), writing gradients in
+    place, then one Adam step for the whole stack. Each cell keeps its own
+    init and shuffle streams (drawn from its seed), epoch length,
+    learning-rate schedule, dev evaluation, best-dev checkpoint and
+    divergence, so its parameters are bit-identical to training it alone.
+    A cell that has run all its steps leaves the stack; so does a cell whose
+    scores or loss stop being finite, and its result carries the
+    FloatingPointError while the others train on. `scorers` optionally gives
+    a scorer (or None) per config; a given scorer is trained in place and
+    ends at its best-dev checkpoint.
     """
     if scorers is None:
         scorers = [None] * len(configs)
@@ -420,9 +422,10 @@ def _train_stack(cells: list) -> list:
 
     step = 0
     while live:
-        # a cell starting an epoch reshuffles; feeds group by batch length,
-        # which differs only where a cell is on its short last batch
-        by_length: dict = {}
+        # a cell starting an epoch reshuffles; adjacent feeds with one batch
+        # length form a run of rows, and lengths differ only where a cell is
+        # on its short last batch
+        runs = []  # (first row, features, labels) of each run
         lo = 0
         for feed in feeds:
             at = step % feed.steps
@@ -431,14 +434,16 @@ def _train_stack(cells: list) -> list:
                                         for c in live[lo:lo + feed.rows]])
                 loss_sum[lo:lo + feed.rows] = 0.0
             idx = feed.orders[:, at * size:(at + 1) * size]
-            by_length.setdefault(idx.shape[1], []).append((feed, lo, idx))
+            if not runs or runs[-1][1][0].shape[1] != idx.shape[1]:
+                runs.append((lo, [], []))
+            runs[-1][1].append(feed.data.features.take(idx, axis=0))
+            runs[-1][2].append(feed.data.labels.take(idx, axis=0))
             lo += feed.rows
-        pieces = [_gather(group, len(by_length) > 1)
-                  for group in by_length.values()]
         failed = {}  # stack row -> divergence message
-        for rows, x, y in pieces:
-            _piece_step(stack, rows, x, y, kinds, gammas, step, failed,
-                        loss_sum, grad_views, workspace)
+        for lo, xs, ys in runs:
+            x, y = (xs[0], ys[0]) if len(xs) == 1 else map(np.concatenate, (xs, ys))
+            _piece_step(stack, lo, x, y, kinds, gammas, step, failed, loss_sum,
+                        grad_views, workspace)
         if failed:
             keep = np.ones(len(live), dtype=bool)
             for row, message in failed.items():
@@ -484,61 +489,34 @@ def _train_stack(cells: list) -> list:
             for cell, history, error in zip(cells, histories, errors)]
 
 
-def _gather(group: list, partial: bool) -> tuple:
-    """(stack rows, x, y) of the (feed, first row, index) entries of one batch
-    length, with one gather per training set; rows is None unless `partial`.
-    """
-    xs = [feed.data.features.take(idx, axis=0) for feed, _, idx in group]
-    ys = [feed.data.labels.take(idx, axis=0) for feed, _, idx in group]
-    x, y = (xs[0], ys[0]) if len(group) == 1 else map(np.concatenate, (xs, ys))
-    rows = (np.concatenate([np.arange(lo, lo + feed.rows)
-                            for feed, lo, _ in group]) if partial else None)
-    return rows, x, y
-
-
-def _piece_step(stack, rows, x, y, kinds, gammas, step, failed, loss_sum,
+def _piece_step(stack, first, x, y, kinds, gammas, step, failed, loss_sum,
                 grads, workspace) -> None:
-    """Forward, loss and backward for the stack rows `rows` (None: all rows).
-
-    Adds each row's batch loss to `loss_sum` and writes its gradients into its
-    rows of `grads`; a row whose scores or loss are not finite goes to `failed`.
-    """
-    scorer = stack if rows is None else stack.cell(rows)
-    scores = scorer.forward(x)
-    piece_kinds = kinds if rows is None else [kinds[r] for r in rows]
-    piece_gammas = gammas if rows is None else [gammas[r] for r in rows]
+    """Forward, loss and backward for the len(x) stack rows from `first` on:
+    adds each row's batch loss to `loss_sum` and writes its gradients in place
+    into `grads`. A row whose scores or loss are not finite goes to `failed`,
+    and the step drops it before the update; its scores are zeroed so the
+    other rows still share one batch_loss call."""
+    if len(x) < len(kinds):  # a part of the stack: view its rows
+        rows = slice(first, first + len(x))
+        stack, grads = stack.cell(rows), {k: v[rows] for k, v in grads.items()}
+        kinds, gammas, loss_sum = kinds[rows], gammas[rows], loss_sum[rows]
+    scores = stack.forward(x)
     try:  # batch_loss refuses non-finite scores, so they are sought only then
-        values, d_scores = batch_loss(piece_kinds, y, scores, piece_gammas,
-                                      workspace)
+        values, d_scores = batch_loss(kinds, y, scores, gammas, workspace)
     except ValueError:
-        ok = np.isfinite(scores).all(axis=(1, 2))
-        if ok.all():
+        bad = ~np.isfinite(scores).all(axis=(1, 2))
+        if not bad.any():
             raise
-        rows = np.arange(len(x)) if rows is None else rows
-        failed.update(dict.fromkeys(rows[~ok].tolist(),
+        failed.update(dict.fromkeys((np.flatnonzero(bad) + first).tolist(),
                                     f"training diverged at step {step}"))
-        rows, x, y, scores = rows[ok], x[ok], y[ok], scores[ok]
-        if len(x) == 0:
-            return
-        scorer = stack.cell(rows)
-        values, d_scores = batch_loss([kinds[r] for r in rows], y, scores,
-                                      [gammas[r] for r in rows], workspace)
-    if not np.isfinite(values).all():
-        ok = np.isfinite(values)
-        rows = np.arange(len(x)) if rows is None else rows
-        failed.update(dict.fromkeys(rows[~ok].tolist(),
+        scores[bad] = 0.0  # zero scores give a finite loss
+        values, d_scores = batch_loss(kinds, y, scores, gammas, workspace)
+    ok = np.isfinite(values)
+    if not ok.all():
+        failed.update(dict.fromkeys((np.flatnonzero(~ok) + first).tolist(),
                                     f"training loss diverged at step {step}"))
-        rows, x, values, d_scores = rows[ok], x[ok], values[ok], d_scores[ok]
-        scorer = stack.cell(rows)
-        if len(x) == 0:
-            return
-    if rows is None:
-        loss_sum += values * x.shape[1]
-        scorer.backward(x, d_scores, out=grads)
-        return
-    loss_sum[rows] += values * x.shape[1]
-    for key, value in scorer.backward(x, d_scores).items():
-        grads[key][rows] = value
+    loss_sum += values * x.shape[1]
+    stack.backward(x, d_scores, out=grads)
 
 
 def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,

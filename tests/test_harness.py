@@ -16,7 +16,8 @@ from ncrl_lab.harness.cli import main
 from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow,
                                      _atomic_text_write, load_dataset,
                                      read_config_file, read_results_csv,
-                                     save_dataset, write_results_csv)
+                                     save_dataset, save_json,
+                                     write_results_csv)
 from ncrl_lab.harness.experiments import (ExperimentConfig, ablation_variants,
                                           make_splits, run_ablation,
                                           run_compare, run_no_none_study,
@@ -181,6 +182,45 @@ class TestDatasetIo:
             _atomic_text_write(str(target), lines())
         assert list(tmp_path.iterdir()) == []
 
+    def test_written_files_follow_the_umask(self, tmp_path):
+        # the temp file behind each atomic write is created 0600; the output
+        # must get the mode open() would give it, 0o666 less the umask
+        data = generate(tiny_synth(num_instances=5))
+        row = ResultRow("exp", "bce", 0.0, 3, "test", "micro_f1", 0.5, 1.25)
+        writers = {
+            "data.jsonl": lambda path: save_dataset(data, path),
+            "model.json": lambda path: save_json(scorer_to_dict(
+                MlpScorer.create(3, 6, 4, np.random.default_rng(0))), path),
+            "report.json": lambda path: save_json({"micro_f1": 0.5}, path),
+            "rows.csv": lambda path: write_results_csv([row], path),
+        }
+        for umask in (0o022, 0o007):
+            old = os.umask(umask)
+            try:
+                for name, write in writers.items():
+                    path = tmp_path / f"{umask:o}-{name}"
+                    write(str(path))
+                    assert path.stat().st_mode & 0o777 == 0o666 & ~umask, name
+            finally:
+                os.umask(old)
+
+    def test_non_utf8_byte_exits_1_naming_its_line(self, tmp_path, capsys):
+        # text mode decodes whole chunks, so the bad line lies far past the
+        # first chunk; lines end in \r\n and \r, read as universal newlines
+        line = b'{"features": [0.1, 0.2], "labels": [1], "k": 1}'
+        path = tmp_path / "data.jsonl"
+        path.write_bytes((line + b"\r\n") * 300 + line + b"\r"
+                         + b'{"features": [0.1\xff, 0.2], "labels": [], "k": 1}\n'
+                         + line + b"\n")
+        message = (f"{path}:302: not UTF-8 text (0xff at byte 18 of the line: "
+                   "invalid start byte)")
+        with pytest.raises(ValueError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == message
+        assert main(["train", "--data", str(path), "--loss", "bce", "--out",
+                     str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_atomic_write_needs_directory(self, tmp_path):
         data = generate(tiny_synth(num_instances=5))
         target = tmp_path / "missing" / "data.jsonl"
@@ -235,6 +275,19 @@ class TestConfigFile:
             assert rc == 1
             assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
             assert not (tmp_path / "m.json").exists()
+
+    def test_non_utf8_byte_exits_1_naming_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes("epochs = 1\r\n# café\r\n".encode()
+                        + b"seed = 1\xe9\nlr = 0.1\n")
+        model = tmp_path / "m.json"
+        assert main(["train", "--config", str(cfg), "--data",
+                     str(tmp_path / "d.jsonl"), "--loss", "bce", "--out",
+                     str(model)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: not UTF-8 text (0xe9 at byte 9 of the line: "
+            "invalid continuation byte)\n")
+        assert not model.exists()
 
 
 class TestExperimentSuites:

@@ -286,21 +286,28 @@ class TestStackedTraining:
             bias[0] = -1e308
             return [None, LinearScorer(np.full((5, 6), 0.1), bias), None, None]
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            stacked = train(train_part, dev_part, configs, scorers=scorers())
-        for config, scorer, result in zip(configs, scorers(), stacked):
+        # one shared training set; then uneven sets, where a set smaller than
+        # a batch gives the first step two batch lengths, and the diverging
+        # cell sits in the second run of rows, which spans two training sets
+        uneven = [take(train_part, np.arange(40)), train_part,
+                  take(train_part, np.arange(100, 400)), train_part]
+        for datas in ([train_part] * 4, uneven):
             with np.errstate(over="ignore", invalid="ignore"):
-                alone, = train(train_part, dev_part, [config], scorers=[scorer])
-            if config.loss_kind == "ncrl_plain":
-                assert re.fullmatch(r"training loss diverged at step \d+",
-                                    str(result.error))
-                assert str(alone.error) == str(result.error)
-                continue
-            assert result.error is None
-            for key, value in alone.scorer.params.items():
-                assert np.array_equal(result.scorer.params[key], value), config
-            assert result.history.train_loss == alone.history.train_loss
-            assert result.history.dev_metric == alone.history.dev_metric
+                stacked = train(datas, dev_part, configs, scorers=scorers())
+            for config, part, scorer, result in zip(configs, datas, scorers(),
+                                                    stacked):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    alone, = train(part, dev_part, [config], scorers=[scorer])
+                if config.loss_kind == "ncrl_plain":
+                    assert re.fullmatch(r"training loss diverged at step \d+",
+                                        str(result.error))
+                    assert str(alone.error) == str(result.error)
+                    continue
+                assert result.error is None
+                for key, value in alone.scorer.params.items():
+                    assert np.array_equal(result.scorer.params[key], value), config
+                assert result.history.train_loss == alone.history.train_loss
+                assert result.history.dev_metric == alone.history.dev_metric
 
     def test_per_config_sets_checked(self):
         data = generate(SyntheticConfig(num_labels=3, feature_dim=5,

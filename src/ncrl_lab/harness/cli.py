@@ -154,9 +154,10 @@ def _prediction_flags(args, scores):
 
 def _checkpoint_scores(args):
     """Load --model and --data, check that they agree, and score the data."""
+    payload = load_json(args.model)  # its errors name the path
     try:
-        scorer = scorer_from_dict(load_json(args.model))
-    except ValueError as exc:  # malformed JSON or checkpoint
+        scorer = scorer_from_dict(payload)
+    except ValueError as exc:
         raise ValueError(f"{args.model}: {exc}") from exc
     data = load_dataset(args.data)
     if (scorer.k, scorer.dim) != (data.k, data.dim):

@@ -108,21 +108,26 @@ def _parse_instance(obj: dict):
     return features, labels, k
 
 
+def _locate_bad_byte(path: str, exc: UnicodeDecodeError):
+    """Raise `exc`, the failed decoding of `path`, as a ValueError naming the
+    line. Text mode decodes whole chunks, so the raw lines are rescanned."""
+    with open(path, "rb") as raw:  # bytes split lines as text mode does
+        for line_no, line in enumerate(raw.read().splitlines(True), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                raise ValueError(f"{path}:{line_no}: not UTF-8 text (0x"
+                                 f"{line[bad.start]:02x} at byte {bad.start + 1} "
+                                 f"of the line: {bad.reason})") from bad
+    raise exc
+
+
 def _lines(handle, path: str):
-    """Numbered lines of a text file. Text mode decodes whole chunks, so a
-    byte that is not UTF-8 is located by rescanning the raw lines."""
+    """Numbered lines of a text file; a byte that is not UTF-8 is located."""
     try:
         yield from enumerate(handle, start=1)
-    except UnicodeDecodeError:
-        with open(path, "rb") as raw:  # bytes split lines as text mode does
-            for line_no, line in enumerate(raw.read().splitlines(True), start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as bad:
-                    raise ValueError(f"{path}:{line_no}: not UTF-8 text (0x"
-                                     f"{line[bad.start]:02x} at byte {bad.start + 1} "
-                                     f"of the line: {bad.reason})") from bad
-        raise
+    except UnicodeDecodeError as exc:
+        _locate_bad_byte(path, exc)
 
 
 def load_dataset(path: str) -> Dataset:
@@ -172,8 +177,15 @@ def save_json(obj, path: str) -> None:
 
 
 def load_json(path: str):
+    """The decoded JSON file; its errors name the path, and a byte that is
+    not UTF-8 its line."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except UnicodeDecodeError as exc:
+            _locate_bad_byte(path, exc)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_results_csv(rows, path: str) -> None:
@@ -189,18 +201,38 @@ def write_results_csv(rows, path: str) -> None:
     _atomic_text_write(path, [buffer.getvalue()])
 
 
+def _parse_row(record: list) -> ResultRow:
+    """One CSV record as a ResultRow; errors name no location."""
+    if len(record) != len(CSV_HEADER):
+        raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(record)}")
+    row = dict(zip(CSV_HEADER, record))
+    for name in ("gamma", "value", "seconds"):
+        try:
+            row[name] = float(row[name])
+        except ValueError:
+            raise ValueError(f"{name} must be a number, got {row[name]!r}") from None
+    if row["seed"] != "all":
+        try:
+            row["seed"] = int(row["seed"])
+        except ValueError:
+            raise ValueError("seed must be an integer or 'all', got "
+                             f"{row['seed']!r}") from None
+    return ResultRow(**row)
+
+
 def read_results_csv(path: str) -> list:
+    """Rows of a results CSV; a refused row is reported as path:line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(line for _, line in _lines(handle, path))
         header = next(reader, None)
         if tuple(header or ()) != CSV_HEADER:
             raise ValueError(f"{path}: unexpected CSV header {header}")
         for record in reader:
-            experiment, loss, gamma, seed, split, metric, value, secs = record
-            rows.append(ResultRow(experiment, loss, float(gamma),
-                                  seed if seed == "all" else int(seed),
-                                  split, metric, float(value), float(secs)))
+            try:
+                rows.append(_parse_row(record))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows
 
 

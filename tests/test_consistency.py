@@ -1,13 +1,14 @@
 """Conditional-risk minimization against the closed-form optimum."""
 
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncrl_lab.consistency import (_descend, bayes_ncre_risk,
+from ncrl_lab.consistency import (DEFAULT_STEP, _descend, bayes_ncre_risk,
                                   bayes_optimal_membership,
                                   minimize_conditional_ncrl,
                                   ncre_conditional_risk,
@@ -140,6 +141,37 @@ class TestDescentExactness:
                 expected = _plain_descent(deltas, init.copy(), 0.5, 200)
                 got = _descend(deltas, init.copy(), 0.5, 200)
                 assert np.array_equal(got, expected), k
+
+    def test_retired_trials_match_plain_loop_bit_for_bit(self):
+        # trials that settle into a fixed point or a cycle are retired early;
+        # each must still end in the state of exactly `iters` plain steps,
+        # signed zeros included. Rows are independent, so zero and random
+        # starts share one batch.
+        rng = np.random.default_rng(11)
+        for k, trials in ((1, 20), (3, 20), (5, 20), (8, 10), (28, 4)):
+            deltas = np.tile(rng.uniform(0.05, 0.95, size=(trials, k)), (2, 1))
+            init = np.vstack([np.zeros((trials, k + 1)),
+                              rng.normal(0.0, 3.0, size=(trials, k + 1))])
+            for step in (0.5, 1.9):
+                expected, done = init.copy(), 0
+                for iters in (0, 1, 2, 3, 129, 1001, 5000):
+                    expected = _plain_descent(deltas, expected, step,
+                                              iters - done)
+                    done = iters
+                    got = _descend(deltas, init.copy(), step, iters)
+                    assert np.array_equal(got.view(np.int64),
+                                          expected.view(np.int64)), \
+                        (k, step, iters)
+
+    def test_settled_single_trial_is_cheap(self):
+        # the one-row descent stops iterating once its state repeats; a
+        # plain loop over 500,000 steps takes several seconds
+        started = time.perf_counter()
+        f = minimize_conditional_ncrl([0.8], iters=500_000)
+        assert time.perf_counter() - started < 2.0
+        # the plain descent reaches its fixed point within 2,000 steps
+        assert np.array_equal(f, _plain_descent(
+            np.array([[0.8]]), np.zeros((1, 2)), DEFAULT_STEP, 2000)[0])
 
 
 class TestExperiment:

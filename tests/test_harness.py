@@ -247,6 +247,28 @@ class TestResultsCsv:
         with pytest.raises(ValueError, match="header"):
             read_results_csv(str(path))
 
+    def test_bad_rows_are_located(self, tmp_path):
+        # these used to raise bare unpacking and conversion errors, and a
+        # byte that is not UTF-8 a bare UnicodeDecodeError with no path
+        header = ",".join(CSV_HEADER).encode() + b"\n"
+        good = b"exp,bce,0.0,3,test,micro_f1,0.5,1.25\n"
+        path = tmp_path / "rows.csv"
+        cases = (
+            (b"exp,bce,0.0,3,test\n", "3: expected 8 fields, got 5"),
+            (b"exp,bce,0.0,3,test,micro_f1,abc,1.25\n",
+             "3: value must be a number, got 'abc'"),
+            (b"exp,bce,0.0,1.5,test,micro_f1,0.5,1.25\n",
+             "3: seed must be an integer or 'all', got '1.5'"),
+            (b"exp,bce,0.0,3,te\xffst,micro_f1,0.5,1.25\n",
+             "3: not UTF-8 text (0xff at byte 17 of the line: "
+             "invalid start byte)"),
+        )
+        for bad, message in cases:
+            path.write_bytes(header + good + bad + good)
+            with pytest.raises(ValueError) as info:
+                read_results_csv(str(path))
+            assert str(info.value) == f"{path}:{message}"
+
 
 class TestConfigFile:
     def test_parsing(self, tmp_path):
@@ -493,6 +515,19 @@ class TestCli:
         Path(model).write_text("{")
         assert main(["sweep", "--model", model, "--data", data]) == 1
         assert capsys.readouterr().err.startswith(f"error: {model}: Expecting")
+
+    def test_non_utf8_checkpoint_exits_1_naming_its_line(self, tmp_path, capsys):
+        # this used to print the decoder's byte offset with no line
+        data, model = str(tmp_path / "data.jsonl"), tmp_path / "model.json"
+        assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "40",
+                     "--out", data]) == 0
+        model.write_bytes(b'{\n  "kind": "linear",\n  "params": "\xff"\n}\n')
+        for command in ("eval", "sweep"):
+            capsys.readouterr()
+            assert main([command, "--model", str(model), "--data", data]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {model}:3: not UTF-8 text (0xff at byte 14 of the "
+                "line: invalid start byte)\n")
 
     def test_checkpoint_header_must_match_parameters(self, tmp_path, capsys):
         data, model = str(tmp_path / "data.jsonl"), str(tmp_path / "model.json")

@@ -23,10 +23,12 @@ from ..model import (TrainConfig, grad_check, scorer_from_dict, scorer_to_dict,
 from ..prediction import (COARSE_GRID, FINE_GRID, adaptive_flags, global_flags,
                           per_label_flags, sweep_global_threshold,
                           sweep_per_label_thresholds)
-from .dataio import (load_dataset, load_json, read_config_file, save_dataset,
-                     save_json, write_results_csv)
-from .experiments import (DEV_FRACTION, ExperimentConfig, run_ablation,
-                          run_compare, run_gamma_sweep, run_no_none_study)
+from .dataio import (check_output_path, load_dataset, load_json,
+                     read_config_file, save_dataset, save_json,
+                     write_results_csv)
+from .experiments import (DEV_FRACTION, ExperimentConfig, check_distinct,
+                          run_ablation, run_compare, run_gamma_sweep,
+                          run_no_none_study)
 
 GRAD_CHECK_TOLERANCE = 1e-4
 
@@ -57,9 +59,27 @@ def _loss_entry(part: str) -> tuple:
     return kind, float(gamma) if gamma else 0.0
 
 
+def _distinct(values: list, describe) -> list:
+    """The values of a comma list; one given twice is a usage error."""
+    try:
+        check_distinct(values, describe)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return values
+
+
+def _seed_list(text: str) -> list:
+    return _distinct(_int_list(text), "seed {}".format)
+
+
+def _gamma_list(text: str) -> list:
+    return _distinct(_float_list(text), "gamma {}".format)
+
+
 def _loss_list(text: str) -> list:
-    """Parse \"kind[:gamma],kind[:gamma],...\" into (kind, gamma) pairs."""
-    return _parse_list(text, _loss_entry)
+    """Parse \"kind[:gamma],kind[:gamma],...\" into distinct (kind, gamma) pairs."""
+    return _distinct(_parse_list(text, _loss_entry),
+                     lambda pair: "loss {}:{}".format(*pair))
 
 
 def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
@@ -310,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--losses", type=_loss_list, required=True,
                       help="comma list of kind[:gamma], e.g. "
                            "ncrl_final:0.05,ncrl_plain,bce")
-    cmp_.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
+    cmp_.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4])
     cmp_.add_argument("--no-none-study", action="store_true",
                       help="run the none-stripping study instead (uses the "
                            "first loss only)")
@@ -322,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(ab)
     ab.add_argument("--gamma", type=float, default=0.05,
                     help="shift value for the shifted variants")
-    ab.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
-    ab.add_argument("--sweep-gamma", type=_float_list, default=None,
+    ab.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4])
+    ab.add_argument("--sweep-gamma", type=_gamma_list, default=None,
                     help="emit per-gamma rows over this comma list instead")
     ab.add_argument("--out", required=True, help="results CSV path")
     ab.set_defaults(handler=_cmd_ablate)
@@ -397,6 +417,8 @@ def main(argv=None) -> int:
         return 1
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            check_output_path(args.out)  # before the work, not after it
         return args.handler(args)
     except (OSError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,10 +43,21 @@ class ResultRow:
 CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
+def check_output_path(path: str) -> None:
+    """Refuse, naming `path`, an output path that is a directory or whose
+    directory does not exist; the CLI checks its --out before any work."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path}: is a directory, not an output file")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"{path}: no directory {directory} to write into")
+
+
 def _atomic_text_write(path: str, chunks) -> None:
     """Write the strings of the iterable `chunks` to `path` as they come; a
     failure part way, in a write or in forming a chunk, leaves no file. The
     file gets the mode `open` would give it, 0o666 less the umask."""
+    check_output_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)  # read by setting it, then put back at once
     os.umask(umask)

@@ -44,9 +44,23 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if not self.train_configs:
             raise ValueError("need at least one training configuration")
+        check_distinct(self.seeds, "seed {}".format)
+        check_distinct([(tc.loss_kind, tc.gamma) for tc in self.train_configs],
+                       lambda pair: "loss {}:{}".format(*pair))
         self.synth.validate()
         for tc in self.train_configs:
             tc.validate()
+
+
+def check_distinct(values, describe) -> None:
+    """Refuse a value given twice, named by `describe`: a repeated seed or
+    (loss, gamma) pair would train one cell twice and count it twice in the
+    summaries."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{describe(value)} given twice")
+        seen.add(value)
 
 
 def thread_cap() -> int:
@@ -154,11 +168,13 @@ _ABLATION_TABLE = (
 
 
 def ablation_variants(base: TrainConfig) -> list:
-    return [
-        replace(base, loss_kind=kind,
-                gamma=base.gamma if gamma == "base" else gamma)
-        for kind, gamma in _ABLATION_TABLE
-    ]
+    """The distinct variants of the table: at gamma 0 the unshifted full loss
+    is the full loss, and comes once."""
+    variants: dict = {}
+    for kind, gamma in _ABLATION_TABLE:
+        gamma = base.gamma if gamma == "base" else gamma
+        variants.setdefault((kind, gamma), replace(base, loss_kind=kind, gamma=gamma))
+    return list(variants.values())
 
 
 def run_ablation(config: ExperimentConfig) -> list:

@@ -123,7 +123,8 @@ def _pair(pre_labels, scores, require_finite=True):
 
 
 # --- batched cores -----------------------------------------------------------
-# Y is a (B, K+1) binary matrix including the none column; F is (B, K+1) float.
+# Y is a (B, K+1) binary matrix including the none column, as 0/1 ints or as
+# bools flagging the positives; F is (B, K+1) float.
 # A cell stack adds a leading axis: (C, B, K+1), one loss kind and gamma per
 # cell. Cores return per-instance values (..., B) and gradients (..., B, K+1).
 # In a stack sorted by `stack_rank`, each step of the fused margin path runs
@@ -169,14 +170,14 @@ def logistic_terms(z, positive, gamma):
     """
     z = np.asarray(z, dtype=float)
     positive = np.asarray(positive, dtype=bool)
-    sign, value, dz, *work = (np.empty(z.shape) for _ in range(7))
+    sign, value, dz, kept, *work = (np.empty(z.shape) for _ in range(8))
     np.multiply(positive, -2.0, out=sign)  # -1 on positives, +1 on negatives
     sign += 1.0
     _logistic(z, sign, value, dz, work)
     gamma = np.asarray(gamma, dtype=float)
     if (gamma > 0.0).any():  # tested on gamma alone, often much smaller than z
         mask = np.broadcast_to((gamma > 0.0) & ~positive, z.shape)
-        _shift(work, gamma, mask, value, dz, np.empty(z.shape, bool))
+        _shift(work, gamma, mask, value, dz, kept)
     return value, dz
 
 
@@ -206,7 +207,8 @@ def _shift(work, gamma, mask, value, dz, kept) -> None:
     """Overwrite value and dz with the shifted terms where `mask` is set.
 
     `work` is as _logistic left it for the same entries, and is spent here;
-    `kept` is a bool array shaped like value.
+    `kept` is a float array shaped like value, so the 0/1 clamp factor
+    multiplies without a cast.
     """
     e, denom, side, sig = work
     sig_neg = np.negative(side, out=side)
@@ -292,8 +294,8 @@ def _margin_losses(plan, Y, F, ws, vals, grads) -> None:
     it gets alone, whatever else the stack holds.
     """
     k = F.shape[-1] - 1
-    z, sign, value, *work = ws.take("float", F.shape, parts=7)
-    positive, mask, kept = ws.take("bool", F.shape, bool, parts=3)
+    z, sign, value, kept, *work = ws.take("float", F.shape, parts=8)
+    positive, mask = ws.take("bool", F.shape, bool, parts=2)
     af0, total, mean, spread = ws.take("small", vals.shape, parts=4)
     avg, cells = plan.average, slice(plan.shifted, plan.margin)
     np.subtract(F, np.multiply(plan.slope, F[..., :1], out=af0[..., None]), out=z)
@@ -301,8 +303,14 @@ def _margin_losses(plan, Y, F, ws, vals, grads) -> None:
         mean = np.add.reduce(F[avg, :, 1:], axis=-1, out=mean[avg])
         mean /= k
         np.subtract(F[avg, :, 0], mean, out=z[avg, :, 0])
-    np.equal(Y, 1, out=positive)
-    np.multiply(positive, -2.0, out=sign)  # -1 on positives, +1 on negatives
+    if Y.dtype == bool:  # a trainer hands its labels over as these flags
+        positive = Y
+    else:
+        positive = np.equal(Y, 1, out=positive)
+    # -1 on positives, +1 on negatives: a cast and two float passes run
+    # faster than one bool * float pass
+    np.copyto(sign, positive)
+    sign *= -2.0
     sign += 1.0
     _logistic(z, sign, value, grads, work)
     if cells.start < cells.stop:
@@ -425,8 +433,10 @@ def batch_loss(kind, Y, F, gamma=0.0, workspace=None):
     sequences of C, one per cell, and it returns the C per-cell means and the
     (C, B, K+1) gradients. A 2-D call runs as a stack of one cell, so each
     cell of a stack comes out exactly as its own 2-D call would give, in any
-    cell order; a stack sorted by `stack_rank` skips a sort and a copy. A
-    `workspace` lends its buffers, and the gradients are then a view of them.
+    cell order; a stack sorted by `stack_rank` skips a sort and a copy. Y
+    holds 0/1 ints or the bools `Y == 1`, which give the same numbers and
+    spare the kernel a compare. A `workspace` lends its buffers, and the
+    gradients are then a view of them.
     """
     F = np.asarray(F, dtype=float)
     if not np.isfinite(F).all():

@@ -8,7 +8,9 @@ margin-based losses, a swept global threshold for the others). `train` takes
 a list of configs, with one data set for all or one per config, and trains
 the cells that share their settings as one stacked model: one flat (C, P)
 array holds its parameters, a row per cell, with the cells sorted by
-training set and loss kind. Every cell comes out as if trained alone.
+training set and loss kind. At each epoch end the rows that share a dev set
+are scored together by one stacked `native_dev_metric` call. Every cell
+comes out as if trained alone.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from .datagen import Dataset
 from .losses import (Workspace, batch_loss, check_gamma, check_kind,
                      instance_losses, stack_rank, with_none_flag)
-from .metrics import micro_f1_flags
-from .prediction import COARSE_GRID, adaptive_flags, sweep_global_threshold
+from .metrics import pooled_f1
+from .prediction import COARSE_GRID, sweep_global_threshold
 
 # loss kinds whose native prediction rule compares each label against f_0
 ADAPTIVE_KINDS = frozenset({"ncrl_plain", "ncrl_final", "ncrl_noreg", "atl"})
@@ -105,8 +107,9 @@ class _Scorer:
 
     def cell(self, c):
         """Cell c of a stacked scorer as a one-cell scorer viewing its arrays;
-        a slice of cells gives a stacked scorer viewing their rows. Unchecked:
-        a cell may hold non-finite values until training drops it."""
+        a slice of cells gives a stacked scorer viewing their rows, and an
+        index array one holding copies of them. Unchecked: a cell may hold
+        non-finite values until training drops it."""
         view = object.__new__(type(self))
         view.params = {key: value[c] for key, value in self.params.items()}
         return view
@@ -281,12 +284,33 @@ def learning_rate_at(step: int, total_steps: int, peak: float,
     return peak * (total_steps - step) / (total_steps - warmup)
 
 
-def native_dev_metric(scorer, dev: Dataset, loss_kind: str) -> float:
-    """Dev micro F1 under the loss's own prediction rule."""
+def native_dev_metric(scorer, dev: Dataset, loss_kind):
+    """Dev micro F1 under the loss's own prediction rule: adaptive
+    thresholding for ADAPTIVE_KINDS, the best coarse global threshold for
+    the others.
+
+    A stacked scorer of R cells takes a sequence of R loss kinds and gives a
+    list of R metrics, each what its cell alone gives, from one forward over
+    the dev features: the adaptive cells share one `f_i > f_0` compare and
+    one count of true and false positives, the others one stacked sweep.
+    """
     scores = scorer.forward(dev.features)
-    if loss_kind in ADAPTIVE_KINDS:
-        return micro_f1_flags(adaptive_flags(scores), dev.labels)
-    return sweep_global_threshold(scores, dev.labels, COARSE_GRID)[1]
+    one = scores.ndim == 2
+    if one:
+        scores, loss_kind = scores[None], [loss_kind]
+    # every row's adaptive F1, which is the metric of the adaptive rows
+    positive = dev.labels[:, 1:] == 1  # a Dataset's labels are 0/1
+    flags = scores[..., 1:] > scores[..., :1]
+    tp = np.count_nonzero(flags & positive, axis=(1, 2))
+    fp = np.count_nonzero(flags, axis=(1, 2)) - tp
+    fn = np.count_nonzero(positive) - tp
+    metrics = [pooled_f1(*counts)[0] for counts in zip(tp, fp, fn)]
+    swept = [row for row, kind in enumerate(loss_kind) if kind not in ADAPTIVE_KINDS]
+    if swept:
+        _, f1s = sweep_global_threshold(scores[swept], dev.labels, COARSE_GRID)
+        for row, f1 in zip(swept, f1s):
+            metrics[row] = f1
+    return metrics[0] if one else metrics
 
 
 def _stack_key(config: TrainConfig, scorer) -> tuple:
@@ -316,10 +340,13 @@ def train(data, dev, configs, scorers=None) -> list:
     the cells advance in lockstep by step index, and each step runs one
     forward, one batch_loss and one backward per run of adjacent cells with
     one batch length (the whole stack on most steps), writing gradients in
-    place, then one Adam step for the whole stack. Each cell keeps its own
-    init and shuffle streams (drawn from its seed), epoch length,
-    learning-rate schedule, dev evaluation, best-dev checkpoint and
-    divergence, so its parameters are bit-identical to training it alone.
+    place, then one Adam step for the whole stack. Each step gathers its
+    labels from a `labels == 1` table built once per training set. Each
+    cell keeps its own init and shuffle streams (drawn from its seed), epoch
+    length, learning-rate schedule, dev evaluation, best-dev checkpoint and
+    divergence, so its parameters are bit-identical to training it alone;
+    the cells ending an epoch on one step are scored on dev with one
+    stacked `native_dev_metric` call per dev set.
     A cell that has run all its steps leaves the stack; so does a cell whose
     scores or loss stop being finite, and its result carries the
     FloatingPointError while the others train on. `scorers` optionally gives
@@ -372,6 +399,7 @@ class _Feed:
     rows: int  # live stack rows in the block
     steps: int  # batches per epoch
     total: int  # steps over all epochs
+    positive: np.ndarray  # data.labels == 1, the label table each step gathers
     orders: np.ndarray | None = None  # this epoch's shuffle of each row's cell
 
 
@@ -399,7 +427,8 @@ def _train_stack(cells: list) -> list:
             feeds[-1].rows += 1
         else:
             steps = math.ceil(len(cell[3]) / size)
-            feeds.append(_Feed(cell[3], 1, steps, config.epochs * steps))
+            feeds.append(_Feed(cell[3], 1, steps, config.epochs * steps,
+                               cell[3].labels == 1))
     loss_sum = np.zeros(len(cells))
 
     def drop(keep: np.ndarray) -> None:
@@ -437,7 +466,7 @@ def _train_stack(cells: list) -> list:
             if not runs or runs[-1][1][0].shape[1] != idx.shape[1]:
                 runs.append((lo, [], []))
             runs[-1][1].append(feed.data.features.take(idx, axis=0))
-            runs[-1][2].append(feed.data.labels.take(idx, axis=0))
+            runs[-1][2].append(feed.positive.take(idx, axis=0))
             lo += feed.rows
         failed = {}  # stack row -> divergence message
         for lo, xs, ys in runs:
@@ -452,32 +481,41 @@ def _train_stack(cells: list) -> list:
             drop(keep)
             if not live:
                 break
-        rates = [learning_rate_at(step, feed.total, config.learning_rate,
-                                  config.warmup_fraction) for feed in feeds]
-        lr = (rates[0] if len(set(rates)) == 1 else
-              np.array([rate for feed, rate in zip(feeds, rates)
-                        for _ in range(feed.rows)]))
+        if len({feed.total for feed in feeds}) == 1:
+            lr = learning_rate_at(step, feeds[0].total, config.learning_rate,
+                                  config.warmup_fraction)
+        else:
+            lr = np.repeat([learning_rate_at(step, feed.total, config.learning_rate,
+                                             config.warmup_fraction)
+                            for feed in feeds], [feed.rows for feed in feeds])
         optimizer.step({"flat": stack.flat}, {"flat": grads}, lr, config.weight_decay)
         step += 1
-        # a cell ending an epoch records it; one ending its last epoch leaves
-        keep, lo = np.ones(len(live), dtype=bool), 0
+        # a cell ending an epoch records it, with the rows that share a dev
+        # set scored in one pass; one ending its last epoch leaves
+        ending: dict = {}  # id of a dev set -> the rows ending an epoch on it
+        lo = 0
         for feed in feeds:
             if step % feed.steps == 0:
                 for row in range(lo, lo + feed.rows):
-                    c = live[row]
-                    history = histories[c]
-                    history.train_loss.append(float(loss_sum[row] / len(feed.data)))
-                    metric = native_dev_metric(stack.cell(row), cells[c][4], kinds[row])
-                    history.dev_metric.append(metric)
-                    if metric > best_metric[c]:
-                        best_metric[c] = metric
-                        best[c] = stack.flat[row]
-                        history.best_epoch = step // feed.steps - 1
-                if step == feed.total:
-                    keep[lo:lo + feed.rows] = False
+                    histories[live[row]].train_loss.append(
+                        float(loss_sum[row] / len(feed.data)))
+                    ending.setdefault(id(cells[live[row]][4]), []).append(row)
             lo += feed.rows
-        if not keep.all():
-            drop(keep)
+        for rows in ending.values():
+            metrics = native_dev_metric(stack.cell(np.array(rows)),
+                                        cells[live[rows[0]]][4],
+                                        [kinds[row] for row in rows])
+            for row, metric in zip(rows, metrics):
+                c = live[row]
+                history = histories[c]
+                history.dev_metric.append(metric)
+                if metric > best_metric[c]:
+                    best_metric[c] = metric
+                    best[c] = stack.flat[row]
+                    history.best_epoch = len(history.dev_metric) - 1
+        if ending and any(step == feed.total for feed in feeds):
+            drop(np.repeat([step != feed.total for feed in feeds],
+                           [feed.rows for feed in feeds]))
     share = (time.perf_counter() - started) / len(cells)
     best_params = _views(best, shapes)
     for c, (cell, history, error) in enumerate(zip(cells, histories, errors)):

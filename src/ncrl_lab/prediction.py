@@ -3,10 +3,13 @@
 Three rules are supported: adaptive thresholding (positive iff a label
 outscores the none score, with ties predicting negative), a global threshold
 on sigmoid probabilities, and per-label thresholds. Sweeps pick thresholds
-from a grid by dev-set F1 with ties broken toward the smaller threshold.
+from a grid by dev-set F1 with ties broken toward the smaller threshold;
+the global sweep also takes the stacked scores of several scorers at once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,10 +38,12 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
-def _score_matrix(scores) -> np.ndarray:
+def _score_matrix(scores, stacked: bool = False) -> np.ndarray:
+    """(n, K+1) scores, or with `stacked` also (R, n, K+1) ones of R scorers."""
     s = np.asarray(scores, dtype=float)
-    if s.ndim != 2 or s.shape[1] < 2:
-        raise ValueError("scores must be (n, K+1) with the none score first")
+    if s.ndim not in ((2, 3) if stacked else (2,)) or s.shape[-1] < 2:
+        raise ValueError("scores must be (n, K+1) with the none score first"
+                         + (", or (R, n, K+1) for R scorers" if stacked else ""))
     return s
 
 
@@ -91,45 +96,71 @@ def predict_per_label(f, thresholds) -> np.ndarray:
     return _set_from_flags(per_label_flags(f[None, :], thresholds)[0])
 
 
-def _threshold_counts(scores, gold, grid):
+def _threshold_counts(scores, gold, grid, stacked: bool = False):
     """(grid, TP, FP, FN): each label's confusion counts at every grid threshold.
 
     The counts are (G, K) arrays whose row j tallies the flags
     sigmoid(f_i) > grid[j], as `confusion(global_flags(scores, t), gold)`
-    does for one t, but in one pass: each probability is bucketed by the
+    does for one t, but in one count: each probability is bucketed by the
     number of grid values below it, so it is predicted at threshold j iff
     j < its bucket, and reverse cumulative sums of the per-(label, bucket)
-    counts give every threshold at once.
+    counts give every threshold at once. With `stacked`, (R, n, K+1) scores
+    of R scorers give (R, G, K) counts from the same one count, each row's
+    buckets offset by the row.
     """
     g = _check_grid(grid)
-    s = _score_matrix(scores)
+    s = _score_matrix(scores, stacked)
     y = gold_flags(gold)
-    if len(y) != len(s):
+    if len(y) != s.shape[-2]:
         raise ValueError("predictions and gold must have equal instance counts")
-    if y.shape[1] != s.shape[1] - 1:
+    if y.shape[1] != s.shape[-1] - 1:
         raise ValueError("prediction flags must match gold shape")
     k = y.shape[1]
-    p = sigmoid(s[:, 1:])
-    bucket = np.searchsorted(g, p, side="left")
-    bucket[np.isnan(p)] = 0  # NaN exceeds no threshold
+    p = sigmoid(s[..., 1:])
+    # a compare pass per threshold runs several times faster than a binary
+    # search per entry, even over the 81 values of FINE_GRID; NaN exceeds
+    # no threshold
+    bucket = np.zeros(p.shape, np.min_scalar_type(g.size))
+    above = np.empty(p.shape, bool)
+    for t in g:
+        np.greater(p, t, out=above)
+        bucket += above.view(np.uint8)
     # gold class per entry: 0 negative, 1 positive, 2 neither (counts nowhere)
     gold_class = np.where((y == 0) | (y == 1), y, 2)
+    width = 3 * k * (g.size + 1)  # counts per scorer
     cell = (gold_class * k + np.arange(k)) * (g.size + 1) + bucket
-    counts = np.bincount(cell.ravel(), minlength=3 * k * (g.size + 1))
-    above = np.cumsum(counts.reshape(3, k, -1)[:, :, ::-1], axis=2)[:, :, ::-1]
-    fp, tp = above[0, :, 1:].T, above[1, :, 1:].T
-    return g, tp, fp, above[1, :, :1].T - tp
+    if s.ndim == 3:
+        cell += np.arange(len(s))[:, None, None] * width
+    counts = np.bincount(cell.ravel(), minlength=width * math.prod(s.shape[:-2]))
+    counts = counts.reshape(s.shape[:-2] + (3, k, g.size + 1))
+    above = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
+    fp, tp = (above[..., c, :, 1:].swapaxes(-1, -2) for c in (0, 1))
+    return g, tp, fp, above[..., 1, :, :1].swapaxes(-1, -2) - tp
 
 
-def sweep_global_threshold(scores, gold, grid=COARSE_GRID):
-    """(best threshold, best micro F1) over the grid; ties take the smaller t."""
-    g, tp, fp, fn = _threshold_counts(scores, gold, grid)
+def _best_global(g, tp, fp, fn):
+    """sweep_global_threshold's pick from one scorer's pooled (G,) counts."""
     best_t, best_f1 = None, -1.0
-    for t, *counts in zip(g, tp.sum(axis=1), fp.sum(axis=1), fn.sum(axis=1)):
+    for t, *counts in zip(g, tp, fp, fn):
         f1 = pooled_f1(*counts)[0]
         if f1 > best_f1:
             best_t, best_f1 = float(t), f1
     return best_t, best_f1
+
+
+def sweep_global_threshold(scores, gold, grid=COARSE_GRID):
+    """(best threshold, best micro F1) over the grid; ties take the smaller t.
+
+    Stacked (R, n, K+1) scores of R scorers on one gold set give a list of
+    R thresholds and a list of R F1s, each what that scorer's own call
+    gives, from one bucketed count.
+    """
+    g, tp, fp, fn = _threshold_counts(scores, gold, grid, stacked=True)
+    pooled = tp.sum(axis=-1), fp.sum(axis=-1), fn.sum(axis=-1)
+    if tp.ndim == 2:
+        return _best_global(g, *pooled)
+    picks = [_best_global(g, *row) for row in zip(*pooled)]
+    return [t for t, _ in picks], [f1 for _, f1 in picks]
 
 
 def sweep_per_label_thresholds(scores, gold, grid=FINE_GRID) -> np.ndarray:

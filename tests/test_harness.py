@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from ncrl_lab.datagen import SyntheticConfig, generate
+from ncrl_lab.harness import cli
 from ncrl_lab.harness.cli import main
 from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow,
                                      _atomic_text_write, load_dataset,
@@ -20,8 +22,8 @@ from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow,
                                      write_results_csv)
 from ncrl_lab.harness.experiments import (ExperimentConfig, ablation_variants,
                                           make_splits, run_ablation,
-                                          run_compare, run_no_none_study,
-                                          summarize)
+                                          run_compare, run_gamma_sweep,
+                                          run_no_none_study, summarize)
 from ncrl_lab.harness.featurizer import hashing_featurizer
 from ncrl_lab.harness.seeds import derive_seed, substream
 from ncrl_lab.model import MlpScorer, TrainConfig, scorer_to_dict
@@ -222,11 +224,14 @@ class TestDatasetIo:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_atomic_write_needs_directory(self, tmp_path):
+        # the error used to name the temp file, not the target
         data = generate(tiny_synth(num_instances=5))
         target = tmp_path / "missing" / "data.jsonl"
-        with pytest.raises(OSError):
+        with pytest.raises(OSError, match=f"^{re.escape(str(target))}: "):
             save_dataset(data, str(target))
         assert not target.exists()
+        with pytest.raises(OSError, match=f"^{re.escape(str(tmp_path))}: "):
+            save_dataset(data, str(tmp_path))
         assert list(tmp_path.iterdir()) == []  # no stray temp files either
 
 
@@ -417,6 +422,27 @@ class TestExperimentSuites:
         with pytest.raises(ValueError):
             ExperimentConfig("x", tiny_synth(), [], [0]).validate()
 
+    def test_repeated_seed_or_loss_refused(self):
+        # repeats used to train one cell twice and summarize it as two
+        with pytest.raises(ValueError, match="^seed 3 given twice$"):
+            ExperimentConfig("x", tiny_synth(), [tiny_train()],
+                             [3, 1, 3]).validate()
+        configs = [tiny_train("bce"), tiny_train("ncrl_final", gamma=0.05),
+                   tiny_train("ncrl_final", gamma=0.05, epochs=3)]
+        with pytest.raises(ValueError,
+                           match="^loss ncrl_final:0.05 given twice$"):
+            run_compare(ExperimentConfig("x", tiny_synth(), configs, [0]))
+        with pytest.raises(ValueError, match="^loss ncrl_final:0.1 given twice$"):
+            run_gamma_sweep(ExperimentConfig("x", tiny_synth(), [tiny_train()],
+                                             [0]), [0.1, 0.2, 0.1])
+
+    def test_ablation_at_gamma_zero_trains_each_variant_once(self):
+        # at gamma 0 the unshifted full loss is the full loss itself
+        variants = ablation_variants(tiny_train("ncrl_final", gamma=0.0))
+        assert [(v.loss_kind, v.gamma) for v in variants] == [
+            ("ncrl_final", 0.0), ("ncrl_noreg", 0.0), ("ncrl_plain", 0.0),
+            ("bce", 0.0), ("bce_shifted", 0.0)]
+
 
 class TestFeaturizer:
     def test_empty_text_is_zero(self):
@@ -595,6 +621,46 @@ class TestCli:
             assert exc.value.code == 2, argv
             assert "at least one value" in capsys.readouterr().err, argv
         assert not out.exists()
+
+    def test_repeated_list_value_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        for argv, message in (
+                (["compare", "--losses", "ncrl_final,ncrl_final",
+                  "--seeds", "0,0"], "argument --losses: loss ncrl_final:0.0"),
+                (["compare", "--losses", "bce", "--seeds", "0,1,0"],
+                 "argument --seeds: seed 0"),
+                (["compare", "--losses", "ncrl_final:0.05,bce,ncrl_final:0.050"],
+                 "argument --losses: loss ncrl_final:0.05"),
+                (["ablate", "--seeds", "2,2"], "argument --seeds: seed 2"),
+                (["ablate", "--sweep-gamma", "0.1,0.2,0.10"],
+                 "argument --sweep-gamma: gamma 0.1")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(out)])
+            assert exc.value.code == 2, argv
+            assert f"{message} given twice" in capsys.readouterr().err, argv
+        assert not out.exists()
+
+    def test_bad_out_path_exits_1_before_the_work(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a missing directory or a directory as --out used to fail only after
+        # the work, in an error naming a temp file
+        data = tmp_path / "data.jsonl"
+        save_dataset(generate(tiny_synth(num_instances=40)), str(data))
+
+        def work(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        for name in ("generate", "train", "run_compare"):
+            monkeypatch.setattr(cli, name, work)
+        for out, reason in ((tmp_path / "missing" / "out", "no directory"),
+                            (tmp_path, "is a directory")):
+            for argv in (["gen-data", "--k", "3", "--dim", "4", "--n", "40"],
+                         ["train", "--data", str(data), "--loss", "bce"],
+                         ["compare", "--losses", "bce", "--seeds", "0"]):
+                assert main(argv + ["--out", str(out)]) == 1, argv
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {out}: {reason}"), err
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_consistency_overflow_prints_one_error_line(self):
         # numpy's overflow warnings used to precede the error line

@@ -2,8 +2,8 @@
 
 A dataset saved as JSONL is written as plain `json.dumps` lines and loads
 back bit for bit, and a config file parses to the namespace the same flags
-give on the command line, for every flag type the train, compare and ablate
-subcommands take.
+give on the command line, or is refused as they are, for every flag type the
+train, compare and ablate subcommands take.
 """
 
 import json
@@ -124,4 +124,13 @@ class TestConfigFileRoundTrip:
                 for flag, text in values.items():
                     handle.write(f"{flag.replace('-', '_')} = {text}\n")
             spliced = _expand_config_args([command, "--config", path], parser)
-        assert parser.parse_args(spliced) == parser.parse_args(argv)
+        assert parse_outcome(parser, spliced) == parse_outcome(parser, argv)
+
+
+def parse_outcome(parser, argv):
+    """The parsed namespace, or the exit code of a refused value (a value
+    given twice in --seeds, --losses or --sweep-gamma)."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ncrl_lab.losses import (LOSS_KINDS, batch_loss, logistic_terms, sigmoid,
-                             softplus)
+from ncrl_lab.losses import (LOSS_KINDS, Workspace, batch_loss,
+                             logistic_terms, sigmoid, softplus)
 from ncrl_lab.model import (LinearScorer, MlpScorer, TrainConfig,
                             scorer_from_dict, scorer_to_dict)
 
@@ -115,6 +115,38 @@ class TestAgainstReference:
             assert_matches_reference(kind, Y[c], F[c], gamma, values[c])
             value, grad = batch_loss(kind, Y[c], F[c], gamma)
             assert values[c] == value and np.array_equal(grads[c], grad)
+
+
+class TestBoolLabels:
+    """Y given as the bools `Y == 1`, as the trainer gathers it, gives the
+    numbers 0/1 int labels give, to the bit."""
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(batches(), st.sampled_from(LOSS_KINDS), st.sampled_from(GAMMAS))
+    def test_2d_batch_loss(self, batch, kind, gamma):
+        Y, F = batch
+        value, grad = batch_loss(kind, Y, F, gamma)
+        flag_value, flag_grad = batch_loss(kind, Y == 1, F, gamma)
+        self.assert_same_bits(flag_value, value)
+        self.assert_same_bits(flag_grad, grad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda c: st.tuples(
+        batches(cells=c),
+        st.lists(st.sampled_from(LOSS_KINDS), min_size=c, max_size=c),
+        st.lists(st.sampled_from(GAMMAS), min_size=c, max_size=c))))
+    def test_stacked_batch_loss_with_workspace(self, case):
+        (Y, F), kinds, gammas = case
+        values, grads = batch_loss(kinds, Y, F, gammas, Workspace())
+        flag_values, flag_grads = batch_loss(kinds, Y == 1, F, gammas,
+                                             Workspace())
+        self.assert_same_bits(flag_values, values)
+        self.assert_same_bits(flag_grads, grads)
 
 
 class TestIdentities:

@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncrl_lab.datagen import (SyntheticConfig, generate, split,
+from ncrl_lab.datagen import (Dataset, SyntheticConfig, generate, split,
                               strip_none_instances, take)
 from ncrl_lab.harness.experiments import (ExperimentConfig, _no_none_cell,
                                           make_splits, run_no_none_study)
 from ncrl_lab.harness.seeds import derive_seed
-from ncrl_lab.losses import ncrl_final
+from ncrl_lab.losses import LOSS_KINDS, ncrl_final
 from ncrl_lab.metrics import mean_ncre, micro_f1_flags
-from ncrl_lab.model import (Adam, LinearScorer, MlpScorer, TrainConfig,
-                            forward, grad_check, learning_rate_at,
+from ncrl_lab.model import (ADAPTIVE_KINDS, Adam, LinearScorer, MlpScorer,
+                            TrainConfig, forward, grad_check,
+                            learning_rate_at, native_dev_metric,
                             scorer_from_dict, scorer_to_dict, train)
-from ncrl_lab.prediction import adaptive_flags
+from ncrl_lab.prediction import (COARSE_GRID, adaptive_flags,
+                                 sweep_global_threshold)
 
 
 def separable_splits(num_labels=10, feature_dim=50, n=7000, seed=3):
@@ -365,6 +367,49 @@ class TestStackedTraining:
                     assert np.array_equal(grads[key][c], grad)
                 for key, value in stack.cell(c).params.items():
                     assert np.array_equal(value, cell.params[key])
+
+
+class TestStackedDevMetric:
+    """A stacked native_dev_metric gives each row what the one-cell rules,
+    written out here, give its cell."""
+
+    @staticmethod
+    def reference(scorer, dev, kind):
+        scores = scorer.forward(dev.features)
+        if kind in ADAPTIVE_KINDS:
+            return micro_f1_flags(adaptive_flags(scores), dev.labels)
+        return sweep_global_threshold(scores, dev.labels, COARSE_GRID)[1]
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("hidden", [0, 5])
+    @pytest.mark.parametrize("all_none", [False, True])
+    def test_matches_per_row_reference(self, k, hidden, all_none):
+        rng = np.random.default_rng(10 * k + hidden)
+        dev = generate(SyntheticConfig(num_labels=k, feature_dim=6,
+                                       num_instances=80,
+                                       none_fraction_target=0.3, seed=k))
+        if all_none:
+            none = np.zeros_like(dev.labels)
+            none[:, 0] = 1
+            dev = Dataset(dev.features, none)
+        kinds = list(LOSS_KINDS) + ["bce", "atl"]
+        cells = [MlpScorer.create(k, 6, hidden, rng) if hidden
+                 else LinearScorer.create(k, 6, rng) for _ in kinds]
+        for cell in cells:  # spread the scores over both sides of f_0 and t
+            for value in cell.params.values():
+                value += rng.normal(size=value.shape)
+        stack = type(cells[0]).stack(cells)
+        expected = [self.reference(cell, dev, kind)
+                    for cell, kind in zip(cells, kinds)]
+        assert native_dev_metric(stack, dev, kinds) == expected
+        for cell, kind, metric in zip(cells, kinds, expected):
+            assert native_dev_metric(cell, dev, kind) == metric
+        # rows gathered from the stack, as the trainer scores a dev set's
+        # rows: mixed rules, global only, adaptive only
+        for rows in ([1, 4, 5, 6], [3, 4], [0, 8]):
+            got = native_dev_metric(stack.cell(np.array(rows)), dev,
+                                    [kinds[row] for row in rows])
+            assert got == [expected[row] for row in rows]
 
 
 class TestGradCheck:

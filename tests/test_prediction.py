@@ -246,14 +246,16 @@ GRIDS = st.one_of(
 
 
 @st.composite
-def swept_sets(draw):
-    """(scores, gold, grid) with scores on grid logits, at 0 and saturated."""
+def swept_sets(draw, rows=None):
+    """(scores, gold, grid) with scores on grid logits, at 0 and saturated;
+    with `rows`, (rows, n, K+1) scores of that many scorers."""
     grid = draw(GRIDS)
     n, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
     on_grid = [math.log(t / (1 - t)) for t in grid]
     score = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(on_grid),
                       st.sampled_from([0.0, -1e3, 1e3, -40.0, 40.0]))
-    scores = draw(arrays(np.float64, (n, k + 1), elements=score))
+    lead = () if rows is None else (rows,)
+    scores = draw(arrays(np.float64, lead + (n, k + 1), elements=score))
     y = draw(arrays(np.int64, (n, k), elements=st.integers(0, 1)))
     shape = draw(st.sampled_from(["any", "all_none", "empty_label"]))
     if shape == "all_none":
@@ -273,6 +275,25 @@ class TestSweepExactness:
         scores, gold, grid = case
         assert sweep_global_threshold(scores, gold, grid) == \
             scan_global(scores, gold, grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda rows: swept_sets(rows=rows)))
+    def test_stacked_global_equals_per_row_calls(self, case):
+        scores, gold, grid = case
+        thresholds, f1s = sweep_global_threshold(scores, gold, grid)
+        assert list(zip(thresholds, f1s)) == [
+            sweep_global_threshold(row, gold, grid) for row in scores]
+
+    def test_stacked_global_checks_shapes(self):
+        gold = np.array([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="equal instance counts"):
+            sweep_global_threshold(np.zeros((2, 3, 2)), gold)
+        with pytest.raises(ValueError, match="match gold shape"):
+            sweep_global_threshold(np.zeros((2, 2, 3)), gold)
+        with pytest.raises(ValueError, match="scores must be"):
+            sweep_global_threshold(np.zeros((1, 2, 2, 2)), gold)
+        with pytest.raises(ValueError, match="scores must be"):
+            sweep_per_label_thresholds(np.zeros((2, 2, 2)), gold)
 
     @settings(max_examples=300, deadline=None)
     @given(swept_sets())

@@ -56,10 +56,11 @@ class Margins:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + z) for x >= 0 and
+    z / (1 + z) below, with z = exp(-|x|), in one division per entry."""
     x = np.asarray(x, dtype=float)
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
 
 def softplus(x):

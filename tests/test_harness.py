@@ -758,6 +758,53 @@ class TestCli:
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
+    def test_sizes_too_big_for_memory_exit_1(self, tmp_path, capsys):
+        # numpy's MemoryError used to end these in a traceback; each size
+        # is far past any address space, so the allocation fails at once
+        huge = str(10**15)
+        data = tmp_path / "data.jsonl"
+        assert main(["gen-data", "--k", "3", "--dim", "4", "--n", "40",
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        for argv in (["gen-data", "--k", huge, "--dim", "3", "--n", "10",
+                      "--out", out],
+                     ["gen-data", "--n", huge, "--out", out],
+                     ["consistency", "--trials", huge, "--k", "2"],
+                     ["train", "--data", str(data), "--loss", "bce",
+                      "--hidden", huge, "--out", out]):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: Unable to allocate "), argv
+            assert captured.out == ""
+        assert not os.path.exists(out)
+
+    def test_huge_k_in_data_exits_1_naming_its_line(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_text('\n{"features": [1.0, 2.0], "labels": [1], "k": %d}\n'
+                        % 10**15)
+        assert main(["train", "--data", str(data), "--loss", "bce", "--out",
+                     str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}:2: k = {10**15} is too large; no memory for a "
+            f"1 x {10**15 + 1} label matrix\n")
+
+    def test_rows_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # two fresh interpreters with different string hashing must write
+        # the same rows; only the timing column may differ
+        tables = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"rows{hash_seed}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "ncrl_lab", "compare", "--k", "3",
+                 "--dim", "4", "--n", "60", "--losses", "ncrl_final:0.05,bce",
+                 "--seeds", "0,1", "--epochs", "2", "--out", str(out)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 0, proc.stderr
+            tables.append(rows_without_seconds(read_results_csv(str(out))))
+        assert tables[0] == tables[1] and len(tables[0]) > 20
+
     def test_unknown_subcommand_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ncrl_lab", "frobnicate"],

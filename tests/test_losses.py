@@ -34,6 +34,23 @@ def random_case(rng, k_max=12):
     return y, f
 
 
+class TestSigmoid:
+    def test_one_division_form_matches_the_two_branch_form_bit_for_bit(self):
+        def two_branch(x):  # the formula sigmoid used before
+            x = np.asarray(x, dtype=float)
+            z = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+        rng = np.random.default_rng(0)
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
+                          5e-324, -5e-324, 745.0, -745.0, 800.0, -800.0])
+        for x in [edges] + [scale * rng.standard_normal((200, 7))
+                            for scale in (1.0, 10.0, 100.0, 1000.0)]:
+            assert np.array_equal(sigmoid(x).view(np.int64),
+                                  two_branch(x).view(np.int64))
+        assert sigmoid(0.0) == 0.5 and sigmoid(-np.inf) == 0.0
+
+
 class TestNcreError:
     def test_perfectly_ranked(self):
         assert ncre_error([1, 0], [0.0, 1.0, -1.0]) == 0.0

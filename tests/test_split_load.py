@@ -1,0 +1,394 @@
+"""Loading a dataset as byte ranges parsed in forked children.
+
+The tests force several ranges on small files by lowering the range size
+and setting the CPU count the loader sees. Every load must give the values
+and the error text of a one-range load, and leave no child process behind.
+"""
+
+import io
+import os
+import pickle
+import re
+import signal
+import threading
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncrl_lab.datagen import SyntheticConfig, generate
+from ncrl_lab.harness import dataio
+from ncrl_lab.harness.dataio import load_dataset, save_dataset
+
+LINE = '{"features": [0.5, -1.25, 3.0], "labels": [1], "k": 2}'
+WIDTH = len(LINE) + 8  # room for the bad lines below, padded to one width
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """`cpus(n)` lets the loader cut any file of n lines or more into n ranges."""
+    def force(count):
+        monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: count)
+    return force
+
+
+def outcome(path):
+    """('ok', features as int64 bits, labels) or ('error', message)."""
+    try:
+        data = load_dataset(str(path))
+    except ValueError as exc:
+        result = ("error", str(exc))
+    else:
+        result = ("ok", data.features.view(np.int64).tolist(),
+                  data.labels.tolist())
+    no_child_left()
+    return result
+
+
+def range_starts(path):
+    """The 1-based line each byte range of `path` starts at."""
+    data = path.read_bytes()
+    return [data[:start].count(b"\n") + 1
+            for start, _ in dataio._byte_ranges(str(path))]
+
+
+def write_lines(path, lines):
+    """Write lines padded to one width, so any line can be swapped for a bad
+    one without moving the cuts; a lone surrogate writes its byte."""
+    encoded = [line.encode("utf-8", "surrogateescape") for line in lines]
+    assert max(map(len, encoded)) <= WIDTH
+    path.write_bytes(b"".join(line.ljust(WIDTH) + b"\n" for line in encoded))
+
+
+def split_error(path, cpus, count):
+    """The error of loading `path` in `count` ranges, checked to equal the
+    one-range error."""
+    cpus(1)
+    expected = outcome(path)
+    cpus(count)
+    assert len(dataio._byte_ranges(str(path))) == count
+    assert expected[0] == "error"
+    assert outcome(path) == expected
+    return expected[1]
+
+
+class TestSameDataset:
+    def test_bit_identical_for_1_2_3_7_ranges(self, tmp_path, cpus):
+        source = tmp_path / "source.jsonl"
+        save_dataset(generate(SyntheticConfig(num_labels=4, feature_dim=5,
+                                              num_instances=60, seed=3)),
+                     str(source))
+        endings = [b"\n", b"\r\n", b"\n\n", b"\r", b"\r\n\r\n", b"\n \t\n",
+                   b"\r\r\n"]
+        lines = source.read_bytes().splitlines()
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"".join(line + endings[i % len(endings)]
+                                  for i, line in enumerate(lines)))
+        cpus(1)
+        reference = outcome(path)
+        assert reference[0] == "ok" and len(reference[2]) == 60
+        for count in (2, 3, 7):
+            cpus(count)
+            assert len(dataio._byte_ranges(str(path))) == count
+            assert outcome(path) == reference
+
+    def test_no_cut_without_newline(self, tmp_path, cpus):
+        # universal newlines read \r endings as lines, but only \n is cut at
+        path = tmp_path / "data.jsonl"
+        path.write_bytes((LINE.encode() + b"\r") * 20)
+        cpus(4)
+        assert dataio._byte_ranges(str(path)) == [(0, path.stat().st_size)]
+        assert len(load_dataset(str(path))) == 20
+
+    def test_cuts_follow_newlines(self, tmp_path, cpus):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes((LINE.encode() + b"\r\n") * 30 + LINE.encode())
+        data = path.read_bytes()
+        cpus(5)
+        ranges = dataio._byte_ranges(str(path))
+        assert len(ranges) == 5 and ranges[-1][1] == len(data)
+        for (_, end), (start, _) in zip(ranges, ranges[1:]):
+            assert end == start and data[end - 2:end] == b"\r\n"
+
+    def test_small_file_or_no_fork_is_one_range(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [LINE] * 50)
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 8)
+        assert len(dataio._byte_ranges(str(path))) == 1  # under 2 MiB
+        monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", 1)
+        assert len(dataio._byte_ranges(str(path))) == 8
+        monkeypatch.delattr(os, "fork")
+        assert len(dataio._byte_ranges(str(path))) == 1
+
+    def test_memory_bound_holds_with_ranges(self, tmp_path, cpus):
+        # the bound of test_harness's test_load_streams_lines, with the
+        # buffers of the children received and joined here
+        path = str(tmp_path / "data.jsonl")
+        save_dataset(generate(SyntheticConfig(num_labels=10, feature_dim=20,
+                                              num_instances=3000,
+                                              none_fraction_target=0.3)), path)
+        for count in (2, 7):
+            cpus(count)
+            tracemalloc.start()
+            try:
+                load_dataset(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * os.path.getsize(path)
+            no_child_left()
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_any_file_loads_as_one_pass(self, tmp_path_factory, data):
+        # lines that pass and lines refused for each reason, with every line
+        # ending, cut anywhere; bad bytes may share a decode chunk with a
+        # refused line of the range before
+        good = [LINE, '{"features": [1, 2, 3], "labels": [], "k": 2}']
+        bad = ['{oops', '{"features": [1.0, 2.0], "labels": [], "k": 2}',
+               '{"features": [1.0, 2.0, 3.0], "labels": [], "k": 3}',
+               '{"features": [NaN, 2.0, 3.0], "labels": [], "k": 2}',
+               '{"features": [1.0, 2.0, 3.0], "labels": [5], "k": 2}',
+               '{"features": [1.0, 2.0, 3.0], "labels": [], "k": 2, "x": "\udcff"}',
+               '{"features": [1.0, 2.0, 3.0], "labels": [], "k": 2, "x": "\udce2\udc82"}',
+               ""]
+        count = data.draw(st.integers(1, 400))
+        lines = [data.draw(st.sampled_from(good)) for _ in range(count)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            lines[data.draw(st.integers(0, count - 1))] = data.draw(
+                st.sampled_from(bad))
+        endings = st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n", b"\r\n\r\n"])
+        path = tmp_path_factory.mktemp("load") / "data.jsonl"
+        path.write_bytes(b"".join(
+            line.encode("utf-8", "surrogateescape") + data.draw(endings)
+            for line in lines))
+        expected = outcome(path)  # one range: the file is far too small
+        size = data.draw(st.sampled_from([1, 64, 5000]))
+        count = data.draw(st.integers(2, 7))
+        saved = dataio.MIN_RANGE_BYTES, dataio._usable_cpus
+        dataio.MIN_RANGE_BYTES, dataio._usable_cpus = size, lambda: count
+        try:
+            assert outcome(path) == expected
+        finally:
+            dataio.MIN_RANGE_BYTES, dataio._usable_cpus = saved
+
+
+class TestSameErrors:
+    def test_first_range_error_wins(self, tmp_path, cpus):
+        path = tmp_path / "data.jsonl"
+        lines = [LINE] * 30
+        write_lines(path, lines)
+        cpus(3)
+        starts = range_starts(path)
+        lines[starts[0] + 3] = "{oops"
+        lines[starts[1] + 1] = '{"features": [1.0], "labels": [], "k": 2}'
+        write_lines(path, lines)
+        message = split_error(path, cpus, 3)
+        assert message == f"{path}:{starts[0] + 4}: malformed JSON (Expecting " \
+                          "property name enclosed in double quotes)"
+
+    def test_error_in_third_range_has_its_absolute_line(self, tmp_path, cpus):
+        path = tmp_path / "data.jsonl"
+        lines = [LINE] * 30
+        write_lines(path, lines)
+        cpus(3)
+        starts = range_starts(path)
+        line = starts[2] + 2
+        lines[line - 1] = '{"features": [1.0, 2.0, 3.0], "labels": [3], "k": 2}'
+        write_lines(path, lines)
+        assert split_error(path, cpus, 3).startswith(
+            f"{path}:{line}: y0-consistency violated")
+
+    @pytest.mark.parametrize("changed, message", [
+        ('{"features": [1.0, 2.0, 3.0], "labels": [], "k": 3}',
+         "k changed from 2 to 3"),
+        ('{"features": [1.0, 2.0], "labels": [], "k": 2}',
+         "feature length 2 != 3"),
+    ])
+    def test_change_at_a_range_start_is_located_there(self, tmp_path, cpus,
+                                                      changed, message):
+        # the range's own later lines change back, which it would refuse
+        path = tmp_path / "data.jsonl"
+        lines = [LINE] * 30
+        write_lines(path, lines)
+        cpus(3)
+        starts = range_starts(path)
+        lines[starts[1] - 1] = changed
+        lines[starts[1]] = changed
+        write_lines(path, lines)
+        assert split_error(path, cpus, 3) == f"{path}:{starts[1]}: {message}"
+
+    def test_blank_lines_shift_later_ranges(self, tmp_path, cpus):
+        path = tmp_path / "data.jsonl"
+        lines = [LINE, "", "", LINE, ""] * 8
+        write_lines(path, lines)
+        cpus(4)
+        starts = range_starts(path)
+        lines[starts[3]] = "[1, 2]"
+        write_lines(path, lines)
+        assert split_error(path, cpus, 4) == \
+            f"{path}:{starts[3] + 1}: expected a JSON object"
+
+    def test_non_utf8_byte_in_a_later_range(self, tmp_path, cpus):
+        path = tmp_path / "data.jsonl"
+        lines = [LINE] * 30
+        write_lines(path, lines)
+        cpus(3)
+        starts = range_starts(path)
+        lines[starts[2]] = LINE.replace("0.5", "0.\udcff5")
+        write_lines(path, lines)
+        assert split_error(path, cpus, 3) == (
+            f"{path}:{starts[2] + 1}: not UTF-8 text (0xff at byte 17 of the "
+            "line: invalid start byte)")
+
+    def test_bad_byte_in_the_chunk_a_range_ends_in(self, tmp_path, cpus):
+        # one pass decodes 8 KiB chunks; the chunk holding the cut holds a
+        # bad byte just after it, so one pass fails there before it parses
+        # the refused line just before the cut
+        path = tmp_path / "data.jsonl"
+        lines = [LINE] * 400
+        write_lines(path, lines)
+        cpus(2)
+        (_, cut), _ = dataio._byte_ranges(str(path))
+        assert cut % 8192 and cut // 8192 == (cut + WIDTH) // 8192
+        second = range_starts(path)[1]
+        lines[second - 2] = "{oops"
+        lines[second - 1] = LINE.replace("0.5", "0.\udcff5")
+        write_lines(path, lines)
+        assert split_error(path, cpus, 2) == (
+            f"{path}:{second}: not UTF-8 text (0xff at byte 17 of the line: "
+            "invalid start byte)")
+
+    def test_nan_in_a_later_range(self, tmp_path, cpus):
+        path = tmp_path / "data.jsonl"
+        lines = [LINE] * 30
+        write_lines(path, lines)
+        cpus(3)
+        starts = range_starts(path)
+        lines[starts[1] + 4] = LINE.replace("3.0", "NaN")
+        lines[starts[2] + 1] = LINE.replace("0.5", "Infinity")
+        write_lines(path, lines)
+        assert split_error(path, cpus, 3) == \
+            f"{path}:{starts[1] + 5}: features must be finite numbers"
+
+    def test_all_blank_file(self, tmp_path, cpus):
+        path = tmp_path / "data.jsonl"
+        path.write_text(" \n\n\t\n\r\n" * 10)
+        assert split_error(path, cpus, 3) == f"{path}: no instances"
+
+    def test_huge_k_is_located(self, tmp_path, cpus):
+        # the label matrix cannot be allocated; numpy's MemoryError used to
+        # end the CLI in a traceback
+        path = tmp_path / "data.jsonl"
+        lines = ["", '{"features": [1.0, 2.0], "labels": [1], "k": %d}' % 10**15]
+        write_lines(path, lines * 3)
+        assert split_error(path, cpus, 2) == (
+            f"{path}:2: k = {10**15} is too large; no memory for a 3 x "
+            f"{10**15 + 1} label matrix")
+
+
+class TestChildren:
+    def test_killed_child_range_is_parsed_here(self, tmp_path, cpus,
+                                               monkeypatch):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [LINE.replace("0.5", str(i)) for i in range(40)])
+        cpus(1)
+        expected = outcome(path)
+        parent = os.getpid()
+        parse = dataio._parse_instance
+
+        def dies_in_a_child(obj):
+            if os.getpid() != parent and obj["features"][0] == 25:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return parse(obj)
+
+        monkeypatch.setattr(dataio, "_parse_instance", dies_in_a_child)
+        cpus(4)
+        assert outcome(path) == expected
+
+    def test_child_dying_mid_send_is_parsed_here(self, tmp_path, cpus,
+                                                 monkeypatch):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [LINE.replace("0.5", str(i)) for i in range(40)])
+        cpus(1)
+        expected = outcome(path)
+        send = dataio._send
+
+        def half_a_send(pipe, part):
+            buffer = io.BytesIO()
+            send(buffer, part)
+            sent = buffer.getvalue()
+            pipe.write(sent[:len(sent) // 2])
+            pipe.flush()
+            os._exit(0)
+
+        monkeypatch.setattr(dataio, "_send", half_a_send)
+        for count in (2, 3):
+            cpus(count)
+            assert outcome(path) == expected
+
+    def test_interrupt_in_own_range_reaps_children(self, tmp_path, cpus,
+                                                   monkeypatch):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [LINE] * 40)
+        parent = os.getpid()
+        parse = dataio._parse_instance
+
+        def interrupted_here(obj):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return parse(obj)
+
+        monkeypatch.setattr(dataio, "_parse_instance", interrupted_here)
+        cpus(3)
+        with pytest.raises(KeyboardInterrupt):
+            load_dataset(str(path))
+        no_child_left()
+
+    def test_sent_part_round_trips(self):
+        part = dataio._Part()
+        part.values.extend([1.5, -0.0, 2.0])
+        part.counts.append(0)
+        part.line_nos.append(4)
+        part.lines, part.first = 6, (4, 2, 3)
+        part.error = (6, "k changed from 2 to 3", ValueError("cause"))
+        buffer = io.BytesIO()
+        dataio._send(buffer, part)
+        buffer.seek(0)
+        back = dataio._receive(buffer)
+        assert (back.lines, back.first, back.error) == (
+            6, (4, 2, 3), (6, "k changed from 2 to 3", None))
+        for name in dataio._Part.BUFFERS:
+            assert getattr(back, name) == getattr(part, name)
+        assert dataio._receive(io.BytesIO(pickle.dumps("x")[:3])) is None
+
+    def test_fork_warning_is_silenced(self, tmp_path, cpus):
+        # Python 3.12+ warns when a process with other threads forks; the
+        # message below is the one the filter must match
+        assert re.match(dataio._FORK_WARNING,
+                        "This process (pid=123) is multi-threaded, use of "
+                        "fork() may lead to deadlocks in the child.")
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [LINE] * 20)
+        cpus(2)
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        worker.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert len(load_dataset(str(path))) == 20
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        no_child_left()

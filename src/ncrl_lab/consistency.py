@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import check_seed
+
 # margins this close to zero count as ties when checking Bayes membership
 TIE_TOL = 1e-6
 
@@ -208,6 +210,7 @@ def run_consistency_experiment(trials: int, k: int, seed: int,
     """
     if trials < 1 or k < 1:
         raise ValueError("trials and k must be at least 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     deltas = rng.uniform(0.05, 0.95, size=(trials, k))
     scores = _descend(deltas, np.zeros((trials, k + 1)), step, iters)

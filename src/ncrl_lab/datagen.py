@@ -18,6 +18,12 @@ import numpy as np
 PROBE_SIZE = 10000
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed by name; numpy's own error names no value."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 @dataclass
 class SyntheticConfig:
     num_labels: int
@@ -42,6 +48,7 @@ class SyntheticConfig:
     def validate(self) -> None:
         if self.num_labels < 1 or self.feature_dim < 1 or self.num_instances < 1:
             raise ValueError("num_labels, feature_dim, num_instances must be >= 1")
+        check_seed(self.seed)
         for name in ("none_fraction_target", "noise_false_negative_rate",
                      "noise_symmetric_rate"):
             v = getattr(self, name)

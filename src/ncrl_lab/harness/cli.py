@@ -95,7 +95,6 @@ def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
                         help="false-negative flip rate")
     parser.add_argument("--sym-rate", type=float, default=0.0,
                         help="symmetric flip rate")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -120,12 +119,11 @@ def _synth_config(args) -> SyntheticConfig:
         per_label_bias=None if args.bias is None else np.asarray(args.bias),
         noise_false_negative_rate=args.fn_rate,
         noise_symmetric_rate=args.sym_rate,
-        seed=args.seed,
     )
 
 
 def _cmd_gen_data(args) -> int:
-    data = generate(_synth_config(args))
+    data = generate(replace(_synth_config(args), seed=args.seed))
     save_dataset(data, args.out)
     _emit({"out": args.out, **class_prior_report(data)})
     return 0
@@ -262,6 +260,10 @@ def _cmd_ablate(args) -> int:
     return _write_rows(rows, args.out)
 
 
+_SEEDS_HELP = ("comma list of experiment seeds; each derives its own data, "
+               "noise and training seeds, so there is no --seed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncrl-lab",
@@ -272,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="generate a synthetic JSONL dataset")
     _add_synth_flags(gen)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="JSONL output path")
     gen.set_defaults(handler=_cmd_gen_data)
 
@@ -324,25 +327,31 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--per-label", action="store_true")
     sw.set_defaults(handler=_cmd_sweep)
 
-    cmp_ = sub.add_parser("compare", help="train competing losses on shared data")
+    # compare and ablate match flags by full name only: a --seed, which they
+    # do not take, would otherwise be read as --seeds
+    cmp_ = sub.add_parser("compare", help="train competing losses on shared data",
+                          allow_abbrev=False)
     _add_synth_flags(cmp_)
     _add_train_flags(cmp_)
     cmp_.add_argument("--losses", type=_loss_list, required=True,
                       help="comma list of kind[:gamma], e.g. "
                            "ncrl_final:0.05,ncrl_plain,bce")
-    cmp_.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4])
+    cmp_.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4],
+                      help=_SEEDS_HELP)
     cmp_.add_argument("--no-none-study", action="store_true",
                       help="run the none-stripping study instead (uses the "
                            "first loss only)")
     cmp_.add_argument("--out", required=True, help="results CSV path")
     cmp_.set_defaults(handler=_cmd_compare)
 
-    ab = sub.add_parser("ablate", help="six-variant component ablation")
+    ab = sub.add_parser("ablate", help="six-variant component ablation",
+                        allow_abbrev=False)
     _add_synth_flags(ab)
     _add_train_flags(ab)
     ab.add_argument("--gamma", type=float, default=0.05,
                     help="shift value for the shifted variants")
-    ab.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4])
+    ab.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4],
+                    help=_SEEDS_HELP)
     ab.add_argument("--sweep-gamma", type=_gamma_list, default=None,
                     help="emit per-gamma rows over this comma list instead")
     ab.add_argument("--out", required=True, help="results CSV path")

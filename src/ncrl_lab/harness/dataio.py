@@ -8,15 +8,20 @@ float64 buffer, so neither holds a whole-file copy of the text or of the
 values as Python objects. A file of at least two `MIN_RANGE_BYTES` is
 loaded as one byte range per usable CPU, the first parsed in this process
 and the others in forked children that send their buffers back through
-pipes; the values, and the location of the first refused line, are those
-of one pass over the file. All writers go through a temp file plus atomic
-rename so failed runs leave no partial outputs.
+pipes; the values are those of one pass over the file.
+
+Every reader follows one rule: the first line in file order that is
+refused, for a byte that is not UTF-8 or for its content, is reported as
+`path:line: reason`, whatever the number of ranges. Files are decoded with
+`surrogateescape`, so decoding never fails, and each line is checked for
+an escaped byte where it is parsed. Non-finite dataset values are checked
+after every line has parsed. All writers go through a temp file plus
+atomic rename so failed runs leave no partial outputs.
 """
 
 from __future__ import annotations
 
 import array
-import codecs
 import contextlib
 import csv
 import io
@@ -39,9 +44,6 @@ from ..datagen import Dataset
 # went from 6% slower to 26% faster at 0.5-1.5 MiB, and were 18-38% faster
 # at 2 and 4 MiB.
 MIN_RANGE_BYTES = 1 << 20
-
-# text mode decodes a file in chunks of this many bytes from its start
-_DECODE_CHUNK = 8192
 
 _FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
                  r"may lead to deadlocks in the child")
@@ -140,26 +142,28 @@ def _parse_instance(obj: dict):
     return features, labels, k
 
 
-def _locate_bad_byte(path: str, exc: UnicodeDecodeError):
-    """Raise `exc`, the failed decoding of `path`, as a ValueError naming the
-    line. Text mode decodes whole chunks, so the raw lines are rescanned."""
-    with open(path, "rb") as raw:  # bytes split lines as text mode does
-        for line_no, line in enumerate(raw.read().splitlines(True), start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                raise ValueError(f"{path}:{line_no}: not UTF-8 text (0x"
-                                 f"{line[bad.start]:02x} at byte {bad.start + 1} "
-                                 f"of the line: {bad.reason})") from bad
-    raise exc
-
-
-def _lines(handle, path: str):
-    """Numbered lines of a text file; a byte that is not UTF-8 is located."""
+def _check_utf8(line: str) -> None:
+    """Refuse a line read with `surrogateescape` that holds a byte that is
+    not UTF-8, naming the byte and its place in the line."""
+    if line.isascii():
+        return
+    raw = line.encode("utf-8", "surrogateescape")
     try:
-        yield from enumerate(handle, start=1)
-    except UnicodeDecodeError as exc:
-        _locate_bad_byte(path, exc)
+        raw.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        raise ValueError(f"not UTF-8 text (0x{raw[bad.start]:02x} at byte "
+                         f"{bad.start + 1} of the line: {bad.reason})") from bad
+
+
+def _lines(lines, path: str):
+    """Numbered lines; one holding a byte that is not UTF-8 is refused as
+    `path:line`."""
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            _check_utf8(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from exc.__cause__
+        yield line_no, line
 
 
 class _Part:
@@ -174,24 +178,24 @@ class _Part:
                                                    for _ in range(3))
         self.lines = 0  # lines read, blank ones included
         self.first = None  # (line, k, feature length) of the first instance
-        self.error = None  # (line, message, cause); line None if located
+        self.error = None  # (line, message, cause) of the first refused line
 
 
-def _parse_lines(handle, path: str, part: _Part) -> None:
+def _parse_lines(handle, part: _Part) -> None:
     """Add the instances of a text stream to `part` up to the first refused
-    line, which is recorded in `part.error`; a byte that is not UTF-8 raises,
-    located in the whole file."""
+    line, for its bytes or its content, which is recorded in `part.error`."""
     values, labels, counts, line_nos = (getattr(part, name)
                                         for name in _Part.BUFFERS)
     k = dim = None
     line_no = 0
-    for line_no, line in _lines(handle, path):
-        line = line.strip()
-        if not line:
+    for line_no, line in enumerate(handle, start=1):
+        text = line.strip()
+        if not text:
             continue
         # the location is formatted only when a line is refused
         try:
-            feats, line_labels, line_k = _parse_instance(json.loads(line))
+            _check_utf8(line)
+            feats, line_labels, line_k = _parse_instance(json.loads(text))
             if k is None:
                 k, dim = line_k, len(feats)
                 part.first = (line_no, k, dim)
@@ -213,29 +217,20 @@ def _parse_lines(handle, path: str, part: _Part) -> None:
 
 
 class _ByteRange(io.RawIOBase):
-    """Bytes start..end of a file, read in the chunks that text mode decodes
-    the whole file in, so a range meets a byte that is not UTF-8 at the line
-    where one pass over the file would."""
+    """Bytes start..end of a file."""
 
     def __init__(self, path: str, start: int, end: int):
         super().__init__()
         self._file = io.FileIO(path, "r")
         self._file.seek(start)
-        self._pos, self._end = start, end
+        self._left = end - start
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        size = min(len(buffer), self._end - self._pos,
-                   _DECODE_CHUNK - self._pos % _DECODE_CHUNK)
-        read = self._file.readinto(memoryview(buffer)[:size])
-        self._pos += read
-        if read and self._pos == self._end and self._end % _DECODE_CHUNK:
-            # one pass decodes the rest of this chunk, which the next range
-            # starts with, before it yields the lines that end here
-            rest = self._file.read(_DECODE_CHUNK - self._end % _DECODE_CHUNK)
-            codecs.getincrementaldecoder("utf-8")().decode(rest)
+        read = self._file.readinto(memoryview(buffer)[:self._left])
+        self._left -= read
         return read
 
     def close(self) -> None:
@@ -245,13 +240,11 @@ class _ByteRange(io.RawIOBase):
 
 def _parse_range(path: str, start: int, end: int) -> _Part:
     """The part for bytes start..end of `path`, read in text mode; its
-    first refused line, or byte that is not UTF-8, is in `part.error`."""
+    first refused line is in `part.error`."""
     part = _Part()
-    with io.TextIOWrapper(_ByteRange(path, start, end), encoding="utf-8") as handle:
-        try:
-            _parse_lines(handle, path, part)
-        except ValueError as exc:  # a byte that is not UTF-8, located
-            part.error = (None, str(exc), exc.__cause__)
+    with io.TextIOWrapper(_ByteRange(path, start, end), encoding="utf-8",
+                          errors="surrogateescape") as handle:
+        _parse_lines(handle, part)
     return part
 
 
@@ -356,17 +349,11 @@ def _reap(child, kill: bool) -> None:
 
 
 def _parts(path: str):
-    """The parts of `path` in file order. A file of one range is read in one
-    pass; otherwise the first range is parsed here while forked children
-    parse the others, and a range whose child died is parsed here. Closing
-    the generator kills and reaps the children not yet reaped."""
+    """The parts of `path` in file order. The first range is parsed here
+    while forked children parse the others, and a range whose child died is
+    parsed here. Closing the generator kills and reaps the children not yet
+    reaped."""
     ranges = _byte_ranges(path)
-    if len(ranges) == 1:
-        part = _Part()
-        with open(path, "r", encoding="utf-8") as handle:
-            _parse_lines(handle, path, part)
-        yield part
-        return
     children = {}
     try:
         for index, (start, end) in enumerate(ranges[1:], start=1):
@@ -386,18 +373,20 @@ def _parts(path: str):
 
 
 def load_dataset(path: str) -> Dataset:
-    """The dataset in the JSONL file `path`; the first refused line is
-    reported as `path:line: reason`.
+    """The dataset in the JSONL file `path`. The first line in file order
+    refused for a byte that is not UTF-8 or for its content is reported as
+    `path:line: reason`, whatever the number of ranges; non-finite values
+    are checked once every line has parsed, and the first is reported.
 
     A file of at least two ranges of MIN_RANGE_BYTES is cut after \\n bytes
     into up to one byte range per usable CPU. This process parses the first
     range while forked children parse the others and send their buffers
     back through pipes, and every child is reaped before this returns or
-    raises. Each range runs the same loop over text-mode lines, and the
-    parts join into the values and errors of one pass: a range's lines are
-    numbered after those of the ranges before it, a `k` or feature length
-    that changes at its first instance is refused there, and the first
-    refused line in file order is the one reported.
+    raises. Every range, a whole file's one included, runs the same loop
+    over text-mode lines, and the parts join into the values and errors of
+    one pass: a range's lines are numbered after those of the ranges before
+    it, and a `k` or feature length that changes at its first instance is
+    refused there.
     """
     parts, starts = [], []  # parts with instances, lines before each
     first = None  # (line, k, feature length) of the file's first instance
@@ -411,8 +400,7 @@ def load_dataset(path: str) -> Dataset:
                               f"feature length {dim} != {first[2]}", None)
             if part.error:
                 line, message, cause = part.error
-                if line is not None:
-                    message = f"{path}:{lines_before + line}: {message}"
+                message = f"{path}:{lines_before + line}: {message}"
                 raise ValueError(message) from cause
             if part.first and not first:
                 first = (lines_before + part.first[0],) + part.first[1:]
@@ -454,13 +442,15 @@ def save_json(obj, path: str) -> None:
 def load_json(path: str):
     """The decoded JSON file; its errors name the path, and a byte that is
     not UTF-8 its line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except UnicodeDecodeError as exc:
-            _locate_bad_byte(path, exc)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        text = handle.read()
+    if not text.isascii():
+        for _ in _lines(text.split("\n"), path):
+            pass
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_results_csv(rows, path: str) -> None:
@@ -498,7 +488,8 @@ def _parse_row(record: list) -> ResultRow:
 def read_results_csv(path: str) -> list:
     """Rows of a results CSV; a refused row is reported as path:line."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as handle:
         reader = csv.reader(line for _, line in _lines(handle, path))
         header = next(reader, None)
         if tuple(header or ()) != CSV_HEADER:
@@ -517,7 +508,7 @@ def read_config_file(path: str) -> dict:
     An empty key and a key given twice are refused with the line's location.
     """
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in _lines(handle, path):
             line = line.split("#", 1)[0].strip()
             if not line:

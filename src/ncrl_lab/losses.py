@@ -110,6 +110,16 @@ def check_gamma(gamma: float) -> float:
     return float(gamma)
 
 
+def check_loss(kind: str, gamma: float) -> None:
+    """Refuse an unknown kind, a gamma outside [0, 1), and a nonzero gamma
+    for a kind that does not shift, which would ignore it."""
+    check_kind(kind)
+    check_gamma(gamma)
+    if gamma != 0.0 and kind not in _SHIFTED_KINDS:
+        raise ValueError(f"loss kind {kind!r} does not shift; gamma must be 0, "
+                         f"got {gamma}")
+
+
 def _pair(pre_labels, scores, require_finite=True):
     """Validate one (labels, scores) pair and lift it to a batch of one."""
     full = with_none_flag(pre_labels)

@@ -21,9 +21,9 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
-from .datagen import Dataset
-from .losses import (Workspace, batch_loss, check_gamma, check_kind,
-                     instance_losses, stack_rank, with_none_flag)
+from .datagen import Dataset, check_seed
+from .losses import (Workspace, batch_loss, check_loss, instance_losses,
+                     stack_rank, with_none_flag)
 from .metrics import pooled_f1
 from .prediction import COARSE_GRID, sweep_global_threshold
 
@@ -44,8 +44,8 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def validate(self) -> None:
-        check_kind(self.loss_kind)
-        check_gamma(self.gamma)
+        check_loss(self.loss_kind, self.gamma)
+        check_seed(self.seed)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
@@ -569,6 +569,8 @@ def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,
         raise ValueError("trials must be >= 1")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    check_loss(loss_kind, gamma)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     eye = np.eye(k + 1)
     worst = 0.0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ncrl_lab.datagen import SyntheticConfig, generate
-from ncrl_lab.harness import cli
+from ncrl_lab.harness import cli, dataio
 from ncrl_lab.harness.cli import main
 from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow,
                                      _atomic_text_write, load_dataset,
@@ -174,6 +174,27 @@ class TestDatasetIo:
                                          num_instances=3000)), path)
         assert traced_peak(load_dataset, path) < 2 * os.path.getsize(path)
 
+    def test_bad_byte_is_located_without_a_rescan(self, tmp_path, monkeypatch):
+        # the line of a bad byte used to be found by reading the whole file
+        # again as a list of lines, which held about 2.4 times the file
+        path = tmp_path / "data.jsonl"
+        save_dataset(generate(tiny_synth(num_labels=10, feature_dim=20,
+                                         num_instances=3000)), str(path))
+        lines = path.read_bytes().splitlines(True)
+        lines[-2] = lines[-2].replace(b"[", b"[\xff", 1)
+        path.write_bytes(b"".join(lines))
+        del lines
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 1)
+
+        def load():
+            with pytest.raises(ValueError) as info:
+                load_dataset(str(path))
+            assert str(info.value) == (
+                f"{path}:2999: not UTF-8 text (0xff at byte 15 of the line: "
+                "invalid start byte)")
+
+        assert traced_peak(load) < os.path.getsize(path)
+
     def test_write_failing_midway_leaves_no_file(self, tmp_path):
         def lines():
             yield "first line\n"
@@ -207,8 +228,9 @@ class TestDatasetIo:
                 os.umask(old)
 
     def test_non_utf8_byte_exits_1_naming_its_line(self, tmp_path, capsys):
-        # text mode decodes whole chunks, so the bad line lies far past the
-        # first chunk; lines end in \r\n and \r, read as universal newlines
+        # the bad line lies far past the first 8 KiB of the file and is
+        # located where it is read; lines end in \r\n and \r, read as
+        # universal newlines
         line = b'{"features": [0.1, 0.2], "labels": [1], "k": 1}'
         path = tmp_path / "data.jsonl"
         path.write_bytes((line + b"\r\n") * 300 + line + b"\r"
@@ -274,6 +296,18 @@ class TestResultsCsv:
                 read_results_csv(str(path))
             assert str(info.value) == f"{path}:{message}"
 
+    def test_refused_row_before_a_bad_byte_is_reported(self, tmp_path):
+        # both rows lie in the first 8 KiB of the file, which used to be
+        # decoded, and refused for the byte, before any row was parsed
+        path = tmp_path / "rows.csv"
+        path.write_bytes(",".join(CSV_HEADER).encode() + b"\n"
+                         + b"exp,bce,0.0,3,test,micro_f1,0.5,1.25\n" * 100
+                         + b"exp,bce,0.0,3,test\n"
+                         + b"exp,bce,0.0,3,te\xffst,micro_f1,0.5,1.25\n")
+        with pytest.raises(ValueError) as info:
+            read_results_csv(str(path))
+        assert str(info.value) == f"{path}:102: expected 8 fields, got 5"
+
 
 class TestConfigFile:
     def test_parsing(self, tmp_path):
@@ -315,6 +349,13 @@ class TestConfigFile:
             f"error: {cfg}:3: not UTF-8 text (0xe9 at byte 9 of the line: "
             "invalid continuation byte)\n")
         assert not model.exists()
+
+    def test_refused_line_before_a_bad_byte_is_reported(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_bytes(b"epochs = 1\nlr 0.1\nseed = 1\xe9\n")
+        with pytest.raises(ValueError) as info:
+            read_config_file(str(path))
+        assert str(info.value) == f"{path}:2: expected key = value"
 
 
 class TestExperimentSuites:
@@ -601,6 +642,68 @@ class TestCli:
             assert main(["grad-check", "--loss", "ncrl_plain", "--k", k,
                          "--trials", "3"]) == 1
             assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+
+    def test_seed_flag_of_compare_and_ablate_is_usage_error(self, tmp_path,
+                                                            capsys):
+        # --seed set the synthetic seed, which each of --seeds replaces with
+        # its own, so it had no effect; nor may it stand for --seeds
+        out = tmp_path / "rows.csv"
+        for argv in (["compare", "--losses", "bce", "--seed", "5"],
+                     ["compare", "--losses", "bce", "--seeds", "0",
+                      "--seed", "5"],
+                     ["ablate", "--seed", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(out)])
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments: --seed 5" in \
+                capsys.readouterr().err, argv
+        assert not out.exists()
+
+    def test_negative_seed_exits_1_naming_it(self, tmp_path, capsys):
+        # numpy's own error, "expected non-negative integer", named no flag
+        data, out = str(tmp_path / "data.jsonl"), str(tmp_path / "out")
+        assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "40",
+                     "--out", data]) == 0
+        for argv, seed in (
+                (["gen-data", "--k", "3", "--dim", "5", "--n", "40",
+                  "--seed", "-5", "--out", out], -5),
+                (["train", "--data", data, "--loss", "bce", "--epochs", "1",
+                  "--seed", "-1", "--out", out], -1),
+                (["consistency", "--trials", "5", "--iters", "10",
+                  "--seed", "-1"], -1),
+                (["grad-check", "--loss", "bce", "--trials", "3",
+                  "--seed", "-1"], -1)):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == \
+                f"error: seed must be nonnegative, got {seed}\n", argv
+        assert not os.path.exists(out)
+        # the seeds of a suite go through derive_seed, which maps any int
+        rows = run_compare(ExperimentConfig("compare", tiny_synth(
+            num_instances=100), [tiny_train(epochs=1)], seeds=[-1]))
+        assert {r.seed for r in rows} == {-1, "all"}
+
+    def test_gamma_of_a_kind_that_does_not_shift_exits_1(self, tmp_path,
+                                                          capsys):
+        # each of these used to run with gamma ignored; compare trained plain
+        # bce twice and reported the copies as two losses
+        data, out = str(tmp_path / "data.jsonl"), str(tmp_path / "out")
+        assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "40",
+                     "--out", data]) == 0
+        for argv, kind, gamma in (
+                (["train", "--data", data, "--loss", "bce", "--gamma", "0.5",
+                  "--epochs", "1", "--out", out], "bce", 0.5),
+                (["grad-check", "--loss", "atl", "--gamma", "0.3",
+                  "--trials", "3"], "atl", 0.3),
+                (["compare", "--k", "3", "--dim", "5", "--n", "100",
+                  "--losses", "bce:0.3,bce", "--seeds", "0", "--epochs", "1",
+                  "--out", out], "bce", 0.3)):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == (
+                f"error: loss kind {kind!r} does not shift; gamma must be 0, "
+                f"got {gamma}\n"), argv
+        assert not os.path.exists(out)
 
     def test_empty_comma_list_is_usage_error(self, tmp_path, capsys):
         # an empty --k used to run no check and report "pass": true, and an

@@ -79,8 +79,7 @@ _switch_words = st.sampled_from(["1", "true", "yes", "on", "0", "false", "no",
                                  "off", "True", "NO", "On"])
 
 _SYNTH = {"k": _ints, "dim": _ints, "n": _ints, "none-fraction": _floats,
-          "bias": _comma(_floats), "fn-rate": _floats, "sym-rate": _floats,
-          "seed": _ints}
+          "bias": _comma(_floats), "fn-rate": _floats, "sym-rate": _floats}
 _TRAIN = {"epochs": _ints, "batch-size": _ints, "lr": _floats, "warmup": _floats,
           "hidden": _ints, "weight-decay": _floats}
 FLAGS = {

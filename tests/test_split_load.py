@@ -151,8 +151,8 @@ class TestSameDataset:
     @given(st.data())
     def test_any_file_loads_as_one_pass(self, tmp_path_factory, data):
         # lines that pass and lines refused for each reason, with every line
-        # ending, cut anywhere; bad bytes may share a decode chunk with a
-        # refused line of the range before
+        # ending, cut anywhere; a bad byte may follow a refused line closely,
+        # in the same range or the next
         good = [LINE, '{"features": [1, 2, 3], "labels": [], "k": 2}']
         bad = ['{oops', '{"features": [1.0, 2.0], "labels": [], "k": 2}',
                '{"features": [1.0, 2.0, 3.0], "labels": [], "k": 3}',
@@ -250,10 +250,11 @@ class TestSameErrors:
             f"{path}:{starts[2] + 1}: not UTF-8 text (0xff at byte 17 of the "
             "line: invalid start byte)")
 
-    def test_bad_byte_in_the_chunk_a_range_ends_in(self, tmp_path, cpus):
-        # one pass decodes 8 KiB chunks; the chunk holding the cut holds a
-        # bad byte just after it, so one pass fails there before it parses
-        # the refused line just before the cut
+    def test_refused_line_before_a_bad_byte_in_its_chunk_wins(self, tmp_path,
+                                                              cpus):
+        # the line just before the cut is refused and the one just after it
+        # holds a bad byte, both in one 8 KiB block of the file; whether the
+        # cut splits them or not, the earlier line is the one reported
         path = tmp_path / "data.jsonl"
         lines = [LINE] * 400
         write_lines(path, lines)
@@ -265,8 +266,8 @@ class TestSameErrors:
         lines[second - 1] = LINE.replace("0.5", "0.\udcff5")
         write_lines(path, lines)
         assert split_error(path, cpus, 2) == (
-            f"{path}:{second}: not UTF-8 text (0xff at byte 17 of the line: "
-            "invalid start byte)")
+            f"{path}:{second - 1}: malformed JSON (Expecting property name "
+            "enclosed in double quotes)")
 
     def test_nan_in_a_later_range(self, tmp_path, cpus):
         path = tmp_path / "data.jsonl"

@@ -265,20 +265,27 @@ _SEEDS_HELP = ("comma list of experiment seeds; each derives its own data, "
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every parser matches flags by full name only: a prefix would otherwise
+    # change its meaning silently when a flag is added or renamed, as
+    # compare's --seed became --seeds once --seed was gone
     parser = argparse.ArgumentParser(
         prog="ncrl-lab",
         description="Multi-label loss laboratory: synthetic data, training, "
                     "threshold rules, and experiment suites.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-data", help="generate a synthetic JSONL dataset")
+    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    gen = command("gen-data", help="generate a synthetic JSONL dataset")
     _add_synth_flags(gen)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="JSONL output path")
     gen.set_defaults(handler=_cmd_gen_data)
 
-    tr = sub.add_parser("train", help="train a scorer on a JSONL dataset")
+    tr = command("train", help="train a scorer on a JSONL dataset")
     tr.add_argument("--data", required=True)
     tr.add_argument("--dev", default=None,
                     help="dev JSONL; defaults to a 15%% tail split of --data")
@@ -289,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True, help="checkpoint JSON path")
     tr.set_defaults(handler=_cmd_train)
 
-    ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+    ev = command("eval", help="evaluate a checkpoint on a dataset")
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--rule", choices=("adaptive", "global", "per-label"),
@@ -300,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list for --rule per-label")
     ev.set_defaults(handler=_cmd_eval)
 
-    gc = sub.add_parser("grad-check",
-                        help="compare analytic gradients to finite differences")
+    gc = command("grad-check",
+                 help="compare analytic gradients to finite differences")
     gc.add_argument("--loss", required=True, choices=LOSS_KINDS)
     gc.add_argument("--gamma", type=float, default=0.0)
     gc.add_argument("--k", type=_int_list, default=[10],
@@ -310,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--seed", type=int, default=0)
     gc.set_defaults(handler=_cmd_grad_check)
 
-    co = sub.add_parser("consistency",
-                        help="verify surrogate-risk minimizers against the "
-                             "closed-form optimum")
+    co = command("consistency",
+                 help="verify surrogate-risk minimizers against the "
+                      "closed-form optimum")
     co.add_argument("--trials", type=int, default=1000)
     co.add_argument("--k", type=int, default=5)
     co.add_argument("--seed", type=int, default=7)
@@ -320,17 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--iters", type=int, default=5000)
     co.set_defaults(handler=_cmd_consistency)
 
-    sw = sub.add_parser("sweep", help="tune thresholds on a dataset")
+    sw = command("sweep", help="tune thresholds on a dataset")
     sw.add_argument("--model", required=True)
     sw.add_argument("--data", required=True)
     sw.add_argument("--grid", choices=("coarse", "fine"), default="coarse")
     sw.add_argument("--per-label", action="store_true")
     sw.set_defaults(handler=_cmd_sweep)
 
-    # compare and ablate match flags by full name only: a --seed, which they
-    # do not take, would otherwise be read as --seeds
-    cmp_ = sub.add_parser("compare", help="train competing losses on shared data",
-                          allow_abbrev=False)
+    cmp_ = command("compare", help="train competing losses on shared data")
     _add_synth_flags(cmp_)
     _add_train_flags(cmp_)
     cmp_.add_argument("--losses", type=_loss_list, required=True,
@@ -344,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--out", required=True, help="results CSV path")
     cmp_.set_defaults(handler=_cmd_compare)
 
-    ab = sub.add_parser("ablate", help="six-variant component ablation",
-                        allow_abbrev=False)
+    ab = command("ablate", help="six-variant component ablation")
     _add_synth_flags(ab)
     _add_train_flags(ab)
     ab.add_argument("--gamma", type=float, default=0.05,

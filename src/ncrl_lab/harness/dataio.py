@@ -2,13 +2,20 @@
 
 Datasets are one JSON object per line, `{"features": [...], "labels":
 [positive indices 1..K], "k": K}`; the none flag is derived on load, never
-stored. Datasets stream line by line: saving writes each line as soon as it
-is formed, and loading appends each line's checked features to a growing
-float64 buffer, so neither holds a whole-file copy of the text or of the
-values as Python objects. A file of at least two `MIN_RANGE_BYTES` is
-loaded as one byte range per usable CPU, the first parsed in this process
-and the others in forked children that send their buffers back through
-pipes; the values are those of one pass over the file.
+stored. Datasets stream: saving formats a bounded chunk of rows at a time
+and writes it as soon as it is formed, and loading appends each line's
+checked features to a growing float64 buffer, so neither holds a
+whole-file copy of the text or of the values as Python objects.
+
+Large datasets use every usable CPU, through one fork helper,
+`_in_children`: this process does the first piece of the work while forked
+children do the others and send their results back through pipes, which
+are read in file order; a piece whose child died is done here. A file of
+at least two `MIN_RANGE_BYTES` is loaded as one byte range per CPU, each
+child sending its range's float64 and int64 buffers; a dataset whose text
+is estimated at that size is saved as one row block per CPU, each child
+forming its block's whole text before it sends it. The values, the bytes
+written and the errors are those of one pass.
 
 Every reader follows one rule: the first line in file order that is
 refused, for a byte that is not UTF-8 or for its content, is reported as
@@ -45,6 +52,12 @@ from ..datagen import Dataset
 # at 2 and 4 MiB.
 MIN_RANGE_BYTES = 1 << 20
 
+# Rows are formatted in chunks of this many lines, about 0.3 MiB of text at
+# K=28 and 50 features, and a child's text is copied in chunks of this many
+# bytes, so the text held in this process stays bounded.
+_CHUNK_ROWS = 256
+_COPY_BYTES = 1 << 16
+
 _FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
                  r"may lead to deadlocks in the child")
 
@@ -76,9 +89,9 @@ def check_output_path(path: str) -> None:
         raise FileNotFoundError(f"{path}: no directory {directory} to write into")
 
 
-def _atomic_text_write(path: str, chunks) -> None:
-    """Write the strings of the iterable `chunks` to `path` as they come; a
-    failure part way, in a write or in forming a chunk, leaves no file. The
+def _atomic_write(path: str, write) -> None:
+    """Call `write(handle)` with a binary file that then becomes `path`; a
+    failure part way, in a write or in forming the text, leaves no file. The
     file gets the mode `open` would give it, 0o666 less the umask."""
     check_output_path(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -86,8 +99,8 @@ def _atomic_text_write(path: str, chunks) -> None:
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")  # mode 0600
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(chunks)
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
@@ -96,12 +109,11 @@ def _atomic_text_write(path: str, chunks) -> None:
         raise
 
 
-def save_dataset(data: Dataset, path: str) -> None:
-    _atomic_text_write(path, (json.dumps({
-        "features": features.tolist(),
-        "labels": (np.flatnonzero(flags[1:]) + 1).tolist(),
-        "k": data.k,
-    }) + "\n" for features, flags in zip(data.features, data.labels)))
+def _atomic_text_write(path: str, chunks) -> None:
+    """Write the strings of the iterable `chunks` to `path` as UTF-8 as they
+    come, through `_atomic_write`."""
+    _atomic_write(path, lambda handle: handle.writelines(
+        chunk.encode("utf-8") for chunk in chunks))
 
 
 def _parse_instance(obj: dict):
@@ -309,18 +321,19 @@ def _receive(pipe):
     return part
 
 
-def _fork(path: str, start: int, end: int):
-    """(pid, the read end of its pipe) of a forked child that parses bytes
-    start..end of `path` and sends back the part; None if fork fails."""
+def _fork(send, job):
+    """(pid, the read end of its pipe) of a forked child that runs
+    `send(pipe, job)` on the write end and leaves; None if fork fails."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns that fork() in a process with other threads
             # may deadlock the child on a lock one of them held. Here those
             # are numpy's BLAS workers (OpenBLAS stops its own around a
-            # fork). The child runs only the stdlib parsing loop, whose
-            # modules are all imported, and leaves by os._exit, so it takes
-            # no lock those threads use.
+            # fork). A child runs only the stdlib parsing loop, or `repr`
+            # and numpy's nonzero, searchsorted and tolist, none of which
+            # calls BLAS, with every module imported, and leaves by
+            # os._exit, so it takes no lock those threads use.
             warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
             pid = os.fork()
     except OSError:
@@ -328,10 +341,12 @@ def _fork(path: str, start: int, end: int):
         os.close(write_fd)
         return None
     if pid == 0:
-        try:  # never return into the caller, flush its stdio or run atexit
+        # never return into the caller, nor flush its stdio or open files,
+        # nor run its cleanup or atexit handlers
+        try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
-                _send(pipe, _parse_range(path, start, end))
+                send(pipe, job)
         finally:
             os._exit(0)
     os.close(write_fd)
@@ -348,28 +363,124 @@ def _reap(child, kill: bool) -> None:
         os.waitpid(pid, 0)
 
 
-def _parts(path: str):
-    """The parts of `path` in file order. The first range is parsed here
-    while forked children parse the others, and a range whose child died is
-    parsed here. Closing the generator kills and reaps the children not yet
-    reaped."""
-    ranges = _byte_ranges(path)
+def _in_children(jobs: list, here, send, receive):
+    """`here(job)` for each of `jobs`, in order. This process runs the first
+    job while a forked child runs `send(pipe, job)` for each of the others;
+    `receive(pipe)` gives the result a child sent, or None if it died
+    first, and then the job runs here. Closing the generator kills and
+    reaps the children not yet reaped."""
     children = {}
     try:
-        for index, (start, end) in enumerate(ranges[1:], start=1):
-            child = _fork(path, start, end)
+        for index, job in enumerate(jobs[1:], start=1):
+            child = _fork(send, job)
             if child:
                 children[index] = child
-        yield _parse_range(path, *ranges[0])
-        for index, (start, end) in enumerate(ranges[1:], start=1):
-            part = None
+        yield here(jobs[0])
+        for index, job in enumerate(jobs[1:], start=1):
+            result = None
             if index in children:
-                part = _receive(children[index][1])
+                result = receive(children[index][1])
                 _reap(children.pop(index), kill=False)
-            yield part or _parse_range(path, start, end)
+            yield here(job) if result is None else result
     finally:
         for child in children.values():
             _reap(child, kill=True)
+
+
+def _parts(path: str):
+    """The parts of `path` in file order, one per byte range, through
+    `_in_children`."""
+    return _in_children(_byte_ranges(path), lambda span: _parse_range(path, *span),
+                        lambda pipe, span: _send(pipe, _parse_range(path, *span)),
+                        _receive)
+
+
+def _dataset_text(data: Dataset, lo: int, hi: int):
+    """The JSONL lines of rows lo..hi of `data`, as strings of up to
+    _CHUNK_ROWS lines. Each line is the `json.dumps` of its row's dict: the
+    fixed key text around `repr` of the feature and label lists, which for
+    finite floats and ints is the text `json.dumps` gives."""
+    rows, columns = np.nonzero(data.labels[lo:hi, 1:])
+    ends = np.searchsorted(rows, np.arange(hi - lo + 1))  # row i: ends[i]..ends[i+1]
+    tail = f', "k": {data.k}}}\n'
+    for start in range(0, hi - lo, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, hi - lo)
+        bounds = (ends[start:stop + 1] - ends[start]).tolist()
+        labels = (columns[ends[start]:ends[stop]] + 1).tolist()
+        yield "".join([
+            f'{{"features": {features!r}, "labels": {labels[a:b]!r}{tail}'
+            for features, a, b in zip(data.features[lo + start:lo + stop].tolist(),
+                                      bounds, bounds[1:])])
+
+
+def _row_blocks(data: Dataset) -> list:
+    """(lo, hi) row blocks cutting `data` into up to one block per usable CPU,
+    by the rule `_byte_ranges` cuts a file by: each at least MIN_RANGE_BYTES
+    of text, estimated as the first line's length times the row count.
+    Without fork, the dataset is one block."""
+    size = len(next(_dataset_text(data, 0, 1))) * len(data)
+    count = min(_usable_cpus(), size // MIN_RANGE_BYTES, len(data))
+    if count < 2 or not hasattr(os, "fork"):
+        return [(0, len(data))]
+    cuts = [i * len(data) // count for i in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _send_text(pipe, data: Dataset, block) -> None:
+    """Form the whole text of a row block, then send its length and bytes;
+    a child never waits on the pipe before its block is formed."""
+    text = bytearray()
+    for chunk in _dataset_text(data, *block):
+        text += chunk.encode("ascii")
+    pipe.write(len(text).to_bytes(8, "little"))
+    pipe.write(text)
+
+
+def _copy_text(pipe, handle):
+    """Copy the text a child sent through `pipe` to `handle` in chunks of
+    _COPY_BYTES; None, with nothing left written, if the child died first."""
+    start = handle.tell()
+    header = pipe.read(8)
+    left = int.from_bytes(header, "little") if len(header) == 8 else -1
+    while left > 0 and (chunk := pipe.read1(min(left, _COPY_BYTES))):
+        handle.write(chunk)
+        left -= len(chunk)
+    if left:
+        handle.seek(start)
+        handle.truncate()
+        return None
+    return True
+
+
+def _write_blocks(data: Dataset, handle) -> None:
+    """Write the text of `data` to the binary file `handle`, one row block
+    per `_row_blocks` entry, through `_in_children`."""
+    def here(block):
+        for chunk in _dataset_text(data, *block):
+            handle.write(chunk.encode("ascii"))
+        return True
+
+    with contextlib.closing(_in_children(
+            _row_blocks(data), here,
+            lambda pipe, block: _send_text(pipe, data, block),
+            lambda pipe: _copy_text(pipe, handle))) as blocks:
+        for _ in blocks:
+            pass
+
+
+def save_dataset(data: Dataset, path: str) -> None:
+    """Write `data` to `path` as JSONL, one `json.dumps` line per row.
+
+    A dataset whose text is estimated at two MIN_RANGE_BYTES or more is cut
+    into up to one contiguous row block per usable CPU. This process
+    formats and writes the first block while forked children each form the
+    whole text of another block in their own memory; that text is then
+    copied here in file order, in bounded chunks, so the file is the one a
+    single pass writes. A block whose child died is formatted here. Every
+    child is reaped before this returns or raises, and a failure leaves no
+    file.
+    """
+    _atomic_write(path, lambda handle: _write_blocks(data, handle))
 
 
 def load_dataset(path: str) -> Dataset:

@@ -115,9 +115,7 @@ def check_loss(kind: str, gamma: float) -> None:
     for a kind that does not shift, which would ignore it."""
     check_kind(kind)
     check_gamma(gamma)
-    if gamma != 0.0 and kind not in _SHIFTED_KINDS:
-        raise ValueError(f"loss kind {kind!r} does not shift; gamma must be 0, "
-                         f"got {gamma}")
+    stack_rank(kind, gamma)  # refuses the gamma a kind would ignore
 
 
 def _pair(pre_labels, scores, require_finite=True):
@@ -260,8 +258,15 @@ _SHIFTED_KINDS = frozenset({"ncrl_final", "ncrl_noreg", "bce_shifted"})
 
 
 def stack_rank(kind: str, gamma: float) -> int:
-    """Sort key of a cell in a kind-sorted stack; checks a shifted kind's gamma."""
-    return _RANKS[kind, kind in _SHIFTED_KINDS and check_gamma(gamma) > 0.0]
+    """Sort key of a cell in a kind-sorted stack. Checks a shifted kind's
+    gamma, and refuses a nonzero gamma for a kind that does not shift, which
+    would ignore it; `_plan` caches the check for a training run's stack."""
+    if kind not in _SHIFTED_KINDS:
+        if gamma != 0.0:
+            raise ValueError(f"loss kind {kind!r} does not shift; gamma must "
+                             f"be 0, got {gamma}")
+        return _RANKS[kind, False]
+    return _RANKS[kind, check_gamma(gamma) > 0.0]
 
 
 class _Plan(NamedTuple):

@@ -659,6 +659,30 @@ class TestCli:
                 capsys.readouterr().err, argv
         assert not out.exists()
 
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, capsys):
+        # a prefix used to stand for the flag it began, so gen-data --see 3
+        # ran as --seed 3 and grad-check --gam 0.05 as --gamma 0.05
+        out = str(tmp_path / "out")
+        for argv, flag in (
+                (["gen-data", "--see", "3", "--out", out], "--see 3"),
+                (["train", "--data", "d.jsonl", "--loss", "bce", "--out", out,
+                  "--epoch", "2"], "--epoch 2"),
+                (["eval", "--model", "m.json", "--data", "d.jsonl", "--rul",
+                  "global"], "--rul global"),
+                (["grad-check", "--loss", "bce", "--gam", "0.05"], "--gam 0.05"),
+                (["consistency", "--tri", "5"], "--tri 5"),
+                (["sweep", "--model", "m.json", "--data", "d.jsonl", "--per"],
+                 "--per"),
+                (["compare", "--losses", "bce", "--out", out, "--no-none"],
+                 "--no-none"),
+                (["ablate", "--out", out, "--sweep", "0.1"], "--sweep 0.1")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert f"unrecognized arguments: {flag}\n" in \
+                capsys.readouterr().err, argv
+        assert not os.path.exists(out)
+
     def test_negative_seed_exits_1_naming_it(self, tmp_path, capsys):
         # numpy's own error, "expected non-negative integer", named no flag
         data, out = str(tmp_path / "data.jsonl"), str(tmp_path / "out")

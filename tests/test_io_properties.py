@@ -1,9 +1,10 @@
 """Round-trip properties of the file formats a user writes by hand or by tool.
 
 A dataset saved as JSONL is written as plain `json.dumps` lines and loads
-back bit for bit, and a config file parses to the namespace the same flags
-give on the command line, or is refused as they are, for every flag type the
-train, compare and ablate subcommands take.
+back bit for bit, in one block of rows or in several, and a config file
+parses to the namespace the same flags give on the command line, or is
+refused as they are, for every flag type the train, compare and ablate
+subcommands take.
 """
 
 import json
@@ -11,11 +12,13 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ncrl_lab.datagen import Dataset
+from ncrl_lab.harness import dataio
 from ncrl_lab.harness.cli import _expand_config_args, build_parser
 from ncrl_lab.harness.dataio import load_dataset, save_dataset
 from ncrl_lab.losses import LOSS_KINDS
@@ -39,28 +42,46 @@ def datasets(draw):
                                             axis=1))
 
 
+def assert_round_trip(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.jsonl")
+        save_dataset(data, path)
+        with open(path, "rb") as handle:
+            written = handle.read()
+        back = load_dataset(path)
+    reference = "".join(
+        json.dumps({"features": [float(v) for v in data.features[row]],
+                    "labels": [int(i) for i in range(1, data.k + 1)
+                               if data.labels[row, i]],
+                    "k": data.k}) + "\n"
+        for row in range(len(data)))
+    assert written == reference.encode("utf-8")
+    # compared as bits, so -0.0 and every subnormal must survive
+    assert back.features.dtype == np.float64
+    assert np.array_equal(back.features.view(np.int64),
+                          data.features.view(np.int64))
+    assert np.array_equal(back.labels, data.labels)
+
+
 class TestDatasetRoundTrip:
     @settings(max_examples=150)
     @given(datasets())
     def test_save_then_load_is_exact(self, data):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "data.jsonl")
-            save_dataset(data, path)
-            with open(path, "rb") as handle:
-                written = handle.read()
-            back = load_dataset(path)
-        reference = "".join(
-            json.dumps({"features": [float(v) for v in data.features[row]],
-                        "labels": [int(i) for i in range(1, data.k + 1)
-                                   if data.labels[row, i]],
-                        "k": data.k}) + "\n"
-            for row in range(len(data)))
-        assert written == reference.encode("utf-8")
-        # compared as bits, so -0.0 and every subnormal must survive
-        assert back.features.dtype == np.float64
-        assert np.array_equal(back.features.view(np.int64),
-                              data.features.view(np.int64))
-        assert np.array_equal(back.labels, data.labels)
+        assert_round_trip(data)
+
+    @settings(max_examples=40)
+    @given(datasets(), st.sampled_from((2, 3, 7)))
+    def test_save_then_load_is_exact_in_blocks(self, data, count):
+        # up to `count` blocks of rows, and as many byte ranges, formatted
+        # and parsed in forked children
+        saved = dataio.MIN_RANGE_BYTES, dataio._usable_cpus
+        dataio.MIN_RANGE_BYTES, dataio._usable_cpus = 1, lambda: count
+        try:
+            assert_round_trip(data)
+        finally:
+            dataio.MIN_RANGE_BYTES, dataio._usable_cpus = saved
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # value strategies by flag type, as the text a user would type

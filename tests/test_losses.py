@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ncrl_lab.losses import (Workspace, atl, batch_loss, bce, bce_shifted,
-                             hamming_error, logistic_terms,
+                             hamming_error, instance_losses, logistic_terms,
                              margin_regularization, margins, ncre_error,
                              ncrl_final, ncrl_noreg, ncrl_plain,
                              pairwise_ranking, ranking_error,
@@ -380,6 +380,25 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             batch_loss("focal", np.array([[1, 0, 0]]), np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("kind", ["bce", "atl", "ncrl_plain", "pairwise"])
+    def test_gamma_of_a_kind_that_does_not_shift_is_refused(self, kind):
+        # these kinds ignored a gamma, returning the gamma = 0 value
+        Y = np.array([[0, 1, 0, 1], [1, 0, 0, 0]])
+        F = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
+        for gamma in (0.5, 7.0):
+            message = (f"loss kind '{kind}' does not shift; gamma must be 0, "
+                       f"got {gamma}")
+            with pytest.raises(ValueError, match=message):
+                batch_loss(kind, Y, F, gamma)
+            with pytest.raises(ValueError, match=message):
+                batch_loss(["ncrl_final", kind], np.stack([Y, Y]),
+                           np.stack([F, F]), [0.05, gamma])
+        with pytest.raises(ValueError, match="does not shift"):
+            instance_losses(kind, Y, F, 0.9)
+        batch_loss(kind, Y, F, 0.0)
+        batch_loss(kind, Y, F)
+        assert margin_regularization([1, 0, 1], F[0]).value > 0
+
     def test_non_finite_batch_rejected(self):
         with pytest.raises(ValueError):
             batch_loss("bce", np.array([[1, 0, 0]]),
@@ -392,7 +411,9 @@ class TestBatchLoss:
         # runs as given; the others are sorted inside and put back.
         rng = np.random.default_rng(16)
         b, k = 48, 6
-        cells = [(kind, gamma)
+        # a kind that does not shift takes only gamma 0, here once per gamma
+        cells = [(kind, gamma if kind in ("ncrl_final", "ncrl_noreg",
+                                          "bce_shifted") else 0.0)
                  for kind in ("ncrl_plain", "ncrl_final", "ncrl_noreg", "bce",
                               "bce_shifted")
                  for gamma in (0.0, 0.01, 0.05, 0.2)]

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ncrl_lab.datagen import (Dataset, SyntheticConfig, generate, split,
@@ -162,6 +164,67 @@ class TestTrain:
                     TrainConfig("bce", **{key: value}).validate()
 
 
+_SHIFTED = ("ncrl_final", "ncrl_noreg", "bce_shifted")
+_POOL = generate(SyntheticConfig(num_labels=3, feature_dim=4, num_instances=520,
+                                 none_fraction_target=0.3, seed=11))
+
+
+@st.composite
+def cell_sets(draw):
+    """(configs, training sets, dev sets, diverging flags), one of each per
+    cell: 1-6 cells of any kind, gamma and scorer on 1-4 training sets whose
+    sizes the batch size does not divide, and on two dev sets."""
+    batch = draw(st.sampled_from((8, 16)))
+    sizes = [batch * draw(st.integers(1, 5)) + draw(st.integers(1, batch - 1))
+             for _ in range(draw(st.integers(1, 4)))]
+    starts = np.cumsum([120] + sizes)
+    sets = [take(_POOL, range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
+    devs = [take(_POOL, range(0, 70)), take(_POOL, range(70, 120))]
+    epochs = draw(st.integers(1, 3))
+    configs, data, dev, diverge = [], [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(LOSS_KINDS))
+        gamma = draw(st.sampled_from((0.0, 0.01, 0.2))) if kind in _SHIFTED else 0.0
+        hidden = draw(st.sampled_from((0, 3)))
+        configs.append(TrainConfig(kind, gamma=gamma, epochs=epochs,
+                                   batch_size=batch, learning_rate=0.05,
+                                   seed=draw(st.integers(0, 3)),
+                                   hidden_width=hidden))
+        data.append(draw(st.sampled_from(sets)))
+        dev.append(draw(st.sampled_from(devs)))
+        diverge.append(hidden == 0 and draw(st.integers(0, 5)) == 0)
+    return configs, data, dev, diverge
+
+
+def _train_cells(configs, data, dev, diverge, cells):
+    """`train` on the given cells only, in the given order; a diverging cell
+    gets a linear scorer whose scores overflow on a feature above 1.8."""
+    scorers = []
+    for c in cells:
+        weights = None
+        if diverge[c]:
+            weights = np.full((data[c].k + 1, data[c].dim), 0.1)
+            weights[1, 0] = 1e308
+        scorers.append(None if weights is None
+                       else LinearScorer(weights, np.zeros(data[c].k + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = train([data[c] for c in cells], [dev[c] for c in cells],
+                        [configs[c] for c in cells], scorers=scorers)
+    return dict(zip(cells, results))
+
+
+def _outcome(result):
+    """A cell's result as comparable values, floats as int64 bits."""
+    if result.error is not None:
+        return ("error", str(result.error))
+    history = result.history
+    return ({name: value.view(np.int64).tolist()
+             for name, value in result.scorer.params.items()},
+            np.array(history.train_loss).view(np.int64).tolist(),
+            np.array(history.dev_metric).view(np.int64).tolist(),
+            history.best_epoch)
+
+
 class TestStackedTraining:
     def test_stack_matches_one_cell_training(self):
         # margin kinds, atl and pairwise share the linear stack; two MLP cells
@@ -211,6 +274,27 @@ class TestStackedTraining:
             assert result.history.train_loss == alone.history.train_loss
             assert result.history.dev_metric == alone.history.dev_metric
             assert result.history.best_epoch == alone.history.best_epoch
+
+    @settings(max_examples=40)
+    @given(cell_sets(), st.data())
+    def test_any_cell_set_trains_alike_in_any_calls(self, case, choices):
+        # one call, a random partition into calls and a shuffled order give
+        # each cell the same parameters, history and error text
+        configs, data, dev, diverge = case
+        cells = list(range(len(configs)))
+        whole = _train_cells(configs, data, dev, diverge, cells)
+        shuffled = _train_cells(configs, data, dev, diverge,
+                                choices.draw(st.permutations(cells)))
+        groups = choices.draw(st.lists(st.integers(0, 2), min_size=len(cells),
+                                       max_size=len(cells)))
+        parts = {}
+        for group in set(groups):
+            parts.update(_train_cells(configs, data, dev, diverge,
+                                      [c for c in cells if groups[c] == group]))
+        for c in cells:
+            expected = _outcome(whole[c])
+            assert _outcome(shuffled[c]) == expected, configs[c]
+            assert _outcome(parts[c]) == expected, configs[c]
 
     def test_uneven_stack_matches_one_cell_training(self):
         # every cell has its own training set, some their own dev set: sizes

@@ -138,7 +138,7 @@ def _descend(deltas: np.ndarray, scores: np.ndarray, step: float, iters: int):
                 snap_f = f.view(np.int64).copy()
                 snap_f0 = f0.view(np.int64).copy()
             # sigmoid(m) = max(e, m >= 0) / (1 + e) with e = exp(-|m|), as in
-            # losses.logistic_terms: the numerator is 1 or e, and e <= 1
+            # losses._logistic: the numerator is 1 or e, and e <= 1
             np.abs(m, out=e)
             np.negative(e, out=e)
             np.exp(e, out=e)

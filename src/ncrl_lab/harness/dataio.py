@@ -21,9 +21,9 @@ Every reader follows one rule: the first line in file order that is
 refused, for a byte that is not UTF-8 or for its content, is reported as
 `path:line: reason`, whatever the number of ranges. Files are decoded with
 `surrogateescape`, so decoding never fails, and each line is checked for
-an escaped byte where it is parsed. Non-finite dataset values are checked
-after every line has parsed. All writers go through a temp file plus
-atomic rename so failed runs leave no partial outputs.
+an escaped byte where it is parsed. A dataset row with a non-finite value
+is refused at its line too. All writers go through a temp file plus atomic
+rename so failed runs leave no partial outputs.
 """
 
 from __future__ import annotations
@@ -80,8 +80,13 @@ CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 def check_output_path(path: str) -> None:
-    """Refuse, naming `path`, an output path that is a directory or whose
-    directory does not exist; the CLI checks its --out before any work."""
+    """Refuse, naming `path`, an output path that no file can take: an empty
+    one, one ending in a path separator, a directory, or one whose directory
+    does not exist; the CLI checks its --out before any work."""
+    if not path:
+        raise ValueError("'': an empty path is not an output file")
+    if path.endswith(tuple(filter(None, (os.sep, os.altsep)))):
+        raise ValueError(f"{path}: ends in a path separator, not an output file")
     if os.path.isdir(path):
         raise IsADirectoryError(f"{path}: is a directory, not an output file")
     directory = os.path.dirname(os.path.abspath(path))
@@ -182,12 +187,11 @@ class _Part:
     """The instances of one byte range of a dataset, numbered from the
     range's first line."""
 
-    BUFFERS = ("values", "labels", "counts", "line_nos")
+    BUFFERS = ("values", "labels", "counts")
 
     def __init__(self):
         self.values = array.array("d")  # row-major features, grown line by line
-        self.labels, self.counts, self.line_nos = (array.array("q")
-                                                   for _ in range(3))
+        self.labels, self.counts = array.array("q"), array.array("q")
         self.lines = 0  # lines read, blank ones included
         self.first = None  # (line, k, feature length) of the first instance
         self.error = None  # (line, message, cause) of the first refused line
@@ -195,9 +199,10 @@ class _Part:
 
 def _parse_lines(handle, part: _Part) -> None:
     """Add the instances of a text stream to `part` up to the first refused
-    line, for its bytes or its content, which is recorded in `part.error`."""
-    values, labels, counts, line_nos = (getattr(part, name)
-                                        for name in _Part.BUFFERS)
+    line, for its bytes, its content or a non-finite value, which is
+    recorded in `part.error`."""
+    values, labels, counts = (getattr(part, name) for name in _Part.BUFFERS)
+    line_nos = array.array("q")
     k = dim = None
     line_no = 0
     for line_no, line in enumerate(handle, start=1):
@@ -217,15 +222,24 @@ def _parse_lines(handle, part: _Part) -> None:
                 raise ValueError(f"feature length {len(feats)} != {dim}")
         except json.JSONDecodeError as exc:
             part.error = (line_no, f"malformed JSON ({exc.msg})", exc)
-            return
+            break
         except ValueError as exc:
             part.error = (line_no, str(exc), exc)
-            return
+            break
         values.extend(feats)
         labels.extend(line_labels)
         counts.append(len(line_labels))
         line_nos.append(line_no)
     part.lines = line_no
+    # JSON NaN and Infinity parse as floats; every row added lies before a
+    # refused line, so its line is the earlier one. The view of `values`
+    # lives for this statement only, so the buffer can still grow.
+    if counts:
+        finite = np.isfinite(np.frombuffer(values, dtype=float).reshape(
+            len(counts), dim)).all(axis=1)
+        if not finite.all():
+            part.error = (line_nos[np.argmin(finite)],
+                          "features must be finite numbers", None)
 
 
 class _ByteRange(io.RawIOBase):
@@ -330,10 +344,10 @@ def _fork(send, job):
             # Python 3.12+ warns that fork() in a process with other threads
             # may deadlock the child on a lock one of them held. Here those
             # are numpy's BLAS workers (OpenBLAS stops its own around a
-            # fork). A child runs only the stdlib parsing loop, or `repr`
-            # and numpy's nonzero, searchsorted and tolist, none of which
-            # calls BLAS, with every module imported, and leaves by
-            # os._exit, so it takes no lock those threads use.
+            # fork). A child runs only the stdlib parsing loop and numpy's
+            # isfinite, or `repr` and numpy's nonzero, searchsorted and
+            # tolist, none of which calls BLAS, with every module imported,
+            # and leaves by os._exit, so it takes no lock those threads use.
             warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
             pid = os.fork()
     except OSError:
@@ -485,9 +499,9 @@ def save_dataset(data: Dataset, path: str) -> None:
 
 def load_dataset(path: str) -> Dataset:
     """The dataset in the JSONL file `path`. The first line in file order
-    refused for a byte that is not UTF-8 or for its content is reported as
-    `path:line: reason`, whatever the number of ranges; non-finite values
-    are checked once every line has parsed, and the first is reported.
+    refused for a byte that is not UTF-8, for its content or for a
+    non-finite value is reported as `path:line: reason`, whatever the number
+    of ranges.
 
     A file of at least two ranges of MIN_RANGE_BYTES is cut after \\n bytes
     into up to one byte range per usable CPU. This process parses the first
@@ -499,7 +513,7 @@ def load_dataset(path: str) -> Dataset:
     it, and a `k` or feature length that changes at its first instance is
     refused there.
     """
-    parts, starts = [], []  # parts with instances, lines before each
+    parts = []  # parts with instances
     first = None  # (line, k, feature length) of the file's first instance
     lines_before = 0
     with contextlib.closing(_parts(path)) as ranges:
@@ -517,7 +531,6 @@ def load_dataset(path: str) -> Dataset:
                 first = (lines_before + part.first[0],) + part.first[1:]
             if part.counts:
                 parts.append(part)
-                starts.append(lines_before)
             lines_before += part.lines
     if not parts:
         raise ValueError(f"{path}: no instances")
@@ -529,12 +542,6 @@ def load_dataset(path: str) -> Dataset:
             setattr(part, name, None)
     counts = np.frombuffer(joined.counts, dtype=np.int64)
     matrix = np.frombuffer(joined.values, dtype=float).reshape(len(counts), dim)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():  # JSON NaN and Infinity parse as floats
-        line_nos = np.concatenate([np.frombuffer(part.line_nos, dtype=np.int64)
-                                   + start for part, start in zip(parts, starts)])
-        raise ValueError(f"{path}:{line_nos[np.argmin(finite)]}: features "
-                         "must be finite numbers")
     try:
         flags = np.zeros((len(counts), k + 1), dtype=int)
     except MemoryError:
@@ -552,16 +559,22 @@ def save_json(obj, path: str) -> None:
 
 def load_json(path: str):
     """The decoded JSON file; its errors name the path, and a byte that is
-    not UTF-8 its line."""
+    not UTF-8 its line. Of a JSON error and a byte that is not UTF-8, the
+    one on the earlier line is reported, the byte on a line they share."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         text = handle.read()
-    if not text.isascii():
-        for _ in _lines(text.split("\n"), path):
-            pass
+    error = None
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        error = exc
+    if not text.isascii():
+        lines = text.split("\n")
+        for _ in _lines(lines[:error.lineno] if error else lines, path):
+            pass
+    if error:
+        raise ValueError(f"{path}: {error}") from error
+    return obj
 
 
 def write_results_csv(rows, path: str) -> None:

@@ -99,11 +99,6 @@ def margins(f) -> Margins:
     return Margins(m_pos=m_pos, m_neg=-m_pos, m0_pos=m0_pos, m0_neg=-m0_pos)
 
 
-def check_kind(kind: str) -> None:
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-
-
 def check_gamma(gamma: float) -> float:
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"shift parameter must lie in [0, 1), got {gamma}")
@@ -113,9 +108,7 @@ def check_gamma(gamma: float) -> float:
 def check_loss(kind: str, gamma: float) -> None:
     """Refuse an unknown kind, a gamma outside [0, 1), and a nonzero gamma
     for a kind that does not shift, which would ignore it."""
-    check_kind(kind)
-    check_gamma(gamma)
-    stack_rank(kind, gamma)  # refuses the gamma a kind would ignore
+    stack_rank(kind, gamma)
 
 
 def _pair(pre_labels, scores, require_finite=True):
@@ -166,35 +159,14 @@ class Workspace:
         return views
 
 
-def logistic_terms(z, positive, gamma):
-    """Logistic terms over oriented margins z and their derivatives dz.
-
-    Positive entries give -log sigmoid(z). Negative entries give
-    -log(min(sigmoid(-z) + gamma, 1)); terms with sigmoid(-z) >= 1 - gamma are
-    clamped to zero value and zero slope. gamma is a scalar or an array
-    broadcasting against z. Where gamma = 0 negatives are exactly softplus(z)
-    with slope sigmoid(z), untouched by the probability floor. Both sigmoids
-    come from one exp(-|z|), so neither is formed as one minus the other and
-    precision holds at large |z|.
-    """
-    z = np.asarray(z, dtype=float)
-    positive = np.asarray(positive, dtype=bool)
-    sign, value, dz, kept, *work = (np.empty(z.shape) for _ in range(8))
-    np.multiply(positive, -2.0, out=sign)  # -1 on positives, +1 on negatives
-    sign += 1.0
-    _logistic(z, sign, value, dz, work)
-    gamma = np.asarray(gamma, dtype=float)
-    if (gamma > 0.0).any():  # tested on gamma alone, often much smaller than z
-        mask = np.broadcast_to((gamma > 0.0) & ~positive, z.shape)
-        _shift(work, gamma, mask, value, dz, kept)
-    return value, dz
-
-
 def _logistic(z, sign, value, dz, work) -> None:
-    """The unshifted terms of logistic_terms into value and dz, given sign
-    -1 on positives and +1 on negatives. The four `work` arrays are left
-    holding what _shift reads: e, 1 + e, sign(zs) and sigmoid(zs), where
-    zs = z * sign."""
+    """Logistic terms over oriented margins z into value, and their
+    derivatives into dz, given sign -1 on positives and +1 on negatives:
+    -log sigmoid(z) on a positive, softplus(z) with slope sigmoid(z) on a
+    negative. Both sigmoids come from one exp(-|z|), so neither is formed as
+    one minus the other and precision holds at large |z|. The four `work`
+    arrays are left holding what _shift reads: e, 1 + e, sign(zs) and
+    sigmoid(zs), where zs = z * sign."""
     e, denom, side, sig = work
     zs = np.multiply(z, sign, out=value)
     np.abs(z, out=e)
@@ -213,7 +185,10 @@ def _logistic(z, sign, value, dz, work) -> None:
 
 
 def _shift(work, gamma, mask, value, dz, kept) -> None:
-    """Overwrite value and dz with the shifted terms where `mask` is set.
+    """Overwrite value and dz with the shifted terms where `mask` is set:
+    -log(min(sigmoid(-z) + gamma, 1)) on a negative, with terms where
+    sigmoid(-z) >= 1 - gamma clamped to zero value and zero slope. gamma is
+    a scalar or an array broadcasting against z.
 
     `work` is as _logistic left it for the same entries, and is spent here;
     `kept` is a float array shaped like value, so the 0/1 clamp factor
@@ -239,28 +214,30 @@ def _shift(work, gamma, mask, value, dz, kept) -> None:
 
 # Each margin kind sums logistic terms over K + 1 oriented margins with 0/1
 # weights: the average margin z_0 = f_0 - mean(f_1..f_K), positive on none
-# instances, counts for ncrl_final and margin_regularization, and the K
-# pre-defined columns z_i = f_i - a * f_0 (a = 1 ranks each label against the
-# none score, a = 0 is raw BCE) count for every other kind, so the columns
-# line up with the label and score columns. gamma shifts the negatives of
-# ncrl_final (both column kinds), ncrl_noreg and bce_shifted; at gamma = 0
-# these are the kinds they reduce to. (kind, shifted) -> place in a sorted
-# stack, which keeps each setting on one run: a = 0 on 0 and 6, the average
-# column on 2-4, shifting on 4-6 (the average column's on 4),
-# margin_regularization on 2, and the cells with their own kernels last.
+# instances, counts for ncrl_final only, and the K pre-defined columns
+# z_i = f_i - a * f_0 (a = 1 ranks each label against the none score, a = 0
+# is raw BCE) count for every margin kind, so the columns line up with the
+# label and score columns. gamma shifts the negatives of ncrl_final (both
+# column kinds), ncrl_noreg and bce_shifted; at gamma = 0 these are the kinds
+# they reduce to. (kind, shifted) -> place in a sorted stack, which keeps
+# each setting on one run: a = 0 on 0 and 5, the average column on 2-3,
+# shifting on 3-5 (the average column's on 3), and the cells with their own
+# kernels last.
 _RANKS = {("bce", False): 0, ("bce_shifted", False): 0,
           ("ncrl_plain", False): 1, ("ncrl_noreg", False): 1,
-          ("margin_regularization", False): 2,
-          ("ncrl_final", False): 3, ("ncrl_final", True): 4,
-          ("ncrl_noreg", True): 5, ("bce_shifted", True): 6,
-          ("atl", False): 7, ("pairwise", False): 8}
+          ("ncrl_final", False): 2, ("ncrl_final", True): 3,
+          ("ncrl_noreg", True): 4, ("bce_shifted", True): 5,
+          ("atl", False): 6, ("pairwise", False): 7}
 _SHIFTED_KINDS = frozenset({"ncrl_final", "ncrl_noreg", "bce_shifted"})
 
 
 def stack_rank(kind: str, gamma: float) -> int:
-    """Sort key of a cell in a kind-sorted stack. Checks a shifted kind's
-    gamma, and refuses a nonzero gamma for a kind that does not shift, which
-    would ignore it; `_plan` caches the check for a training run's stack."""
+    """Sort key of a cell in a kind-sorted stack, and the one check of a
+    loss setting: refuses an unknown kind, checks a shifted kind's gamma, and
+    refuses a nonzero gamma for a kind that does not shift, which would
+    ignore it; `_plan` caches the check for a training run's stack."""
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     if kind not in _SHIFTED_KINDS:
         if gamma != 0.0:
             raise ValueError(f"loss kind {kind!r} does not shift; gamma must "
@@ -277,7 +254,6 @@ class _Plan(NamedTuple):
     order: object = None
     margin: int = 0  # cells 0..margin-1 take the fused path
     average: slice = slice(0)  # cells whose average column counts
-    unranked: slice = slice(0)  # margin_regularization cells
     shifted: int = 0  # cells shifted..margin-1 shift their negatives
     slope: object = None  # a per margin cell, (margin, 1, 1)
     gamma: object = None  # of the shifted cells: a float if shared, else (n, 1, 1)
@@ -291,14 +267,13 @@ def _plan(kinds: tuple, gammas: tuple) -> _Plan:
     order = sorted(range(len(ranks)), key=ranks.__getitem__)
     if order != list(range(len(ranks))):
         return _Plan(order=np.array(order))
-    start = [bisect.bisect_left(ranks, rank) for rank in range(10)]
-    margin, shifted = start[7], start[4]
-    slope = np.array([float(0 < rank < 6) for rank in ranks[:margin]])[:, None, None]
+    start = [bisect.bisect_left(ranks, rank) for rank in range(7)]
+    margin, shifted = start[6], start[3]
+    slope = np.array([float(0 < rank < 5) for rank in ranks[:margin]])[:, None, None]
     gamma = np.array(gammas[shifted:margin], dtype=float)[:, None, None]
     for array in (slope, gamma):
         array.flags.writeable = False
-    return _Plan(None, margin, slice(start[2], start[5]), slice(start[2], start[3]),
-                 shifted, slope,
+    return _Plan(None, margin, slice(start[2], start[4]), shifted, slope,
                  float(gamma[0, 0, 0]) if len(set(gamma.flat)) == 1 else gamma)
 
 
@@ -335,15 +310,11 @@ def _margin_losses(plan, Y, F, ws, vals, grads) -> None:
         mask[avg.stop - cells.start:, :, 0] = False
         _shift([w[cells] for w in work], plan.gamma, mask, value[cells],
                grads[cells], kept[cells])
-    # 0/1 weights: only the average column and margin_regularization's
-    # pre-defined columns can carry a 0
+    # 0/1 weights: only the average column can carry a 0
     for lo, hi in ((0, avg.start), (avg.stop, plan.margin)):
         if lo < hi:
             value[lo:hi, :, 0] *= 0.0
             grads[lo:hi, :, 0] *= 0.0
-    if plan.unranked.start < plan.unranked.stop:
-        value[plan.unranked, :, 1:] *= 0.0
-        grads[plan.unranked, :, 1:] *= 0.0
     # lift dz back to the scores: f_0 takes dz_0 and -a * dz_i from each
     # pre-defined column; dz_0 spreads -dz_0 / k over f_1..f_K (outside the
     # average cells dz_0 is a signed zero that leaves them as they are)
@@ -387,7 +358,8 @@ def _pairwise_batch(Y, F):
     f = F[:, 1:]
     diff = f[:, None, :] - f[:, :, None]  # diff[b, i, j] = f_j - f_i
     pair = (y == 1)[:, :, None] & (y == 0)[:, None, :]
-    value, slope = logistic_terms(diff, False, 0.0)  # softplus and sigmoid
+    value, slope, *work = (np.empty(diff.shape) for _ in range(6))
+    _logistic(diff, 1.0, value, slope, work)  # softplus and sigmoid
     vals = (value * pair).sum(axis=(1, 2))
     slope *= pair
     grads = np.zeros_like(F)
@@ -426,19 +398,13 @@ def _stack_losses(kinds, Y, F, gammas, workspace=None):
     return vals, grads
 
 
-def _instance_losses(kind, Y, F, gamma):
-    """instance_losses of every kind, margin_regularization too, as one cell."""
-    vals, grads = _stack_losses([kind], Y[None], F[None], [gamma])
-    return vals[0], grads[0]
-
-
 def instance_losses(kind, Y, F, gamma=0.0):
     """Per-instance values and gradients for a whole batch.
 
     Y: (B, K+1) binary labels including the none column; F: (B, K+1) scores.
     """
-    check_kind(kind)
-    return _instance_losses(kind, Y, F, gamma)
+    vals, grads = _stack_losses([kind], Y[None], F[None], [gamma])
+    return vals[0], grads[0]
 
 
 def batch_loss(kind, Y, F, gamma=0.0, workspace=None):
@@ -465,8 +431,6 @@ def batch_loss(kind, Y, F, gamma=0.0, workspace=None):
     if F.ndim != 3 or not len(kinds) == len(gammas) == len(F):
         raise ValueError("a stacked batch needs (C, B, K+1) scores and C kinds "
                          "and gammas")
-    for name in kinds:
-        check_kind(name)
     vals, grads = _stack_losses(kinds, Y, F, gammas, workspace)
     grads /= F.shape[-2]
     means = np.add.reduce(vals, axis=-1) / F.shape[-2]
@@ -494,18 +458,19 @@ def ncre_error(y, f) -> float:
     return float(batch_ncre(Y, F)[0])
 
 
-def _per_instance(kind, doc, takes_gamma=False, name=None):
-    """Public one-instance form of a batched loss kind."""
+def _per_instance(kind, doc, name=None):
+    """Public one-instance form of a batched loss kind; a kind that shifts
+    takes gamma."""
 
     def with_gamma(y, f, gamma: float) -> LossResult:
         Y, F = _pair(y, f)
-        vals, grads = _instance_losses(kind, Y, F, gamma)
+        vals, grads = instance_losses(kind, Y, F, gamma)
         return LossResult(float(vals[0]), grads[0])
 
     def without_gamma(y, f) -> LossResult:
         return with_gamma(y, f, 0.0)
 
-    loss = with_gamma if takes_gamma else without_gamma
+    loss = with_gamma if kind in _SHIFTED_KINDS else without_gamma
     loss.__name__ = loss.__qualname__ = name or kind
     loss.__doc__ = doc
     return loss
@@ -514,9 +479,15 @@ def _per_instance(kind, doc, takes_gamma=False, name=None):
 ncrl_plain = _per_instance(
     "ncrl_plain", "Log-sigmoid surrogate of the none-class ranking error.")
 
-margin_regularization = _per_instance(
-    "margin_regularization",
-    "Average-margin term keeping f0 calibrated against the mean label score.")
+
+def margin_regularization(y, f) -> LossResult:
+    """Average-margin term keeping f0 calibrated against the mean label score."""
+    Y, F = _pair(y, f)
+    k = F.shape[1] - 1
+    z0 = F[0, :1] - np.add.reduce(F[0, 1:]) / k  # positive on none instances
+    value, dz, *work = (np.empty(1) for _ in range(6))
+    _logistic(z0, 1.0 - 2.0 * Y[0, 0], value, dz, work)
+    return LossResult(float(value[0]), np.concatenate([dz, np.full(k, -dz[0] / k)]))
 
 
 def shifted_negative_prob(m_neg: float, gamma: float) -> float:
@@ -529,13 +500,11 @@ def shifted_negative_prob(m_neg: float, gamma: float) -> float:
 ncrl_final = _per_instance(
     "ncrl_final",
     """Full training loss: ranking terms plus the average-margin term, with every
-    negative probability shifted by gamma (clamped terms contribute nothing).""",
-    takes_gamma=True)
+    negative probability shifted by gamma (clamped terms contribute nothing).""")
 
 ncrl_noreg = _per_instance(
     "ncrl_noreg",
-    "Final loss without the average-margin term (shifted ranking terms only).",
-    takes_gamma=True)
+    "Final loss without the average-margin term (shifted ranking terms only).")
 
 bce = _per_instance(
     "bce",
@@ -547,8 +516,7 @@ bce = _per_instance(
 
 bce_shifted = _per_instance(
     "bce_shifted",
-    "BCE with each negative probability 1 - sigmoid(f_i) shifted by gamma.",
-    takes_gamma=True)
+    "BCE with each negative probability 1 - sigmoid(f_i) shifted by gamma.")
 
 atl = _per_instance(
     "atl",

@@ -17,9 +17,9 @@ from ncrl_lab.harness import cli, dataio
 from ncrl_lab.harness.cli import main
 from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow,
                                      _atomic_text_write, load_dataset,
-                                     read_config_file, read_results_csv,
-                                     save_dataset, save_json,
-                                     write_results_csv)
+                                     load_json, read_config_file,
+                                     read_results_csv, save_dataset,
+                                     save_json, write_results_csv)
 from ncrl_lab.harness.experiments import (ExperimentConfig, ablation_variants,
                                           make_splits, run_ablation,
                                           run_compare, run_gamma_sweep,
@@ -596,6 +596,26 @@ class TestCli:
                 f"error: {model}:3: not UTF-8 text (0xff at byte 14 of the "
                 "line: invalid start byte)\n")
 
+    def test_checkpoint_reports_its_first_refused_line(self, tmp_path):
+        # every byte used to be checked before the parse, so a bad byte on a
+        # later line hid the malformed line before it
+        model = tmp_path / "model.json"
+        bad_byte = (":2: not UTF-8 text (0xff at byte 9 of the line: invalid "
+                    "start byte)")
+        cases = ((b'{\n  "a": ,\n  "b": "\xff"\n}\n',
+                  ": Expecting value: line 2 column 8 (char 9)"),
+                 (b'{\n  "b": "\xff",\n  "a": ,\n}\n', bad_byte),
+                 # on one line the byte comes first, as in every reader
+                 (b'{\n  "b": "\xff", "a": ,\n}\n', bad_byte))
+        for text, message in cases:
+            model.write_bytes(text)
+            with pytest.raises(ValueError) as info:
+                load_json(str(model))
+            assert str(info.value) == f"{model}{message}"
+        model.write_bytes(b'{"b": "\xff"}')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(model))}:1: "):
+            load_json(str(model))
+
     def test_checkpoint_header_must_match_parameters(self, tmp_path, capsys):
         data, model = str(tmp_path / "data.jsonl"), str(tmp_path / "model.json")
         assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "40",
@@ -788,6 +808,35 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert err.startswith(f"error: {out}: {reason}"), err
         assert list(tmp_path.iterdir()) == [data]
+
+    def test_out_no_file_can_take_exits_1_before_the_work(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # an empty --out and one ending in a separator used to pass the
+        # check; the work ran, and then renaming its temp file failed
+        work_dir = tmp_path / "work"
+        work_dir.mkdir()
+        data = work_dir / "data.jsonl"
+        save_dataset(generate(tiny_synth(num_instances=40)), str(data))
+        monkeypatch.chdir(work_dir)
+
+        def work(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        for name in ("generate", "train", "run_compare"):
+            monkeypatch.setattr(cli, name, work)
+        for out, message in (
+                ("", "'': an empty path is not an output file"),
+                ("newdir" + os.sep, f"newdir{os.sep}: ends in a path "
+                 "separator, not an output file"),
+                (str(work_dir / "newdir") + os.sep, f"{work_dir}{os.sep}newdir"
+                 f"{os.sep}: ends in a path separator, not an output file")):
+            for argv in (["gen-data", "--k", "3", "--dim", "4", "--n", "40"],
+                         ["train", "--data", str(data), "--loss", "bce"],
+                         ["compare", "--losses", "bce", "--seeds", "0"]):
+                assert main(argv + ["--out", out]) == 1, argv
+                assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(work_dir.iterdir()) == [data]
+        assert list(tmp_path.iterdir()) == [work_dir]
 
     def test_consistency_overflow_prints_one_error_line(self):
         # numpy's overflow warnings used to precede the error line

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ncrl_lab.losses import (LOSS_KINDS, Workspace, batch_loss,
-                             logistic_terms, sigmoid, softplus)
+                             instance_losses, margin_regularization, sigmoid,
+                             softplus)
 from ncrl_lab.model import (LinearScorer, MlpScorer, TrainConfig,
                             scorer_from_dict, scorer_to_dict)
 
@@ -87,6 +88,17 @@ def reference_value(kind, y_full, f, gamma):
                for i in np.flatnonzero(y == 1) for j in np.flatnonzero(y == 0))
 
 
+def reference_margin_regularization(y_full, f):
+    """The average-margin term's value and gradient, from the definition."""
+    k = f.size - 1
+    z0 = f[0] - f[1:].mean()
+    if y_full[0]:  # -log sigmoid(z0) on a none instance
+        value, dz = _positive(z0), -_sig(-z0)
+    else:
+        value, dz = _negative(z0, 0.0), _sig(z0)
+    return value, np.concatenate([[dz], np.full(k, -dz / k)])
+
+
 def rounding_floor(F):
     """Absolute rounding that no formula avoids: each margin of scores as
     large as |F| is off by an ulp of |F|, and a term formed from a
@@ -124,6 +136,19 @@ class TestAgainstReference:
             assert_matches_reference(kind, Y[c], F[c], gamma, values[c])
             value, grad = batch_loss(kind, Y[c], F[c], gamma)
             assert values[c] == value and np.array_equal(grads[c], grad)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(batches())
+    def test_margin_regularization_matches_reference(self, batch):
+        Y, F = batch
+        for y_full, f in zip(Y, F):
+            result = margin_regularization(y_full[1:], f)
+            value, grad = reference_margin_regularization(y_full, f)
+            floor = rounding_floor(f[None])
+            assert abs(result.value - value) <= 1e-12 * abs(value) + floor
+            assert np.abs(result.grad - grad).max() <= (
+                1e-12 * np.abs(grad).max() + floor)
 
 
 class TestBoolLabels:
@@ -196,8 +221,9 @@ class TestIdentities:
             # clearly inside the clamp: sigmoid(-z) >= 1 - gamma, with room
             # for the rounding of either sigmoid
             clamped = (y == 0) & (_sig(-z) >= 1.0 - gamma + 1e-9)
-            value, dz = logistic_terms(z, y == 1, gamma)
-            assert (value[clamped] == 0.0).all() and (dz[clamped] == 0.0).all()
+            values, _ = instance_losses(kind, Y, F, gamma)
+            # a row with no positive label and every negative clamped
+            assert (values[clamped.all(axis=1)] == 0.0).all()
             _, grad = batch_loss(kind, Y, F, gamma)
             assert (grad[:, 1:][clamped] == 0.0).all()
 

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ncrl_lab.losses import (Workspace, atl, batch_loss, bce, bce_shifted,
-                             hamming_error, instance_losses, logistic_terms,
+                             check_loss, hamming_error, instance_losses,
                              margin_regularization, margins, ncre_error,
                              ncrl_final, ncrl_noreg, ncrl_plain,
                              pairwise_ranking, ranking_error,
@@ -333,9 +333,8 @@ class TestSharedInvariants:
                 assert np.isfinite(res.grad).all()
         # unshifted, a far-wrong negative keeps its full unit slope: the
         # probability floor of the shifted branch must not reach it
-        _, dz = logistic_terms(np.array([800.0]), np.array([False]), 0.0)
-        assert dz[0] == 1.0
         assert ncrl_noreg([0], [0.0, 800.0], 0.0).grad[1] == 1.0
+        assert bce([0], [0.0, 800.0]).grad[1] == 1.0
 
 
 class TestLabelHelpers:
@@ -377,8 +376,28 @@ class TestBatchLoss:
                             rtol=0, atol=1e-12)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        message = "unknown loss kind 'focal'; expected one of"
+        with pytest.raises(ValueError, match=message):
             batch_loss("focal", np.array([[1, 0, 0]]), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=message):
+            instance_losses("focal", np.array([[1, 0, 0]]), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=message):
+            check_loss("focal", 0.0)
+        # a public function, not a kind a stack can hold
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            instance_losses("margin_regularization", np.array([[1, 0, 0]]),
+                            np.zeros((1, 3)))
+
+    def test_check_loss_messages(self):
+        check_loss("ncrl_final", 0.05)
+        check_loss("bce", 0.0)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\), got -0.5"):
+            check_loss("ncrl_final", -0.5)
+        # a kind that does not shift is refused for any nonzero gamma, one
+        # outside [0, 1) included
+        with pytest.raises(ValueError, match="loss kind 'bce' does not shift; "
+                           "gamma must be 0, got -0.5"):
+            check_loss("bce", -0.5)
 
     @pytest.mark.parametrize("kind", ["bce", "atl", "ncrl_plain", "pairwise"])
     def test_gamma_of_a_kind_that_does_not_shift_is_refused(self, kind):

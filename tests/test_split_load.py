@@ -281,6 +281,25 @@ class TestSameErrors:
         assert split_error(path, cpus, 3) == \
             f"{path}:{starts[1] + 5}: features must be finite numbers"
 
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("later_range", [False, True])
+    def test_nan_before_a_malformed_line_wins(self, tmp_path, cpus, count,
+                                              later_range):
+        # non-finite values used to be checked only once every line had
+        # parsed, so a later malformed line was reported instead
+        path = tmp_path / "data.jsonl"
+        lines = [LINE] * 30
+        write_lines(path, lines)
+        cpus(3)
+        starts = range_starts(path)
+        lines[1] = LINE.replace("3.0", "NaN")
+        lines[starts[1] if later_range else 3] = "{oops"
+        write_lines(path, lines)
+        cpus(count)
+        assert len(dataio._byte_ranges(str(path))) == count
+        assert outcome(path) == (
+            "error", f"{path}:2: features must be finite numbers")
+
     def test_all_blank_file(self, tmp_path, cpus):
         path = tmp_path / "data.jsonl"
         path.write_text(" \n\n\t\n\r\n" * 10)
@@ -358,8 +377,8 @@ class TestChildren:
     def test_sent_part_round_trips(self):
         part = dataio._Part()
         part.values.extend([1.5, -0.0, 2.0])
-        part.counts.append(0)
-        part.line_nos.append(4)
+        part.labels.append(2)
+        part.counts.append(1)
         part.lines, part.first = 6, (4, 2, 3)
         part.error = (6, "k changed from 2 to 3", ValueError("cause"))
         buffer = io.BytesIO()

@@ -558,9 +558,9 @@ def save_json(obj, path: str) -> None:
 
 
 def load_json(path: str):
-    """The decoded JSON file; its errors name the path, and a byte that is
-    not UTF-8 its line. Of a JSON error and a byte that is not UTF-8, the
-    one on the earlier line is reported, the byte on a line they share."""
+    """The decoded JSON file; its errors name the path and line. Of a JSON
+    error and a byte that is not UTF-8, the one on the earlier line is
+    reported, the byte on a line they share."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         text = handle.read()
     error = None
@@ -569,11 +569,11 @@ def load_json(path: str):
     except json.JSONDecodeError as exc:
         error = exc
     if not text.isascii():
-        lines = text.split("\n")
-        for _ in _lines(lines[:error.lineno] if error else lines, path):
+        for _ in _lines(text.split("\n")[:error.lineno if error else None], path):
             pass
     if error:
-        raise ValueError(f"{path}: {error}") from error
+        raise ValueError(f"{path}:{error.lineno}: malformed JSON "
+                         f"({error.msg})") from error
     return obj
 
 

@@ -2,10 +2,13 @@
 
 Every suite trains one scorer per (variant, seed) cell on a per-seed split,
 evaluates on the test block with the loss's native prediction rule, and
-emits ResultRows. All of a seed's cells go to one `train` call, which trains
-the cells that share their settings as one stacked model, even when their
-splits differ (the no-none study's full and stripped regimes); each cell's
-rows are identical to training it alone, and row order follows the configs.
+emits ResultRows. A swept cell is scored at the global threshold that
+training picked on dev at its best epoch; only the no-none study, which
+scores an adaptive kind under both rules, sweeps dev again. All of a seed's
+cells go to one `train` call, which trains the cells that share their
+settings as one stacked model, even when their splits differ (the no-none
+study's full and stripped regimes); each cell's rows are identical to
+training it alone, and row order follows the configs.
 A cell's `seconds` is its even share of its stack's training time plus its
 own test evaluation.
 """
@@ -20,7 +23,7 @@ import numpy as np
 from ..datagen import (SyntheticConfig, generate, inject_false_negatives,
                        inject_symmetric_noise, split, strip_none_instances)
 from ..metrics import MetricsReport, evaluate, micro_f1_flags
-from ..model import ADAPTIVE_KINDS, TrainConfig, train
+from ..model import TrainConfig, train
 from ..prediction import (COARSE_GRID, adaptive_flags, global_flags,
                           sweep_global_threshold)
 from .dataio import ResultRow
@@ -91,14 +94,6 @@ def make_splits(synth: SyntheticConfig, seed: int):
     return train_part, dev_part, test_part
 
 
-def _native_test_flags(scorer, loss_kind: str, dev_part, test_scores):
-    if loss_kind in ADAPTIVE_KINDS:
-        return adaptive_flags(test_scores)
-    t, _ = sweep_global_threshold(scorer.forward(dev_part.features),
-                                  dev_part.labels, COARSE_GRID)
-    return global_flags(test_scores, t)
-
-
 def _error_row(experiment: str, tc: TrainConfig, seed: int, result) -> ResultRow:
     return ResultRow(experiment, tc.loss_kind, tc.gamma, seed, "train",
                      "error", 1.0, result.history.seconds)
@@ -106,14 +101,15 @@ def _error_row(experiment: str, tc: TrainConfig, seed: int, result) -> ResultRow
 
 def run_cell(experiment: str, tc: TrainConfig, seed: int, splits,
              result) -> list:
-    """Measure one trained (variant, seed) cell on the test block."""
+    """Measure one trained (variant, seed) cell on the test block, flagged
+    at its best dev epoch's swept threshold, or adaptively if it has none."""
     if result.error is not None:
         return [_error_row(experiment, tc, seed, result)]
-    _, dev_part, test_part = splits
+    test_part = splits[2]
     started = time.perf_counter()
     test_scores = result.scorer.forward(test_part.features)
-    flags = _native_test_flags(result.scorer, tc.loss_kind, dev_part,
-                               test_scores)
+    t = result.history.threshold
+    flags = adaptive_flags(test_scores) if t is None else global_flags(test_scores, t)
     stats = evaluate(test_scores, test_part.labels, flags).as_dict()
     seconds = result.history.seconds + time.perf_counter() - started
     return [ResultRow(experiment, tc.loss_kind, tc.gamma, seed, "test",

@@ -1,6 +1,6 @@
-"""Deterministic seed substreams.
+"""Deterministic per-component seeds.
 
-A master seed expands into named per-component streams so adding or removing
+A master seed expands into named per-component seeds so adding or removing
 one consumer never perturbs the draws of another. Path components are folded
 into the seed via CRC32, which is stable across platforms and processes.
 """
@@ -14,17 +14,8 @@ import numpy as np
 _MASK = (1 << 64) - 1
 
 
-def _sequence(master: int, path) -> np.random.SeedSequence:
-    parts = [zlib.crc32(repr(p).encode("utf-8")) for p in path]
-    return np.random.SeedSequence([int(master) & _MASK, *parts])
-
-
 def derive_seed(master: int, *path) -> int:
     """Stable nonnegative 63-bit seed for the component named by path."""
-    state = _sequence(master, path).generate_state(1, np.uint64)[0]
-    return int(state >> 1)
-
-
-def substream(master: int, *path) -> np.random.Generator:
-    """Independent generator for the component named by path."""
-    return np.random.default_rng(_sequence(master, path))
+    parts = [zlib.crc32(repr(p).encode("utf-8")) for p in path]
+    sequence = np.random.SeedSequence([int(master) & _MASK, *parts])
+    return int(sequence.generate_state(1, np.uint64)[0] >> 1)

@@ -4,13 +4,14 @@ Both scorers name their parameter arrays in a dict, which checkpoints save.
 Training uses an adaptive-moment optimizer with a linear-warmup, linear-decay
 learning-rate schedule and keeps the checkpoint with the best dev micro F1
 under the loss's native prediction rule (adaptive thresholding for
-margin-based losses, a swept global threshold for the others). `train` takes
-a list of configs, with one data set for all or one per config, and trains
-the cells that share their settings as one stacked model: one flat (C, P)
-array holds its parameters, a row per cell, with the cells sorted by
-training set and loss kind. At each epoch end the rows that share a dev set
-are scored together by one stacked `native_dev_metric` call. Every cell
-comes out as if trained alone.
+margin-based losses, a swept global threshold for the others) and, for a
+swept rule, that epoch's threshold. `train` takes a list of configs, with
+one data set for all or one per config, and trains the cells that share
+their settings as one stacked model: one flat (C, P) array holds its
+parameters, a row per cell, with the cells sorted by training set and loss
+kind. At each epoch end the rows that share a dev set are scored together by
+one stacked `native_dev_metric` call. Every cell comes out as if trained
+alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .datagen import Dataset, check_seed
 from .losses import (Workspace, batch_loss, check_loss, instance_losses,
                      stack_rank, with_none_flag)
 from .metrics import pooled_f1
-from .prediction import COARSE_GRID, sweep_global_threshold
+from .prediction import COARSE_GRID, adaptive_flags, sweep_global_threshold
 
 # loss kinds whose native prediction rule compares each label against f_0
 ADAPTIVE_KINDS = frozenset({"ncrl_plain", "ncrl_final", "ncrl_noreg", "atl"})
@@ -65,6 +66,8 @@ class TrainHistory:
     train_loss: list = field(default_factory=list)
     dev_metric: list = field(default_factory=list)
     best_epoch: int = 0
+    # the global threshold swept on dev at best_epoch; None for ADAPTIVE_KINDS
+    threshold: float | None = None
     seconds: float = 0.0  # this cell's even share of its stack's training time
 
 
@@ -285,13 +288,13 @@ def learning_rate_at(step: int, total_steps: int, peak: float,
 
 
 def native_dev_metric(scorer, dev: Dataset, loss_kind):
-    """Dev micro F1 under the loss's own prediction rule: adaptive
-    thresholding for ADAPTIVE_KINDS, the best coarse global threshold for
-    the others.
+    """(dev micro F1, threshold) under the loss's own prediction rule:
+    adaptive thresholding for ADAPTIVE_KINDS, with threshold None, and the
+    best coarse global threshold for the others.
 
     A stacked scorer of R cells takes a sequence of R loss kinds and gives a
-    list of R metrics, each what its cell alone gives, from one forward over
-    the dev features: the adaptive cells share one `f_i > f_0` compare and
+    list of R pairs, each what its cell alone gives, from one forward over
+    the dev features: the adaptive cells share one `adaptive_flags` call and
     one count of true and false positives, the others one stacked sweep.
     """
     scores = scorer.forward(dev.features)
@@ -300,17 +303,18 @@ def native_dev_metric(scorer, dev: Dataset, loss_kind):
         scores, loss_kind = scores[None], [loss_kind]
     # every row's adaptive F1, which is the metric of the adaptive rows
     positive = dev.labels[:, 1:] == 1  # a Dataset's labels are 0/1
-    flags = scores[..., 1:] > scores[..., :1]
-    tp = np.count_nonzero(flags & positive, axis=(1, 2))
-    fp = np.count_nonzero(flags, axis=(1, 2)) - tp
+    flags = adaptive_flags(scores)  # 0/1 ints, so sums count them
+    tp = (flags * positive).sum(axis=(1, 2))
+    fp = flags.sum(axis=(1, 2)) - tp
     fn = np.count_nonzero(positive) - tp
-    metrics = [pooled_f1(*counts)[0] for counts in zip(tp, fp, fn)]
+    picks = [(pooled_f1(*counts)[0], None) for counts in zip(tp, fp, fn)]
     swept = [row for row, kind in enumerate(loss_kind) if kind not in ADAPTIVE_KINDS]
     if swept:
-        _, f1s = sweep_global_threshold(scores[swept], dev.labels, COARSE_GRID)
-        for row, f1 in zip(swept, f1s):
-            metrics[row] = f1
-    return metrics[0] if one else metrics
+        thresholds, f1s = sweep_global_threshold(scores[swept], dev.labels,
+                                                 COARSE_GRID)
+        for row, t, f1 in zip(swept, thresholds, f1s):
+            picks[row] = f1, t
+    return picks[0] if one else picks
 
 
 def _stack_key(config: TrainConfig, scorer) -> tuple:
@@ -502,10 +506,10 @@ def _train_stack(cells: list) -> list:
                     ending.setdefault(id(cells[live[row]][4]), []).append(row)
             lo += feed.rows
         for rows in ending.values():
-            metrics = native_dev_metric(stack.cell(np.array(rows)),
-                                        cells[live[rows[0]]][4],
-                                        [kinds[row] for row in rows])
-            for row, metric in zip(rows, metrics):
+            picks = native_dev_metric(stack.cell(np.array(rows)),
+                                      cells[live[rows[0]]][4],
+                                      [kinds[row] for row in rows])
+            for row, (metric, threshold) in zip(rows, picks):
                 c = live[row]
                 history = histories[c]
                 history.dev_metric.append(metric)
@@ -513,6 +517,7 @@ def _train_stack(cells: list) -> list:
                     best_metric[c] = metric
                     best[c] = stack.flat[row]
                     history.best_epoch = len(history.dev_metric) - 1
+                    history.threshold = threshold
         if ending and any(step == feed.total for feed in feeds):
             drop(np.repeat([step != feed.total for feed in feeds],
                            [feed.rows for feed in feeds]))

@@ -48,9 +48,10 @@ def _score_matrix(scores, stacked: bool = False) -> np.ndarray:
 
 
 def adaptive_flags(scores) -> np.ndarray:
-    """(n, K) flags under adaptive thresholding: positive iff f_i > f_0."""
-    s = _score_matrix(scores)
-    return (s[:, 1:] > s[:, :1]).astype(int)
+    """(n, K) flags under adaptive thresholding: positive iff f_i > f_0;
+    stacked (R, n, K+1) scores of R scorers give (R, n, K) flags."""
+    s = _score_matrix(scores, stacked=True)
+    return (s[..., 1:] > s[..., :1]).astype(int)
 
 
 def global_flags(scores, t: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""IO formats, seeding, experiment suites, featurizer, and the CLI."""
+"""IO formats, seeding, experiment suites, and the CLI."""
 
 import importlib.util
 import json
@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,17 @@ from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow,
                                      load_json, read_config_file,
                                      read_results_csv, save_dataset,
                                      save_json, write_results_csv)
-from ncrl_lab.harness.experiments import (ExperimentConfig, ablation_variants,
-                                          make_splits, run_ablation,
-                                          run_compare, run_gamma_sweep,
-                                          run_no_none_study, summarize)
-from ncrl_lab.harness.featurizer import hashing_featurizer
-from ncrl_lab.harness.seeds import derive_seed, substream
-from ncrl_lab.model import MlpScorer, TrainConfig, scorer_to_dict
+from ncrl_lab.harness.experiments import (METRIC_NAMES, ExperimentConfig,
+                                          ablation_variants, make_splits,
+                                          run_ablation, run_compare,
+                                          run_gamma_sweep, run_no_none_study,
+                                          summarize)
+from ncrl_lab.harness.seeds import derive_seed
+from ncrl_lab.metrics import evaluate
+from ncrl_lab.model import (ADAPTIVE_KINDS, MlpScorer, TrainConfig,
+                            scorer_to_dict, train)
+from ncrl_lab.prediction import (COARSE_GRID, adaptive_flags, global_flags,
+                                 sweep_global_threshold)
 
 
 def tiny_synth(**overrides):
@@ -64,11 +69,6 @@ class TestSeeds:
         assert derive_seed(7, "data") != derive_seed(7, "noise")
         assert derive_seed(7, "train", "bce", 0.05) != derive_seed(7, "train",
                                                                    "bce", 0.0)
-
-    def test_substream_reproducible(self):
-        a = substream(3, "x").normal(size=4)
-        b = substream(3, "x").normal(size=4)
-        assert np.array_equal(a, b)
 
 
 class TestDatasetIo:
@@ -381,6 +381,40 @@ class TestExperimentSuites:
         second = rows_without_seconds(run_compare(config))
         assert first == second
 
+    def test_compare_rows_match_a_test_time_dev_sweep(self):
+        # the reference sweeps dev again on each swept cell's best-epoch
+        # scorer; the threshold training kept at that epoch must match it
+        kinds = [("bce", 0.0), ("bce_shifted", 0.05), ("pairwise", 0.0),
+                 ("atl", 0.0), ("ncrl_final", 0.05)]
+        for hidden, decay in ((0, 0.0), (4, 0.01)):
+            tcs = [tiny_train(kind, gamma=gamma, epochs=4, hidden_width=hidden,
+                              weight_decay=decay) for kind, gamma in kinds]
+            config = ExperimentConfig("compare", tiny_synth(), tcs, [0, 1])
+            expected = []
+            for seed in config.seeds:
+                _, dev_part, test_part = splits = make_splits(config.synth, seed)
+                configs = [replace(tc, seed=derive_seed(seed, "train",
+                                                        tc.loss_kind, tc.gamma))
+                           for tc in tcs]
+                for tc, (scorer, _) in zip(tcs, train(splits[0], dev_part,
+                                                      configs)):
+                    scores = scorer.forward(test_part.features)
+                    if tc.loss_kind in ADAPTIVE_KINDS:
+                        flags = adaptive_flags(scores)
+                    else:
+                        t, _ = sweep_global_threshold(
+                            scorer.forward(dev_part.features), dev_part.labels,
+                            COARSE_GRID)
+                        flags = global_flags(scores, t)
+                    stats = evaluate(scores, test_part.labels, flags).as_dict()
+                    expected.extend(
+                        ResultRow("compare", tc.loss_kind, tc.gamma, seed,
+                                  "test", name, stats[name], 0.0)
+                        for name in METRIC_NAMES)
+            expected.extend(summarize(expected, "compare"))
+            assert (rows_without_seconds(run_compare(config))
+                    == rows_without_seconds(expected))
+
     def test_summary_statistics(self):
         rows = [ResultRow("e", "bce", 0.0, s, "test", "micro_f1", v, 0.0)
                 for s, v in enumerate([0.2, 0.4, 0.6])]
@@ -485,27 +519,6 @@ class TestExperimentSuites:
             ("bce", 0.0), ("bce_shifted", 0.0)]
 
 
-class TestFeaturizer:
-    def test_empty_text_is_zero(self):
-        out = hashing_featurizer(["", "words here"], dim=32)
-        assert np.array_equal(out[0], np.zeros(32))
-        assert np.linalg.norm(out[1]) == pytest.approx(1.0)
-
-    def test_same_text_same_row(self):
-        out = hashing_featurizer(["alpha beta gamma"] * 2, dim=64, seed=3)
-        assert np.array_equal(out[0], out[1])
-
-    def test_disjoint_vocabularies_nearly_orthogonal(self):
-        words_a = " ".join(f"left{i}" for i in range(40))
-        words_b = " ".join(f"right{i}" for i in range(40))
-        out = hashing_featurizer([words_a, words_b], dim=4096, seed=1)
-        assert abs(float(out[0] @ out[1])) < 0.1
-
-    def test_dim_validated(self):
-        with pytest.raises(ValueError):
-            hashing_featurizer(["text"], dim=0)
-
-
 class TestCli:
     def test_gen_train_eval_sweep(self, tmp_path, capsys):
         data = str(tmp_path / "data.jsonl")
@@ -581,7 +594,20 @@ class TestCli:
                 assert capsys.readouterr().err == f"error: {model}: {message}\n"
         Path(model).write_text("{")
         assert main(["sweep", "--model", model, "--data", data]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {model}: Expecting")
+        assert capsys.readouterr().err.startswith(
+            f"error: {model}:1: malformed JSON (Expecting")
+
+    def test_malformed_json_checkpoint_exits_1_naming_its_line(self, tmp_path,
+                                                               capsys):
+        # this used to print the decoder's line, column and char offset
+        data, model = str(tmp_path / "data.jsonl"), tmp_path / "m.json"
+        assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "40",
+                     "--out", data]) == 0
+        model.write_text('{\n  "a": ,')
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", data]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}:2: malformed JSON (Expecting value)\n")
 
     def test_non_utf8_checkpoint_exits_1_naming_its_line(self, tmp_path, capsys):
         # this used to print the decoder's byte offset with no line
@@ -603,7 +629,7 @@ class TestCli:
         bad_byte = (":2: not UTF-8 text (0xff at byte 9 of the line: invalid "
                     "start byte)")
         cases = ((b'{\n  "a": ,\n  "b": "\xff"\n}\n',
-                  ": Expecting value: line 2 column 8 (char 9)"),
+                  ":2: malformed JSON (Expecting value)"),
                  (b'{\n  "b": "\xff",\n  "a": ,\n}\n', bad_byte),
                  # on one line the byte comes first, as in every reader
                  (b'{\n  "b": "\xff", "a": ,\n}\n', bad_byte))

@@ -136,6 +136,29 @@ class TestTrain:
                                                        match="step"):
             _scorer, _history = train(train_part, dev_part, [cfg])[0]
 
+    @pytest.mark.parametrize("hidden", [0, 5])
+    def test_history_keeps_the_best_epochs_dev_threshold(self, hidden):
+        # a swept cell's threshold is the coarse sweep of its returned
+        # (best-epoch) scorer on dev; an adaptive cell sweeps none
+        data = generate(SyntheticConfig(num_labels=4, feature_dim=6,
+                                        num_instances=900,
+                                        none_fraction_target=0.3, seed=6))
+        train_part, dev_part = split(data, 700)
+        configs = [TrainConfig(kind, gamma=gamma, epochs=4, batch_size=64,
+                               learning_rate=0.05, hidden_width=hidden, seed=s)
+                   for s, (kind, gamma) in enumerate(
+                       [("bce", 0.0), ("bce_shifted", 0.05), ("pairwise", 0.0),
+                        ("atl", 0.0), ("ncrl_final", 0.05)])]
+        for config, (scorer, history) in zip(configs, train(train_part, dev_part,
+                                                            configs)):
+            if config.loss_kind in ADAPTIVE_KINDS:
+                assert history.threshold is None
+                continue
+            t, f1 = sweep_global_threshold(scorer.forward(dev_part.features),
+                                           dev_part.labels, COARSE_GRID)
+            assert history.threshold == t
+            assert history.dev_metric[history.best_epoch] == f1
+
     def test_dimension_mismatch_rejected(self):
         a = generate(SyntheticConfig(num_labels=3, feature_dim=5,
                                      num_instances=50, seed=0))
@@ -222,7 +245,7 @@ def _outcome(result):
              for name, value in result.scorer.params.items()},
             np.array(history.train_loss).view(np.int64).tolist(),
             np.array(history.dev_metric).view(np.int64).tolist(),
-            history.best_epoch)
+            history.best_epoch, history.threshold)
 
 
 class TestStackedTraining:
@@ -274,6 +297,7 @@ class TestStackedTraining:
             assert result.history.train_loss == alone.history.train_loss
             assert result.history.dev_metric == alone.history.dev_metric
             assert result.history.best_epoch == alone.history.best_epoch
+            assert result.history.threshold == alone.history.threshold
 
     @settings(max_examples=40)
     @given(cell_sets(), st.data())
@@ -353,6 +377,7 @@ class TestStackedTraining:
             assert result.history.train_loss == alone.history.train_loss
             assert result.history.dev_metric == alone.history.dev_metric
             assert result.history.best_epoch == alone.history.best_epoch
+            assert result.history.threshold == alone.history.threshold
 
     def test_loss_divergence_leaves_other_cells_alone(self):
         # biases near +-1e308 keep one cell's scores finite but overflow its
@@ -459,10 +484,12 @@ class TestStackedDevMetric:
 
     @staticmethod
     def reference(scorer, dev, kind):
+        """(F1, threshold) of one cell; adaptive cells sweep no threshold."""
         scores = scorer.forward(dev.features)
         if kind in ADAPTIVE_KINDS:
-            return micro_f1_flags(adaptive_flags(scores), dev.labels)
-        return sweep_global_threshold(scores, dev.labels, COARSE_GRID)[1]
+            return micro_f1_flags(adaptive_flags(scores), dev.labels), None
+        t, f1 = sweep_global_threshold(scores, dev.labels, COARSE_GRID)
+        return f1, t
 
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("hidden", [0, 5])
@@ -486,8 +513,9 @@ class TestStackedDevMetric:
         expected = [self.reference(cell, dev, kind)
                     for cell, kind in zip(cells, kinds)]
         assert native_dev_metric(stack, dev, kinds) == expected
-        for cell, kind, metric in zip(cells, kinds, expected):
-            assert native_dev_metric(cell, dev, kind) == metric
+        for cell, kind, pick in zip(cells, kinds, expected):
+            assert native_dev_metric(cell, dev, kind) == pick
+            assert (pick[1] is None) == (kind in ADAPTIVE_KINDS)
         # rows gathered from the stack, as the trainer scores a dev set's
         # rows: mixed rules, global only, adaptive only
         for rows in ([1, 4, 5, 6], [3, 4], [0, 8]):

@@ -338,6 +338,16 @@ class TestFlagHelpers:
             assert (np.nonzero(flags[row])[0] + 1).tolist() == \
                 predict_adaptive(scores[row]).tolist()
 
+    def test_stacked_adaptive_flags_match_each_row(self):
+        rng = np.random.default_rng(14)
+        stack = np.stack([random_scored_set(rng)[0] for _ in range(3)])
+        flags = adaptive_flags(stack)
+        assert flags.shape == stack[..., 1:].shape
+        for row, scores in enumerate(stack):
+            assert np.array_equal(flags[row], adaptive_flags(scores))
+        with pytest.raises(ValueError, match="R scorers"):
+            adaptive_flags(stack[None])
+
     def test_global_flags_match_sets(self):
         rng = np.random.default_rng(13)
         scores, _ = random_scored_set(rng)

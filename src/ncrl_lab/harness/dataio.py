@@ -17,6 +17,16 @@ is estimated at that size is saved as one row block per CPU, each child
 forming its block's whole text before it sends it. The values, the bytes
 written and the errors are those of one pass.
 
+A regular file of at least two `MIN_RANGE_BYTES` gets a binary twin, the
+file's path plus `TWIN_SUFFIX` (`data.jsonl.twin.npz`), after a successful
+parse: an npz file, read without pickle, holding the parsed features and
+label flags, the file's sha256 and `TWIN_FORMAT`. A later load reads the
+twin when its format number and sha256 match the file's current bytes, and
+parses the file in every other case, rewriting the twin. The twin is
+written through `_atomic_write`, and a failed write is skipped, so it is
+only ever a whole copy: it never fails a load nor changes a value or an
+error, and deleting it is always safe.
+
 Every reader follows one rule: the first line in file order that is
 refused, for a byte that is not UTF-8 or for its content, is reported as
 `path:line: reason`, whatever the number of ranges. Files are decoded with
@@ -31,6 +41,7 @@ from __future__ import annotations
 import array
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -57,6 +68,12 @@ MIN_RANGE_BYTES = 1 << 20
 # bytes, so the text held in this process stays bounded.
 _CHUNK_ROWS = 256
 _COPY_BYTES = 1 << 16
+
+# A dataset file's twin is its path plus this suffix. Bump the format number
+# with any change to what a JSONL file loads as, its values or its errors,
+# so that older twins are parsed again.
+TWIN_SUFFIX = ".twin.npz"
+TWIN_FORMAT = 1
 
 _FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
                  r"may lead to deadlocks in the child")
@@ -285,12 +302,8 @@ def _line_end(raw, offset: int) -> int:
     """The offset just past the first \\n at or after `offset` in the binary
     file `raw`, or its end."""
     raw.seek(offset)
-    while block := raw.read(1 << 16):
-        found = block.find(b"\n")
-        if found >= 0:
-            return offset + found + 1
-        offset += len(block)
-    return offset
+    raw.readline()
+    return raw.tell()
 
 
 def _byte_ranges(path: str) -> list:
@@ -497,22 +510,8 @@ def save_dataset(data: Dataset, path: str) -> None:
     _atomic_write(path, lambda handle: _write_blocks(data, handle))
 
 
-def load_dataset(path: str) -> Dataset:
-    """The dataset in the JSONL file `path`. The first line in file order
-    refused for a byte that is not UTF-8, for its content or for a
-    non-finite value is reported as `path:line: reason`, whatever the number
-    of ranges.
-
-    A file of at least two ranges of MIN_RANGE_BYTES is cut after \\n bytes
-    into up to one byte range per usable CPU. This process parses the first
-    range while forked children parse the others and send their buffers
-    back through pipes, and every child is reaped before this returns or
-    raises. Every range, a whole file's one included, runs the same loop
-    over text-mode lines, and the parts join into the values and errors of
-    one pass: a range's lines are numbered after those of the ranges before
-    it, and a `k` or feature length that changes at its first instance is
-    refused there.
-    """
+def _parse_dataset(path: str) -> Dataset:
+    """The dataset in the JSONL file `path`, parsed as `load_dataset` says."""
     parts = []  # parts with instances
     first = None  # (line, k, feature length) of the file's first instance
     lines_before = 0
@@ -551,6 +550,71 @@ def load_dataset(path: str) -> Dataset:
           np.frombuffer(joined.labels, dtype=np.int64)] = 1
     flags[:, 0] = counts == 0
     return Dataset(matrix, flags, provenance={"source": path})
+
+
+def _twin_key(path: str):
+    """The sha256 of `path` if it is a regular file of at least two
+    MIN_RANGE_BYTES, the files that have twins; else None, as it is for a
+    file that cannot be read, which the parse then reports."""
+    digest = hashlib.sha256()
+    try:
+        if not os.path.isfile(path) or os.path.getsize(path) < 2 * MIN_RANGE_BYTES:
+            return None
+        with open(path, "rb") as raw:
+            while block := raw.read(1 << 20):
+                digest.update(block)
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _read_twin(path: str, key: str):
+    """The dataset the twin of `path` holds if its format number and sha256
+    match, else None."""
+    # a missing, truncated or garbage twin, or one failing a CRC, is None,
+    # whatever reading it raises; the file is opened here because np.load
+    # leaves a file it opened itself unclosed when it starts as a zip
+    # archive but cannot be read as one
+    with contextlib.suppress(Exception), open(path + TWIN_SUFFIX, "rb") as handle, \
+            np.load(handle, allow_pickle=False) as twin:
+        if int(twin["format"]) == TWIN_FORMAT and str(twin["sha256"]) == key:
+            return Dataset(twin["features"], twin["labels"],
+                           provenance={"source": path})
+    return None
+
+
+def load_dataset(path: str) -> Dataset:
+    """The dataset in the JSONL file `path`. The first line in file order
+    refused for a byte that is not UTF-8, for its content or for a
+    non-finite value is reported as `path:line: reason`, whatever the number
+    of ranges.
+
+    A file of at least two ranges of MIN_RANGE_BYTES is cut after \\n bytes
+    into up to one byte range per usable CPU. This process parses the first
+    range while forked children parse the others and send their buffers
+    back through pipes, and every child is reaped before this returns or
+    raises. Every range, a whole file's one included, runs the same loop
+    over text-mode lines, and the parts join into the values and errors of
+    one pass: a range's lines are numbered after those of the ranges before
+    it, and a `k` or feature length that changes at its first instance is
+    refused there.
+
+    Such a file, if it is a regular one, is read from its twin, `path` +
+    TWIN_SUFFIX, when the twin's format number and sha256 match the file's
+    bytes, and is parsed otherwise; a successful parse then writes the twin
+    if it can. A twin that is missing, stale or unreadable is never an
+    error, and a loaded twin gives the arrays and provenance of a parse.
+    """
+    key = _twin_key(path)
+    data = _read_twin(path, key) if key else None
+    if data is None:
+        data = _parse_dataset(path)
+        if key:
+            with contextlib.suppress(OSError, MemoryError):
+                _atomic_write(path + TWIN_SUFFIX, lambda handle: np.savez(
+                    handle, format=TWIN_FORMAT, sha256=key,
+                    features=data.features, labels=data.labels.astype(bool)))
+    return data
 
 
 def save_json(obj, path: str) -> None:

@@ -303,9 +303,9 @@ def native_dev_metric(scorer, dev: Dataset, loss_kind):
         scores, loss_kind = scores[None], [loss_kind]
     # every row's adaptive F1, which is the metric of the adaptive rows
     positive = dev.labels[:, 1:] == 1  # a Dataset's labels are 0/1
-    flags = adaptive_flags(scores)  # 0/1 ints, so sums count them
-    tp = (flags * positive).sum(axis=(1, 2))
-    fp = flags.sum(axis=(1, 2)) - tp
+    flags = adaptive_flags(scores)
+    tp = np.count_nonzero(flags & positive, axis=(1, 2))
+    fp = np.count_nonzero(flags, axis=(1, 2)) - tp
     fn = np.count_nonzero(positive) - tp
     picks = [(pooled_f1(*counts)[0], None) for counts in zip(tp, fp, fn)]
     swept = [row for row, kind in enumerate(loss_kind) if kind not in ADAPTIVE_KINDS]

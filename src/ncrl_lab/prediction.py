@@ -48,22 +48,23 @@ def _score_matrix(scores, stacked: bool = False) -> np.ndarray:
 
 
 def adaptive_flags(scores) -> np.ndarray:
-    """(n, K) flags under adaptive thresholding: positive iff f_i > f_0;
-    stacked (R, n, K+1) scores of R scorers give (R, n, K) flags."""
+    """(n, K) bool flags under adaptive thresholding: positive iff
+    f_i > f_0; stacked (R, n, K+1) scores of R scorers give (R, n, K) flags."""
     s = _score_matrix(scores, stacked=True)
-    return (s[..., 1:] > s[..., :1]).astype(int)
+    return s[..., 1:] > s[..., :1]
 
 
 def global_flags(scores, t: float) -> np.ndarray:
-    """(n, K) flags under a shared probability threshold: sigmoid(f_i) > t."""
+    """(n, K) bool flags under a shared probability threshold:
+    sigmoid(f_i) > t."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {t}")
     s = _score_matrix(scores)
-    return (sigmoid(s[:, 1:]) > t).astype(int)
+    return sigmoid(s[:, 1:]) > t
 
 
 def per_label_flags(scores, thresholds) -> np.ndarray:
-    """(n, K) flags under per-label thresholds: sigmoid(f_i) > t_i."""
+    """(n, K) bool flags under per-label thresholds: sigmoid(f_i) > t_i."""
     s = _score_matrix(scores)
     t = np.asarray(thresholds, dtype=float)
     if t.shape != (s.shape[1] - 1,):
@@ -72,7 +73,7 @@ def per_label_flags(scores, thresholds) -> np.ndarray:
         )
     if not ((t > 0) & (t < 1)).all():
         raise ValueError("thresholds must lie in (0, 1)")
-    return (sigmoid(s[:, 1:]) > t).astype(int)
+    return sigmoid(s[:, 1:]) > t
 
 
 def _set_from_flags(flags: np.ndarray) -> np.ndarray:

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ncrl_lab.losses import ncre_error
+from ncrl_lab.losses import ncre_error, sigmoid
 from ncrl_lab.metrics import confusion, micro_macro_f1
 from ncrl_lab.prediction import (COARSE_GRID, FINE_GRID, adaptive_flags,
-                                 global_flags,
+                                 global_flags, per_label_flags,
                                  predict_adaptive, predict_global,
                                  predict_per_label, sweep_global_threshold,
                                  sweep_per_label_thresholds)
@@ -347,6 +347,23 @@ class TestFlagHelpers:
             assert np.array_equal(flags[row], adaptive_flags(scores))
         with pytest.raises(ValueError, match="R scorers"):
             adaptive_flags(stack[None])
+
+    def test_flags_are_bools_with_the_values_of_int_flags(self):
+        # the flags used to be int64 0/1, eight bytes per entry, made by a
+        # cast that every caller then counted or compared again
+        rng = np.random.default_rng(15)
+        scores, gold = random_scored_set(rng, n=40, k=5)
+        k = scores.shape[1] - 1
+        probabilities = sigmoid(scores[:, 1:])
+        thresholds = np.linspace(0.2, 0.8, k)
+        for flags, expected in (
+                (adaptive_flags(scores), scores[:, 1:] > scores[:, :1]),
+                (global_flags(scores, 0.3), probabilities > 0.3),
+                (per_label_flags(scores, thresholds), probabilities > thresholds)):
+            assert flags.dtype == bool
+            assert np.array_equal(flags, expected)
+            assert micro_macro_f1(confusion(flags, gold)) == micro_macro_f1(
+                confusion(flags.astype(int), gold))
 
     def test_global_flags_match_sets(self):
         rng = np.random.default_rng(13)

@@ -129,8 +129,9 @@ def _pair(pre_labels, scores, require_finite=True):
 # bools flagging the positives; F is (B, K+1) float.
 # A cell stack adds a leading axis: (C, B, K+1), one loss kind and gamma per
 # cell. Cores return per-instance values (..., B) and gradients (..., B, K+1).
-# In a stack sorted by `stack_rank`, each step of the fused margin path runs
-# on one contiguous run of cells and writes into the buffers of a Workspace.
+# In a stack sorted by `stack_rank`, each step of the fused margin path, and
+# the atl kernel, runs on one contiguous run of cells and writes into the
+# buffers of a Workspace.
 
 
 class Workspace:
@@ -253,6 +254,7 @@ class _Plan(NamedTuple):
 
     order: object = None
     margin: int = 0  # cells 0..margin-1 take the fused path
+    atl: int = 0  # cells margin..atl-1 take the atl kernel, the rest pairwise
     average: slice = slice(0)  # cells whose average column counts
     shifted: int = 0  # cells shifted..margin-1 shift their negatives
     slope: object = None  # a per margin cell, (margin, 1, 1)
@@ -267,13 +269,13 @@ def _plan(kinds: tuple, gammas: tuple) -> _Plan:
     order = sorted(range(len(ranks)), key=ranks.__getitem__)
     if order != list(range(len(ranks))):
         return _Plan(order=np.array(order))
-    start = [bisect.bisect_left(ranks, rank) for rank in range(7)]
+    start = [bisect.bisect_left(ranks, rank) for rank in range(8)]
     margin, shifted = start[6], start[3]
     slope = np.array([float(0 < rank < 5) for rank in ranks[:margin]])[:, None, None]
     gamma = np.array(gammas[shifted:margin], dtype=float)[:, None, None]
     for array in (slope, gamma):
         array.flags.writeable = False
-    return _Plan(None, margin, slice(start[2], start[4]), shifted, slope,
+    return _Plan(None, margin, start[7], slice(start[2], start[4]), shifted, slope,
                  float(gamma[0, 0, 0]) if len(set(gamma.flat)) == 1 else gamma)
 
 
@@ -329,28 +331,44 @@ def _margin_losses(plan, Y, F, ws, vals, grads) -> None:
     vals += value[..., 0]
 
 
-def _masked_lse_softmax(F, mask):
-    shifted = np.where(mask, F, -np.inf)
-    mx = shifted.max(axis=1, keepdims=True)
-    ex = np.exp(shifted - mx)
-    total = ex.sum(axis=1, keepdims=True)
-    return (mx + np.log(total)).ravel(), ex / total
+def _atl_losses(Y, F, ws, vals, grads) -> None:
+    """Values into vals (A, B) and gradients into grads (A, B, K+1) of a run
+    of atl cells: n_pos * lse(f_0, positives) - (sum of the positive scores)
+    + lse(f_0, negatives) - f_0 per instance.
 
-
-def _atl_batch(Y, F):
-    b = F.shape[0]
-    y = Y[:, 1:]
-    always = np.ones((b, 1), dtype=bool)
-    pos_mask = np.concatenate([always, y == 1], axis=1)
-    neg_mask = np.concatenate([always, y == 0], axis=1)
-    lse_p, sm_p = _masked_lse_softmax(F, pos_mask)
-    lse_n, sm_n = _masked_lse_softmax(F, neg_mask)
-    n_pos = (y == 1).sum(axis=1)
-    vals = n_pos * lse_p - (F[:, 1:] * (y == 1)).sum(axis=1) + lse_n - F[:, 0]
-    grads = n_pos[:, None] * sm_p + sm_n
-    grads[:, 1:] -= y == 1
-    grads[:, 0] -= 1.0
-    return vals, grads
+    Both masked softmaxes of every cell come from one (2, A, B, K+1) pass,
+    and every sum runs along one row of one cell, so each cell's numbers are
+    those it gets alone.
+    """
+    e = ws.take("atl", (2,) + F.shape)
+    keep = ws.take("atl_bool", (2,) + F.shape, bool)  # the scores in each softmax
+    flags = ws.take("atl_flags", F.shape)
+    top, total, (count, picked) = ws.take("atl_row", (2,) + vals.shape, parts=3)
+    if Y.dtype == bool:
+        np.copyto(keep[0], Y)
+    else:
+        np.equal(Y, 1, out=keep[0])
+    np.logical_not(keep[0], out=keep[1])
+    keep[..., 0] = True  # f_0 is in both softmaxes
+    e.fill(-np.inf)
+    np.copyto(e, F, where=keep)
+    np.maximum.reduce(e, axis=-1, out=top)
+    e -= top[..., None]
+    np.exp(e, out=e)
+    np.add.reduce(e, axis=-1, out=total)
+    e /= total[..., None]  # the two softmaxes
+    lse = np.log(total, out=total)
+    lse += top
+    np.copyto(flags, keep[0])  # 1 on f_0 and the positives; sums of them are exact
+    np.add.reduce(flags[..., 1:], axis=-1, out=count)
+    np.multiply(count[..., None], e[0], out=grads)
+    grads += e[1]
+    grads -= flags
+    np.add.reduce(np.multiply(F, flags, out=flags)[..., 1:], axis=-1, out=picked)
+    np.multiply(count, lse[0], out=vals)
+    vals -= picked
+    vals += lse[1]
+    vals -= F[..., 0]
 
 
 def _pairwise_batch(Y, F):
@@ -367,16 +385,14 @@ def _pairwise_batch(Y, F):
     return vals, grads
 
 
-_OWN_KERNELS = {"atl": _atl_batch, "pairwise": _pairwise_batch}
-
-
 def _stack_losses(kinds, Y, F, gammas, workspace=None):
     """Per-instance values (C, B) and gradients (C, B, K+1) of a cell stack.
 
-    The one dispatch from loss kind to kernel: margin cells share one fused
-    call; atl and pairwise cells run their own kernels one cell at a time.
-    A stack not sorted by `stack_rank` is sorted here and its results put
-    back in the given order.
+    The one dispatch from loss kind to kernel: the margin cells share one
+    fused call and the atl cells another, each on its contiguous run of the
+    sorted stack; pairwise cells run one cell at a time. A stack not sorted
+    by `stack_rank` is sorted here and its results put back in the given
+    order.
     """
     plan = _plan(tuple(kinds), tuple(gammas))
     if plan.order is not None:
@@ -385,16 +401,15 @@ def _stack_losses(kinds, Y, F, gammas, workspace=None):
                                     [gammas[c] for c in order], workspace)
         inverse = np.argsort(order)
         return vals[inverse], grads[inverse]
-    if len(kinds) == 1 and not plan.margin:  # a lone atl or pairwise cell
-        vals, grads = _OWN_KERNELS[kinds[0]](Y[0], F[0])
-        return vals[None], grads[None]
     ws = Workspace() if workspace is None else workspace
     vals, grads = ws.take("vals", F.shape[:-1]), ws.take("grads", F.shape)
-    if plan.margin:
-        m = plan.margin
+    m, a = plan.margin, plan.atl
+    if m:
         _margin_losses(plan, Y[:m], F[:m], ws, vals[:m], grads[:m])
-    for c in range(plan.margin, len(kinds)):
-        vals[c], grads[c] = _OWN_KERNELS[kinds[c]](Y[c], F[c])
+    if m < a:
+        _atl_losses(Y[m:a], F[m:a], ws, vals[m:a], grads[m:a])
+    for c in range(a, len(kinds)):
+        vals[c], grads[c] = _pairwise_batch(Y[c], F[c])
     return vals, grads
 
 

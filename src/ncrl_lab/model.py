@@ -97,6 +97,8 @@ class _Scorer:
     built by `stack` keeps a cell's parameters in one row of a (C, P) array
     `flat`, which its `params` view, so a cell's state is a row to step, copy
     or drop. `backward` writes into the arrays of a dict `out` if given.
+    `forward` keeps what `backward` can reuse in a dict `acts` that the
+    caller passes to both, so nothing of one call stays on the scorer.
     """
 
     @classmethod
@@ -152,18 +154,25 @@ class LinearScorer(_Scorer):
     def k(self) -> int:
         return self.params["weights"].shape[-2] - 1
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, acts=None) -> np.ndarray:
         w, b = self.params["weights"], self.params["bias"]
         return x @ w.swapaxes(-1, -2) + b[..., None, :]
 
-    def backward(self, x: np.ndarray, d_scores: np.ndarray, out=None) -> dict:
+    def backward(self, x: np.ndarray, d_scores: np.ndarray, out=None,
+                 acts=None) -> dict:
         out = out or dict.fromkeys(self.params)
         return {"weights": np.matmul(d_scores.swapaxes(-1, -2), x, out=out["weights"]),
                 "bias": d_scores.sum(axis=-2, out=out["bias"])}
 
 
 class MlpScorer(_Scorer):
-    """One-hidden-layer rectifier network emitting K+1 scores."""
+    """One-hidden-layer rectifier network emitting K+1 scores.
+
+    `forward` with a dict `acts` keeps its hidden layer there under
+    "hidden", and `backward` with that dict takes the layer and its
+    rectifier mask from it, so a training step forms the first layer once;
+    without it, `backward` forms the layer again from x.
+    """
 
     kind = "mlp"
 
@@ -203,19 +212,27 @@ class MlpScorer(_Scorer):
     def k(self) -> int:
         return self.params["w2"].shape[-2] - 1
 
-    def _hidden_pre(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.params["w1"].swapaxes(-1, -2) + self.params["b1"][..., None, :]
+    def _hidden(self, x: np.ndarray) -> np.ndarray:
+        """The first layer: gemm, bias add and rectifier."""
+        hidden = x @ self.params["w1"].swapaxes(-1, -2)
+        hidden += self.params["b1"][..., None, :]
+        return np.maximum(hidden, 0.0, out=hidden)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        hidden = np.maximum(self._hidden_pre(x), 0.0)
-        return (hidden @ self.params["w2"].swapaxes(-1, -2)
-                + self.params["b2"][..., None, :])
+    def forward(self, x: np.ndarray, acts=None) -> np.ndarray:
+        hidden = self._hidden(x)
+        if acts is not None:
+            acts["hidden"] = hidden
+        scores = hidden @ self.params["w2"].swapaxes(-1, -2)
+        scores += self.params["b2"][..., None, :]
+        return scores
 
-    def backward(self, x: np.ndarray, d_scores: np.ndarray, out=None) -> dict:
+    def backward(self, x: np.ndarray, d_scores: np.ndarray, out=None,
+                 acts=None) -> dict:
         out = out or dict.fromkeys(self.params)
-        pre = self._hidden_pre(x)
-        hidden = np.maximum(pre, 0.0)
-        d_hidden = (d_scores @ self.params["w2"]) * (pre > 0)
+        hidden = self._hidden(x) if acts is None else acts["hidden"]
+        # hidden > 0 exactly where the pre-activation is
+        d_hidden = d_scores @ self.params["w2"]
+        d_hidden *= hidden > 0
         return {
             "w1": np.matmul(d_hidden.swapaxes(-1, -2), x, out=out["w1"]),
             "b1": d_hidden.sum(axis=-2, out=out["b1"]),
@@ -543,7 +560,8 @@ def _piece_step(stack, first, x, y, kinds, gammas, step, failed, loss_sum,
         rows = slice(first, first + len(x))
         stack, grads = stack.cell(rows), {k: v[rows] for k, v in grads.items()}
         kinds, gammas, loss_sum = kinds[rows], gammas[rows], loss_sum[rows]
-    scores = stack.forward(x)
+    acts = {}  # the forward's hidden layer, for the backward
+    scores = stack.forward(x, acts=acts)
     try:  # batch_loss refuses non-finite scores, so they are sought only then
         values, d_scores = batch_loss(kinds, y, scores, gammas, workspace)
     except ValueError:
@@ -559,7 +577,7 @@ def _piece_step(stack, first, x, y, kinds, gammas, step, failed, loss_sum,
         failed.update(dict.fromkeys((np.flatnonzero(~ok) + first).tolist(),
                                     f"training loss diverged at step {step}"))
     loss_sum += values * x.shape[1]
-    stack.backward(x, d_scores, out=grads)
+    stack.backward(x, d_scores, out=grads, acts=acts)
 
 
 def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ncrl_lab import losses
 from ncrl_lab.losses import (LOSS_KINDS, Workspace, batch_loss,
                              instance_losses, margin_regularization, sigmoid,
                              softplus)
@@ -183,6 +184,89 @@ class TestBoolLabels:
                                              Workspace())
         self.assert_same_bits(flag_values, values)
         self.assert_same_bits(flag_grads, grads)
+
+
+def _masked_lse_softmax(F, mask):
+    shifted = np.where(mask, F, -np.inf)
+    mx = shifted.max(axis=1, keepdims=True)
+    ex = np.exp(shifted - mx)
+    total = ex.sum(axis=1, keepdims=True)
+    return (mx + np.log(total)).ravel(), ex / total
+
+
+def reference_atl(Y, F):
+    """The atl kernel as it ran one cell at a time, with two softmaxes built
+    one after the other; the stacked kernel must give its numbers exactly."""
+    b = F.shape[0]
+    y = Y[:, 1:]
+    always = np.ones((b, 1), dtype=bool)
+    pos_mask = np.concatenate([always, y == 1], axis=1)
+    neg_mask = np.concatenate([always, y == 0], axis=1)
+    lse_p, sm_p = _masked_lse_softmax(F, pos_mask)
+    lse_n, sm_n = _masked_lse_softmax(F, neg_mask)
+    n_pos = (y == 1).sum(axis=1)
+    vals = n_pos * lse_p - (F[:, 1:] * (y == 1)).sum(axis=1) + lse_n - F[:, 0]
+    grads = n_pos[:, None] * sm_p + sm_n
+    grads[:, 1:] -= y == 1
+    grads[:, 0] -= 1.0
+    return vals, grads
+
+
+@st.composite
+def atl_stacks(draw):
+    """(Y, F) for 1-3 atl cells, B 1-70 and K 1-30: Y as 0/1 ints with the
+    first row of each cell all negative and, from B = 2, the last all
+    positive, and finite F up to 1e300 in magnitude."""
+    c, b = draw(st.integers(1, 3)), draw(st.integers(1, 70))
+    k = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = (rng.random((c, b, k)) < draw(st.floats(0.0, 1.0))).astype(np.int64)
+    y[:, 0] = 0
+    if b > 1:
+        y[:, -1] = 1
+    Y = np.concatenate([(y.max(axis=-1, keepdims=True) == 0), y], axis=-1)
+    scale = draw(st.sampled_from((1e-3, 1.0, 30.0, 1e3, 1e150, 1e300)))
+    return Y.astype(np.int64), rng.uniform(-1.0, 1.0, (c, b, k + 1)) * scale
+
+
+class TestAtlKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(atl_stacks(), st.booleans(), st.booleans())
+    def test_stacked_kernel_equals_one_cell_reference(self, stack, flags,
+                                                      with_workspace):
+        Y, F = stack
+        Y = Y == 1 if flags else Y
+        c, b = F.shape[:2]
+        means, grads = batch_loss(["atl"] * c, Y, F, [0.0] * c,
+                                  Workspace() if with_workspace else None)
+        for cell in range(c):
+            vals, expected = reference_atl(Y[cell], F[cell])
+            assert means[cell] == np.add.reduce(vals) / b
+            assert np.array_equal(grads[cell], expected / b)
+            one_vals, one_grads = instance_losses("atl", Y[cell], F[cell])
+            assert np.array_equal(one_vals, vals)
+            assert np.array_equal(one_grads, expected)
+
+    def test_a_run_of_atl_cells_is_one_kernel_call(self, monkeypatch):
+        calls = []
+        kernel = losses._atl_losses
+
+        def spy(Y, F, *args):
+            calls.append(F.shape)
+            return kernel(Y, F, *args)
+
+        monkeypatch.setattr(losses, "_atl_losses", spy)
+        rng = np.random.default_rng(3)
+        y = rng.integers(0, 2, (5, 8, 4))
+        Y = np.concatenate([y.max(axis=-1, keepdims=True) == 0, y], axis=-1)
+        F = rng.normal(size=(5, 8, 5))
+        kinds = ["bce", "ncrl_plain", "ncrl_final", "atl", "atl"]
+        gammas = [0.0, 0.0, 0.05, 0.0, 0.0]
+        values, grads = batch_loss(kinds, Y, F, gammas, Workspace())
+        assert calls == [(2, 8, 5)]
+        for c, (kind, gamma) in enumerate(zip(kinds, gammas)):
+            value, grad = batch_loss(kind, Y[c], F[c], gamma)
+            assert values[c] == value and np.array_equal(grads[c], grad)
 
 
 class TestIdentities:

@@ -478,6 +478,95 @@ class TestStackedTraining:
                     assert np.array_equal(value, cell.params[key])
 
 
+def recomputing_backward(scorer, x, d_scores, out=None, acts=None):
+    """MlpScorer.backward as it was before it reused the forward's hidden
+    layer: it ignores `acts` and forms the first layer again from x."""
+    out = out or dict.fromkeys(scorer.params)
+    w1, b1, w2, _ = scorer.params.values()
+    pre = x @ w1.swapaxes(-1, -2) + b1[..., None, :]
+    hidden = np.maximum(pre, 0.0)
+    d_hidden = (d_scores @ w2) * (pre > 0)
+    return {
+        "w1": np.matmul(d_hidden.swapaxes(-1, -2), x, out=out["w1"]),
+        "b1": d_hidden.sum(axis=-2, out=out["b1"]),
+        "w2": np.matmul(d_scores.swapaxes(-1, -2), hidden, out=out["w2"]),
+        "b2": d_scores.sum(axis=-2, out=out["b2"]),
+    }
+
+
+class TestMlpStep:
+    """A training step's backward reuses its forward's hidden layer."""
+
+    @staticmethod
+    def splits():
+        data = generate(SyntheticConfig(num_labels=5, feature_dim=7,
+                                        num_instances=430,
+                                        none_fraction_target=0.3, seed=6))
+        return split(data, 300)  # 300 rows: batches of 64 end on one of 44
+
+    def test_a_step_forms_the_first_layer_once(self, monkeypatch):
+        calls = dict.fromkeys(("_hidden", "forward", "backward"), 0)
+
+        def counting(name):
+            original = getattr(MlpScorer, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(MlpScorer, name, counting(name))
+        train_part, dev_part = self.splits()
+        train(train_part, dev_part,
+              [TrainConfig("atl", hidden_width=6, epochs=2, batch_size=64)])
+        steps = 2 * math.ceil(len(train_part) / 64)
+        assert calls["backward"] == steps
+        # every step's forward and each epoch's dev forward, and no backward
+        assert calls["forward"] == steps + 2
+        assert calls["_hidden"] == calls["forward"]
+
+    @pytest.mark.parametrize("configs", [
+        [TrainConfig("atl", hidden_width=6, epochs=3, batch_size=64, seed=1)],
+        [TrainConfig("atl", hidden_width=6, epochs=3, batch_size=64, seed=2),
+         TrainConfig("ncrl_final", gamma=0.05, hidden_width=6, epochs=3,
+                     batch_size=64, seed=3)],
+    ])
+    def test_training_matches_a_recomputing_backward(self, configs,
+                                                     monkeypatch):
+        train_part, dev_part = self.splits()
+        reused = train(train_part, dev_part, configs)
+        monkeypatch.setattr(MlpScorer, "backward", recomputing_backward)
+        recomputed = train(train_part, dev_part, configs)
+        for (scorer, history), (expected, expected_history) in zip(reused,
+                                                                   recomputed):
+            for key, value in expected.params.items():
+                assert np.array_equal(scorer.params[key], value)
+            assert history.train_loss == expected_history.train_loss
+            assert history.dev_metric == expected_history.dev_metric
+            assert history.best_epoch == expected_history.best_epoch
+
+    def test_backward_with_and_without_acts_matches_reference(self):
+        rng = np.random.default_rng(12)
+        for scorer in (MlpScorer.create(4, 6, 9, rng),
+                       MlpScorer.stack([MlpScorer.create(4, 6, 9, rng)
+                                        for _ in range(3)])):
+            lead = scorer.params["w1"].shape[:-2]
+            x = rng.normal(size=lead + (11, 6))
+            d = rng.normal(size=lead + (11, 5))
+            expected = recomputing_backward(scorer, x, d)
+            acts = {}
+            scores = scorer.forward(x, acts=acts)
+            for grads in (scorer.backward(x, d),
+                          scorer.backward(x, d, acts=acts)):
+                for key, value in expected.items():
+                    assert np.array_equal(grads[key], value)
+            # the dict is the caller's: the scorer keeps nothing of the call
+            assert set(vars(scorer)) == {"params"} | (
+                {"flat"} if lead else set())
+            assert np.array_equal(scores, scorer.forward(x))
+
+
 class TestStackedDevMetric:
     """A stacked native_dev_metric gives each row what the one-cell rules,
     written out here, give its cell."""

@@ -3,19 +3,17 @@
 Datasets are one JSON object per line, `{"features": [...], "labels":
 [positive indices 1..K], "k": K}`; the none flag is derived on load, never
 stored. Datasets stream: saving formats a bounded chunk of rows at a time
-and writes it as soon as it is formed, and loading appends each line's
-checked features to a growing float64 buffer, so neither holds a
-whole-file copy of the text or of the values as Python objects.
+and writes it as soon as it is formed, and loading reads the file in one
+pass in this process, appending each line's checked features to a growing
+float64 buffer, so neither holds a whole-file copy of the text or of the
+values as Python objects.
 
-Large datasets use every usable CPU, through one fork helper,
-`_in_children`: this process does the first piece of the work while forked
-children do the others and send their results back through pipes, which
-are read in file order; a piece whose child died is done here. A file of
-at least two `MIN_RANGE_BYTES` is loaded as one byte range per CPU, each
-child sending its range's float64 and int64 buffers; a dataset whose text
-is estimated at that size is saved as one row block per CPU, each child
-forming its block's whole text before it sends it. The values, the bytes
-written and the errors are those of one pass.
+A dataset whose text is estimated at two `MIN_RANGE_BYTES` or more is
+saved as one row block per usable CPU, through the fork helper
+`_in_children`: this process formats and writes the first block while
+forked children each form the whole text of another and send it back
+through a pipe, read in file order; a block whose child died is formatted
+here. The bytes written are those of one pass.
 
 A regular file of at least two `MIN_RANGE_BYTES` gets a binary twin, the
 file's path plus `TWIN_SUFFIX` (`data.jsonl.twin.npz`), after a successful
@@ -29,11 +27,11 @@ error, and deleting it is always safe.
 
 Every reader follows one rule: the first line in file order that is
 refused, for a byte that is not UTF-8 or for its content, is reported as
-`path:line: reason`, whatever the number of ranges. Files are decoded with
-`surrogateescape`, so decoding never fails, and each line is checked for
-an escaped byte where it is parsed. A dataset row with a non-finite value
-is refused at its line too. All writers go through a temp file plus atomic
-rename so failed runs leave no partial outputs.
+`path:line: reason`. Files are decoded with `surrogateescape`, so
+decoding never fails, and each line is checked for an escaped byte where
+it is parsed. A dataset row with a non-finite value is refused at its line
+too. All writers go through a temp file plus atomic rename so failed runs
+leave no partial outputs.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ import hashlib
 import io
 import json
 import os
-import pickle
 import signal
 import sys
 import tempfile
@@ -56,11 +53,9 @@ import numpy as np
 
 from ..datagen import Dataset
 
-# A dataset is cut into byte ranges of at least this size, one per usable
-# CPU, so a file under twice this size is read in one pass. In three sets of
-# 20 interleaved loads of K=28 files on a shared 2-vCPU host, two ranges
-# went from 6% slower to 26% faster at 0.5-1.5 MiB, and were 18-38% faster
-# at 2 and 4 MiB.
+# A dataset is saved as row blocks of at least this much estimated text,
+# one per usable CPU, so one under twice this size is written in one pass;
+# a regular file of at least twice this size gets a binary twin.
 MIN_RANGE_BYTES = 1 << 20
 
 # Rows are formatted in chunks of this many lines, about 0.3 MiB of text at
@@ -200,28 +195,15 @@ def _lines(lines, path: str):
         yield line_no, line
 
 
-class _Part:
-    """The instances of one byte range of a dataset, numbered from the
-    range's first line."""
-
-    BUFFERS = ("values", "labels", "counts")
-
-    def __init__(self):
-        self.values = array.array("d")  # row-major features, grown line by line
-        self.labels, self.counts = array.array("q"), array.array("q")
-        self.lines = 0  # lines read, blank ones included
-        self.first = None  # (line, k, feature length) of the first instance
-        self.error = None  # (line, message, cause) of the first refused line
-
-
-def _parse_lines(handle, part: _Part) -> None:
-    """Add the instances of a text stream to `part` up to the first refused
-    line, for its bytes, its content or a non-finite value, which is
-    recorded in `part.error`."""
-    values, labels, counts = (getattr(part, name) for name in _Part.BUFFERS)
+def _parse_lines(handle, path: str):
+    """(row-major features, label indices, label counts, (line, k, feature
+    length) of the first instance) of the lines of the text stream
+    `handle`, read from `path`. The first line refused, for its bytes, its
+    content or a non-finite value, is raised as `path:line: reason`."""
+    values = array.array("d")  # row-major features, grown line by line
+    labels, counts = array.array("q"), array.array("q")
     line_nos = array.array("q")
-    k = dim = None
-    line_no = 0
+    first = error = None
     for line_no, line in enumerate(handle, start=1):
         text = line.strip()
         if not text:
@@ -229,66 +211,37 @@ def _parse_lines(handle, part: _Part) -> None:
         # the location is formatted only when a line is refused
         try:
             _check_utf8(line)
-            feats, line_labels, line_k = _parse_instance(json.loads(text))
-            if k is None:
-                k, dim = line_k, len(feats)
-                part.first = (line_no, k, dim)
-            elif line_k != k:
-                raise ValueError(f"k changed from {k} to {line_k}")
-            elif len(feats) != dim:
-                raise ValueError(f"feature length {len(feats)} != {dim}")
+            feats, line_labels, k = _parse_instance(json.loads(text))
+            if first is None:
+                first = (line_no, k, len(feats))
+            elif k != first[1]:
+                raise ValueError(f"k changed from {first[1]} to {k}")
+            elif len(feats) != first[2]:
+                raise ValueError(f"feature length {len(feats)} != {first[2]}")
         except json.JSONDecodeError as exc:
-            part.error = (line_no, f"malformed JSON ({exc.msg})", exc)
+            error = (line_no, f"malformed JSON ({exc.msg})", exc)
             break
         except ValueError as exc:
-            part.error = (line_no, str(exc), exc)
+            error = (line_no, str(exc), exc)
             break
         values.extend(feats)
         labels.extend(line_labels)
         counts.append(len(line_labels))
         line_nos.append(line_no)
-    part.lines = line_no
     # JSON NaN and Infinity parse as floats; every row added lies before a
-    # refused line, so its line is the earlier one. The view of `values`
-    # lives for this statement only, so the buffer can still grow.
+    # refused line, so a non-finite row is the earlier one and wins
     if counts:
         finite = np.isfinite(np.frombuffer(values, dtype=float).reshape(
-            len(counts), dim)).all(axis=1)
+            len(counts), first[2])).all(axis=1)
         if not finite.all():
-            part.error = (line_nos[np.argmin(finite)],
-                          "features must be finite numbers", None)
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes start..end of a file."""
-
-    def __init__(self, path: str, start: int, end: int):
-        super().__init__()
-        self._file = io.FileIO(path, "r")
-        self._file.seek(start)
-        self._left = end - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        read = self._file.readinto(memoryview(buffer)[:self._left])
-        self._left -= read
-        return read
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
-def _parse_range(path: str, start: int, end: int) -> _Part:
-    """The part for bytes start..end of `path`, read in text mode; its
-    first refused line is in `part.error`."""
-    part = _Part()
-    with io.TextIOWrapper(_ByteRange(path, start, end), encoding="utf-8",
-                          errors="surrogateescape") as handle:
-        _parse_lines(handle, part)
-    return part
+            error = (line_nos[np.argmin(finite)],
+                     "features must be finite numbers", None)
+    if error:
+        line_no, message, cause = error
+        raise ValueError(f"{path}:{line_no}: {message}") from cause
+    if not counts:
+        raise ValueError(f"{path}: no instances")
+    return values, labels, counts, first
 
 
 def _usable_cpus() -> int:
@@ -296,56 +249,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):  # not on every platform
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _line_end(raw, offset: int) -> int:
-    """The offset just past the first \\n at or after `offset` in the binary
-    file `raw`, or its end."""
-    raw.seek(offset)
-    raw.readline()
-    return raw.tell()
-
-
-def _byte_ranges(path: str) -> list:
-    """(start, end) byte offsets cutting `path` into up to one range per
-    usable CPU, each at least MIN_RANGE_BYTES long and, but for the last,
-    ending just after a \\n byte, so no \\r\\n pair is split. Without fork,
-    or without a \\n to cut at, the file is one range."""
-    size = os.path.getsize(path)
-    count = min(_usable_cpus(), size // MIN_RANGE_BYTES)
-    cuts = [0]
-    if count > 1 and hasattr(os, "fork"):
-        with open(path, "rb") as raw:
-            for i in range(1, count):
-                cut = _line_end(raw, max(i * size // count,
-                                         cuts[-1] + MIN_RANGE_BYTES) - 1)
-                if size - cut < MIN_RANGE_BYTES:
-                    break
-                cuts.append(cut)
-    return list(zip(cuts, cuts[1:] + [size]))
-
-
-def _send(pipe, part: _Part) -> None:
-    error = part.error and part.error[:2] + (None,)  # causes stay behind
-    pickle.dump((part.lines, part.first, error,
-                 [len(getattr(part, name)) for name in _Part.BUFFERS]), pipe)
-    for name in _Part.BUFFERS:
-        pipe.write(getattr(part, name))
-
-
-def _receive(pipe):
-    """The part a child sent through `pipe`, or None if it died first."""
-    part = _Part()
-    try:
-        part.lines, part.first, part.error, sizes = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        return None
-    for name, size in zip(_Part.BUFFERS, sizes):
-        buffer = array.array(getattr(part, name).typecode, [0]) * size
-        if pipe.readinto(buffer) != size * buffer.itemsize:
-            return None
-        setattr(part, name, buffer)
-    return part
 
 
 def _fork(send, job):
@@ -357,10 +260,10 @@ def _fork(send, job):
             # Python 3.12+ warns that fork() in a process with other threads
             # may deadlock the child on a lock one of them held. Here those
             # are numpy's BLAS workers (OpenBLAS stops its own around a
-            # fork). A child runs only the stdlib parsing loop and numpy's
-            # isfinite, or `repr` and numpy's nonzero, searchsorted and
-            # tolist, none of which calls BLAS, with every module imported,
-            # and leaves by os._exit, so it takes no lock those threads use.
+            # fork). A child runs only save's formatting, `repr` and numpy's
+            # nonzero, searchsorted and tolist, none of which calls BLAS,
+            # with every module imported, and leaves by os._exit, so it
+            # takes no lock those threads use.
             warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
             pid = os.fork()
     except OSError:
@@ -414,14 +317,6 @@ def _in_children(jobs: list, here, send, receive):
             _reap(child, kill=True)
 
 
-def _parts(path: str):
-    """The parts of `path` in file order, one per byte range, through
-    `_in_children`."""
-    return _in_children(_byte_ranges(path), lambda span: _parse_range(path, *span),
-                        lambda pipe, span: _send(pipe, _parse_range(path, *span)),
-                        _receive)
-
-
 def _dataset_text(data: Dataset, lo: int, hi: int):
     """The JSONL lines of rows lo..hi of `data`, as strings of up to
     _CHUNK_ROWS lines. Each line is the `json.dumps` of its row's dict: the
@@ -442,9 +337,8 @@ def _dataset_text(data: Dataset, lo: int, hi: int):
 
 def _row_blocks(data: Dataset) -> list:
     """(lo, hi) row blocks cutting `data` into up to one block per usable CPU,
-    by the rule `_byte_ranges` cuts a file by: each at least MIN_RANGE_BYTES
-    of text, estimated as the first line's length times the row count.
-    Without fork, the dataset is one block."""
+    each at least MIN_RANGE_BYTES of text, estimated as the first line's
+    length times the row count. Without fork, the dataset is one block."""
     size = len(next(_dataset_text(data, 0, 1))) * len(data)
     count = min(_usable_cpus(), size // MIN_RANGE_BYTES, len(data))
     if count < 2 or not hasattr(os, "fork"):
@@ -512,42 +406,17 @@ def save_dataset(data: Dataset, path: str) -> None:
 
 def _parse_dataset(path: str) -> Dataset:
     """The dataset in the JSONL file `path`, parsed as `load_dataset` says."""
-    parts = []  # parts with instances
-    first = None  # (line, k, feature length) of the file's first instance
-    lines_before = 0
-    with contextlib.closing(_parts(path)) as ranges:
-        for part in ranges:
-            if part.first and first and part.first[1:] != first[1:]:
-                line, k, dim = part.first
-                part.error = (line, f"k changed from {first[1]} to {k}"
-                              if k != first[1] else
-                              f"feature length {dim} != {first[2]}", None)
-            if part.error:
-                line, message, cause = part.error
-                message = f"{path}:{lines_before + line}: {message}"
-                raise ValueError(message) from cause
-            if part.first and not first:
-                first = (lines_before + part.first[0],) + part.first[1:]
-            if part.counts:
-                parts.append(part)
-            lines_before += part.lines
-    if not parts:
-        raise ValueError(f"{path}: no instances")
-    line, k, dim = first
-    joined = parts[0]
-    for part in parts[1:]:  # each part's buffers go as they are appended
-        for name in ("values", "labels", "counts"):
-            getattr(joined, name).extend(getattr(part, name))
-            setattr(part, name, None)
-    counts = np.frombuffer(joined.counts, dtype=np.int64)
-    matrix = np.frombuffer(joined.values, dtype=float).reshape(len(counts), dim)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        values, labels, counts, (line, k, dim) = _parse_lines(handle, path)
+    counts = np.frombuffer(counts, dtype=np.int64)
+    matrix = np.frombuffer(values, dtype=float).reshape(len(counts), dim)
     try:
         flags = np.zeros((len(counts), k + 1), dtype=int)
     except MemoryError:
         raise ValueError(f"{path}:{line}: k = {k} is too large; no memory for "
                          f"a {len(counts)} x {k + 1} label matrix") from None
     flags[np.repeat(np.arange(len(counts)), counts),
-          np.frombuffer(joined.labels, dtype=np.int64)] = 1
+          np.frombuffer(labels, dtype=np.int64)] = 1
     flags[:, 0] = counts == 0
     return Dataset(matrix, flags, provenance={"source": path})
 
@@ -584,25 +453,17 @@ def _read_twin(path: str, key: str):
 
 
 def load_dataset(path: str) -> Dataset:
-    """The dataset in the JSONL file `path`. The first line in file order
-    refused for a byte that is not UTF-8, for its content or for a
-    non-finite value is reported as `path:line: reason`, whatever the number
-    of ranges.
+    """The dataset in the JSONL file `path`, parsed in one pass in this
+    process over its text-mode lines, so `\\r\\n` and `\\r` end lines as `\\n`
+    does and blank lines are counted. The first line in file order refused
+    for a byte that is not UTF-8, for its content or for a non-finite value
+    is reported as `path:line: reason`; a `k` or feature length that differs
+    from the first instance's is refused at its line.
 
-    A file of at least two ranges of MIN_RANGE_BYTES is cut after \\n bytes
-    into up to one byte range per usable CPU. This process parses the first
-    range while forked children parse the others and send their buffers
-    back through pipes, and every child is reaped before this returns or
-    raises. Every range, a whole file's one included, runs the same loop
-    over text-mode lines, and the parts join into the values and errors of
-    one pass: a range's lines are numbered after those of the ranges before
-    it, and a `k` or feature length that changes at its first instance is
-    refused there.
-
-    Such a file, if it is a regular one, is read from its twin, `path` +
-    TWIN_SUFFIX, when the twin's format number and sha256 match the file's
-    bytes, and is parsed otherwise; a successful parse then writes the twin
-    if it can. A twin that is missing, stale or unreadable is never an
+    A regular file of at least two MIN_RANGE_BYTES is read from its twin,
+    `path` + TWIN_SUFFIX, when the twin's format number and sha256 match the
+    file's bytes, and is parsed otherwise; a successful parse then writes the
+    twin if it can. A twin that is missing, stale or unreadable is never an
     error, and a loaded twin gives the arrays and provenance of a parse.
     """
     key = _twin_key(path)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncrl_lab.datagen import SyntheticConfig, generate
+from ncrl_lab.datagen import Dataset, SyntheticConfig, generate
 from ncrl_lab.harness import cli, dataio
 from ncrl_lab.harness.cli import main
 from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow,
@@ -52,6 +52,13 @@ def rows_without_seconds(rows):
             for r in rows]
 
 
+def load_error(path) -> str:
+    """The message of the error loading `path` raises."""
+    with pytest.raises(ValueError) as info:
+        load_dataset(str(path))
+    return str(info.value)
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes allocated while `fn(*args)` runs, its result included."""
     tracemalloc.start()
@@ -71,6 +78,9 @@ class TestSeeds:
                                                                    "bce", 0.0)
 
 
+LINE = '{"features": [0.5, -1.25, 3.0], "labels": [1], "k": 2}'
+
+
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         data = generate(tiny_synth(num_instances=50))
@@ -80,9 +90,9 @@ class TestDatasetIo:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(ValueError, match="no instances"):
-            load_dataset(str(path))
+        for text in ("", " \n\n\t\n\r\n" * 10):
+            path.write_text(text)
+            assert load_error(path) == f"{path}: no instances"
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -143,15 +153,70 @@ class TestDatasetIo:
         assert f"{data}:2: features must be numbers" in capsys.readouterr().err
 
     def test_inconsistent_dims(self, tmp_path):
+        # refused at the first line that changes, though the lines after it
+        # keep the change
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"features": [1.0], "labels": [1], "k": 2}\n'
-                        '{"features": [1.0], "labels": [1], "k": 3}\n')
-        with pytest.raises(ValueError, match="k changed"):
-            load_dataset(str(path))
-        path.write_text('{"features": [1.0], "labels": [1], "k": 2}\n'
-                        '{"features": [1.0, 2.0], "labels": [1], "k": 2}\n')
-        with pytest.raises(ValueError, match="feature length"):
-            load_dataset(str(path))
+        for changed, message in (
+                ('{"features": [1.0, 2.0, 3.0], "labels": [], "k": 3}',
+                 "k changed from 2 to 3"),
+                ('{"features": [1.0, 2.0], "labels": [], "k": 2}',
+                 "feature length 2 != 3")):
+            path.write_text(f"{LINE}\n" * 3 + "\n" + f"{changed}\n" * 2)
+            assert load_error(path) == f"{path}:5: {message}"
+
+    def test_first_refused_line_wins(self, tmp_path):
+        # the parse stops at a refused line, whatever the lines after it hold
+        path = tmp_path / "bad.jsonl"
+        for later in ('{"features": [1.0], "labels": [], "k": 2}',
+                      LINE.replace("0.5", "0.\udcff5"),
+                      LINE.replace("3.0", "NaN")):
+            text = f"{LINE}\n" * 3 + "{oops\n" + f"{later}\n" + f"{LINE}\n" * 3
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            assert load_error(path) == (
+                f"{path}:4: malformed JSON (Expecting property name enclosed "
+                "in double quotes)")
+
+    def test_nan_before_a_malformed_line_wins(self, tmp_path):
+        # non-finite values are checked once the parse stops, and a NaN row
+        # must still win over the later line that stopped it
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{LINE}\n" + LINE.replace("3.0", "NaN") + "\n"
+                        + LINE.replace("0.5", "Infinity") + "\n{oops\n")
+        assert load_error(path) == f"{path}:2: features must be finite numbers"
+
+    def test_lines_count_blanks_and_every_ending(self, tmp_path):
+        # universal newlines: \r\n and \r end a line as \n does
+        path = tmp_path / "data.jsonl"
+        head = (f"{LINE}\r\n" + "\r\n" + " \t\r" + LINE.replace("0.5", "1.5")
+                + "\r" + "\r" + LINE.replace("0.5", "2.5") + "\n" + "\n")
+        path.write_text(head, newline="")
+        assert load_dataset(str(path)).features.tolist() == [
+            [0.5, -1.25, 3.0], [1.5, -1.25, 3.0], [2.5, -1.25, 3.0]]
+        for bad, message in (
+                ('{"features": [1.0, 2.0, 3.0], "labels": [3], "k": 2}',
+                 "y0-consistency violated; label indices must lie in 1..2 "
+                 "(the none class is derived, never listed)"),
+                ("[1, 2]", "expected a JSON object"),
+                (LINE.replace("0.5", "0.\udcff5"), "not UTF-8 text (0xff at "
+                 "byte 17 of the line: invalid start byte)"),
+                (LINE.replace("3.0", "NaN"), "features must be finite numbers")):
+            path.write_bytes((head + bad + "\r\n" + LINE).encode(
+                "utf-8", "surrogateescape"))
+            assert load_error(path) == f"{path}:8: {message}"
+
+    def test_load_forks_nothing(self, tmp_path, monkeypatch):
+        # a file large enough to cut per CPU under a lowered range size is
+        # still parsed here, in one pass
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a load forked"))
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(
+            '{"features": [%d.5, -1.0], "labels": [%s], "k": 2}\n'
+            % (i, "2" if i % 3 else "") for i in range(30)))
+        assert load_dataset(str(path)) == Dataset(
+            np.array([[i + 0.5, -1.0] for i in range(30)]),
+            np.array([[0, 0, 1] if i % 3 else [1, 0, 0] for i in range(30)]))
 
     def test_duplicate_labels(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -174,7 +239,7 @@ class TestDatasetIo:
                                          num_instances=3000)), path)
         assert traced_peak(load_dataset, path) < 2 * os.path.getsize(path)
 
-    def test_bad_byte_is_located_without_a_rescan(self, tmp_path, monkeypatch):
+    def test_bad_byte_is_located_without_a_rescan(self, tmp_path):
         # the line of a bad byte used to be found by reading the whole file
         # again as a list of lines, which held about 2.4 times the file
         path = tmp_path / "data.jsonl"
@@ -184,7 +249,6 @@ class TestDatasetIo:
         lines[-2] = lines[-2].replace(b"[", b"[\xff", 1)
         path.write_bytes(b"".join(lines))
         del lines
-        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 1)
 
         def load():
             with pytest.raises(ValueError) as info:
@@ -982,14 +1046,17 @@ class TestCli:
         assert not os.path.exists(out)
 
     def test_huge_k_in_data_exits_1_naming_its_line(self, tmp_path, capsys):
+        # the label matrix cannot be allocated; numpy's MemoryError used to
+        # end the CLI in a traceback
         data = tmp_path / "data.jsonl"
-        data.write_text('\n{"features": [1.0, 2.0], "labels": [1], "k": %d}\n'
-                        % 10**15)
-        assert main(["train", "--data", str(data), "--loss", "bce", "--out",
-                     str(tmp_path / "m.json")]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {data}:2: k = {10**15} is too large; no memory for a "
-            f"1 x {10**15 + 1} label matrix\n")
+        line = '\n{"features": [1.0, 2.0], "labels": [1], "k": %d}\n' % 10**15
+        for rows in (1, 3):
+            data.write_text(line * rows)
+            assert main(["train", "--data", str(data), "--loss", "bce", "--out",
+                         str(tmp_path / "m.json")]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {data}:2: k = {10**15} is too large; no memory for a "
+                f"{rows} x {10**15 + 1} label matrix\n")
 
     def test_rows_do_not_depend_on_the_hash_seed(self, tmp_path):
         # two fresh interpreters with different string hashing must write

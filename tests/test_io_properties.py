@@ -72,8 +72,7 @@ class TestDatasetRoundTrip:
     @settings(max_examples=40)
     @given(datasets(), st.sampled_from((2, 3, 7)))
     def test_save_then_load_is_exact_in_blocks(self, data, count):
-        # up to `count` blocks of rows, and as many byte ranges, formatted
-        # and parsed in forked children
+        # up to `count` blocks of rows, formatted in forked children
         saved = dataio.MIN_RANGE_BYTES, dataio._usable_cpus
         dataio.MIN_RANGE_BYTES, dataio._usable_cpus = 1, lambda: count
         try:

@@ -1,14 +1,15 @@
 """Saving a dataset as row blocks formatted in forked children.
 
 The tests force several blocks on small datasets by lowering the range size
-and setting the CPU count the writer sees, as `test_split_load` does for
-the loader. Every save must write the bytes of a one-pass save and leave no
-child process behind; a failed save leaves no file.
+and setting the CPU count the writer sees. Every save must write the bytes
+of a one-pass save and leave no child process behind; a failed save leaves
+no file.
 """
 
 import io
 import json
 import os
+import re
 import signal
 import threading
 import time
@@ -117,7 +118,11 @@ class TestSameFile:
             no_child_left()
 
     def test_fork_warning_is_silenced(self, tmp_path, cpus):
-        # Python 3.12+ warns when a process with other threads forks
+        # Python 3.12+ warns when a process with other threads forks; the
+        # message below is the one the filter must match
+        assert re.match(dataio._FORK_WARNING,
+                        "This process (pid=123) is multi-threaded, use of "
+                        "fork() may lead to deadlocks in the child.")
         cpus(2)
         release = threading.Event()
         worker = threading.Thread(target=release.wait)

@@ -39,3 +39,12 @@ def test_main_sums_a_tree(tmp_path, capsys):
     assert src_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == (
         "total lines: 17\nwithout docstrings, comments and blank lines: 7\n")
+
+
+def test_main_counts_a_file_root_as_itself(tmp_path, capsys):
+    # a file root used to be searched as a directory, and counted nothing
+    (tmp_path / "a.py").write_text(SOURCE)
+    (tmp_path / "b.py").write_text("x = 1\n\n")
+    assert src_lines.main([str(tmp_path / "a.py"), str(tmp_path / "b.py")]) == 0
+    assert capsys.readouterr().out == (
+        "total lines: 17\nwithout docstrings, comments and blank lines: 7\n")

@@ -3,8 +3,7 @@
 A load that finds a twin whose format number and sha256 match the file's
 bytes reads it instead of parsing, and gives what a parse gives; any other
 twin is parsed over, and no twin ever fails a load or changes its error.
-Most tests lower the range size, so that small files get twins, and keep
-one range, so that the parse runs in this process.
+Most tests lower the range size, so that small files get twins.
 """
 
 import errno
@@ -39,7 +38,7 @@ K_ONE = b"".join(b'{"features": [%d.5], "labels": [%s], "k": 1}\n'
 
 @pytest.fixture
 def twins(monkeypatch):
-    """Give every file of two bytes or more a twin, parsed in one range."""
+    """Give every file of two bytes or more a twin, and save in one block."""
     monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(dataio, "_usable_cpus", lambda: 1)
 
@@ -153,7 +152,6 @@ class TestTwinLoad:
 
     def test_file_under_the_size_rule_gets_no_twin(self, tmp_path,
                                                    monkeypatch):
-        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 1)
         path = tmp_path / "data.jsonl"
         path.write_bytes(ALL_NONE)
         size = len(ALL_NONE)
@@ -167,7 +165,6 @@ class TestTwinLoad:
 
     def test_small_file_reads_no_twin(self, tmp_path, monkeypatch):
         # a twin left next to a file under the size rule is not read
-        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 1)
         path = tmp_path / "data.jsonl"
         path.write_bytes(K_ONE)
         monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", 1)
@@ -188,7 +185,6 @@ class TestTwinNeverFailsALoad:
         path.write_bytes(data.draw(st.sampled_from([MIXED, ALL_NONE, K_ONE])))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dataio, "MIN_RANGE_BYTES", 1)
-            patch.setattr(dataio, "_usable_cpus", lambda: 1)
             expected = loaded(load_dataset(str(path)))
             with open(twin_of(path), "rb") as handle:
                 twin = bytearray(handle.read())

@@ -1,4 +1,4 @@
-"""Count the lines of the Python files under a directory.
+"""Count the lines of the Python files given, or found under directories.
 
 Prints two totals: every line, and the lines left once docstrings,
 comments and blank lines are taken out. A line counts as code if a token
@@ -6,7 +6,7 @@ other than a comment or a docstring lies on it; a token that spans lines,
 such as a multi-line string, counts each of them. Docstrings are the string
 statements that open a module, class or function. Standard library only.
 
-    python tools/src_lines.py [DIRECTORY ...]   # default: src
+    python tools/src_lines.py [DIRECTORY | FILE ...]   # default: src
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def count(source: str) -> tuple:
 def main(argv=None) -> int:
     roots = (sys.argv[1:] if argv is None else argv) or ["src"]
     total = code = 0
-    for root in roots:
-        for path in sorted(Path(root).rglob("*.py")):
+    for root in map(Path, roots):
+        for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
             lines, code_lines = count(path.read_text(encoding="utf-8"))
             total += lines
             code += code_lines

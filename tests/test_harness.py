@@ -176,14 +176,6 @@ class TestDatasetIo:
                 f"{path}:4: malformed JSON (Expecting property name enclosed "
                 "in double quotes)")
 
-    def test_nan_before_a_malformed_line_wins(self, tmp_path):
-        # non-finite values are checked once the parse stops, and a NaN row
-        # must still win over the later line that stopped it
-        path = tmp_path / "bad.jsonl"
-        path.write_text(f"{LINE}\n" + LINE.replace("3.0", "NaN") + "\n"
-                        + LINE.replace("0.5", "Infinity") + "\n{oops\n")
-        assert load_error(path) == f"{path}:2: features must be finite numbers"
-
     def test_lines_count_blanks_and_every_ending(self, tmp_path):
         # universal newlines: \r\n and \r end a line as \n does
         path = tmp_path / "data.jsonl"

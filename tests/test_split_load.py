@@ -1,18 +1,18 @@
-"""Loading a dataset as byte ranges parsed in forked children.
+"""Loading a dataset whatever the CPU count and range size.
 
-The tests force several ranges on small files by lowering the range size
-and setting the CPU count the loader sees. Every load must give the values
-and the error text of a one-range load, and leave no child process behind.
-A lowered range size gives small files twins too, so a test that loads one
-file more than once removes the twin before each load.
+A load once cut a large file into byte ranges, one per usable CPU, parsed
+in forked children; the cases keep the names of that loader. A load now
+parses in one pass in this process, and the tests check that the settings
+which split a save change nothing: under a lowered range size and any CPU
+count, every load gives the values and the error text of a one-CPU load at
+the absolute line, and forks no child. The bad lines go where the cuts of
+`count` ranges fell (`range_starts`). A lowered range size gives small
+files twins, so a test that loads one file more than once removes the twin
+before each load.
 """
 
 import contextlib
-import io
 import os
-import pickle
-import re
-import signal
 import threading
 import tracemalloc
 import warnings
@@ -37,7 +37,9 @@ def no_child_left():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """`cpus(n)` lets the loader cut any file of n lines or more into n ranges."""
+    """`cpus(n)` sets the CPU count the harness sees to n and the range size
+    to one byte, the settings under which a save of n rows or more is cut
+    into n blocks."""
     def force(count):
         monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", 1)
         monkeypatch.setattr(dataio, "_usable_cpus", lambda: count)
@@ -66,28 +68,26 @@ def outcome(path):
     return result
 
 
-def range_starts(path):
-    """The 1-based line each byte range of `path` starts at."""
-    data = path.read_bytes()
-    return [data[:start].count(b"\n") + 1
-            for start, _ in dataio._byte_ranges(str(path))]
+def range_starts(lines, count):
+    """The 1-based line each of `count` equal ranges of `lines` equal-width
+    lines starts at."""
+    return [1 + i * lines // count for i in range(count)]
 
 
 def write_lines(path, lines):
     """Write lines padded to one width, so any line can be swapped for a bad
-    one without moving the cuts; a lone surrogate writes its byte."""
+    one without moving the others; a lone surrogate writes its byte."""
     encoded = [line.encode("utf-8", "surrogateescape") for line in lines]
     assert max(map(len, encoded)) <= WIDTH
     path.write_bytes(b"".join(line.ljust(WIDTH) + b"\n" for line in encoded))
 
 
 def split_error(path, cpus, count):
-    """The error of loading `path` in `count` ranges, checked to equal the
-    one-range error."""
+    """The error of loading `path` under `count` CPUs, checked to equal the
+    one-CPU error."""
     cpus(1)
     expected = outcome(path)
     cpus(count)
-    assert len(dataio._byte_ranges(str(path))) == count
     assert expected[0] == "error"
     assert outcome(path) == expected
     return expected[1]
@@ -110,40 +110,19 @@ class TestSameDataset:
         assert reference[0] == "ok" and len(reference[2]) == 60
         for count in (2, 3, 7):
             cpus(count)
-            assert len(dataio._byte_ranges(str(path))) == count
             assert outcome(path) == reference
 
     def test_no_cut_without_newline(self, tmp_path, cpus):
-        # universal newlines read \r endings as lines, but only \n is cut at
+        # universal newlines read \r endings as lines
         path = tmp_path / "data.jsonl"
         path.write_bytes((LINE.encode() + b"\r") * 20)
         cpus(4)
-        assert dataio._byte_ranges(str(path)) == [(0, path.stat().st_size)]
         assert len(load_dataset(str(path))) == 20
-
-    def test_cuts_follow_newlines(self, tmp_path, cpus):
-        path = tmp_path / "data.jsonl"
-        path.write_bytes((LINE.encode() + b"\r\n") * 30 + LINE.encode())
-        data = path.read_bytes()
-        cpus(5)
-        ranges = dataio._byte_ranges(str(path))
-        assert len(ranges) == 5 and ranges[-1][1] == len(data)
-        for (_, end), (start, _) in zip(ranges, ranges[1:]):
-            assert end == start and data[end - 2:end] == b"\r\n"
-
-    def test_small_file_or_no_fork_is_one_range(self, tmp_path, monkeypatch):
-        path = tmp_path / "data.jsonl"
-        write_lines(path, [LINE] * 50)
-        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 8)
-        assert len(dataio._byte_ranges(str(path))) == 1  # under 2 MiB
-        monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", 1)
-        assert len(dataio._byte_ranges(str(path))) == 8
-        monkeypatch.delattr(os, "fork")
-        assert len(dataio._byte_ranges(str(path))) == 1
+        no_child_left()
 
     def test_memory_bound_holds_with_ranges(self, tmp_path, cpus):
-        # the bound of test_harness's test_load_streams_lines, with the
-        # buffers of the children received and joined here
+        # the bound of test_harness's test_load_streams_lines, under the
+        # settings that split a save
         path = str(tmp_path / "data.jsonl")
         save_dataset(generate(SyntheticConfig(num_labels=10, feature_dim=20,
                                               num_instances=3000,
@@ -164,8 +143,7 @@ class TestSameDataset:
     @given(st.data())
     def test_any_file_loads_as_one_pass(self, tmp_path_factory, data):
         # lines that pass and lines refused for each reason, with every line
-        # ending, cut anywhere; a bad byte may follow a refused line closely,
-        # in the same range or the next
+        # ending; a bad byte may follow a refused line closely
         good = [LINE, '{"features": [1, 2, 3], "labels": [], "k": 2}']
         bad = ['{oops', '{"features": [1.0, 2.0], "labels": [], "k": 2}',
                '{"features": [1.0, 2.0, 3.0], "labels": [], "k": 3}',
@@ -184,7 +162,7 @@ class TestSameDataset:
         path.write_bytes(b"".join(
             line.encode("utf-8", "surrogateescape") + data.draw(endings)
             for line in lines))
-        expected = outcome(path)  # one range: the file is far too small
+        expected = outcome(path)  # default settings: no twin, one save block
         size = data.draw(st.sampled_from([1, 64, 5000]))
         count = data.draw(st.integers(2, 7))
         saved = dataio.MIN_RANGE_BYTES, dataio._usable_cpus
@@ -199,9 +177,7 @@ class TestSameErrors:
     def test_first_range_error_wins(self, tmp_path, cpus):
         path = tmp_path / "data.jsonl"
         lines = [LINE] * 30
-        write_lines(path, lines)
-        cpus(3)
-        starts = range_starts(path)
+        starts = range_starts(len(lines), 3)
         lines[starts[0] + 3] = "{oops"
         lines[starts[1] + 1] = '{"features": [1.0], "labels": [], "k": 2}'
         write_lines(path, lines)
@@ -212,10 +188,7 @@ class TestSameErrors:
     def test_error_in_third_range_has_its_absolute_line(self, tmp_path, cpus):
         path = tmp_path / "data.jsonl"
         lines = [LINE] * 30
-        write_lines(path, lines)
-        cpus(3)
-        starts = range_starts(path)
-        line = starts[2] + 2
+        line = range_starts(len(lines), 3)[2] + 2
         lines[line - 1] = '{"features": [1.0, 2.0, 3.0], "labels": [3], "k": 2}'
         write_lines(path, lines)
         assert split_error(path, cpus, 3).startswith(
@@ -229,12 +202,10 @@ class TestSameErrors:
     ])
     def test_change_at_a_range_start_is_located_there(self, tmp_path, cpus,
                                                       changed, message):
-        # the range's own later lines change back, which it would refuse
+        # the line after the change keeps it, and is not the one reported
         path = tmp_path / "data.jsonl"
         lines = [LINE] * 30
-        write_lines(path, lines)
-        cpus(3)
-        starts = range_starts(path)
+        starts = range_starts(len(lines), 3)
         lines[starts[1] - 1] = changed
         lines[starts[1]] = changed
         write_lines(path, lines)
@@ -243,9 +214,7 @@ class TestSameErrors:
     def test_blank_lines_shift_later_ranges(self, tmp_path, cpus):
         path = tmp_path / "data.jsonl"
         lines = [LINE, "", "", LINE, ""] * 8
-        write_lines(path, lines)
-        cpus(4)
-        starts = range_starts(path)
+        starts = range_starts(len(lines), 4)
         lines[starts[3]] = "[1, 2]"
         write_lines(path, lines)
         assert split_error(path, cpus, 4) == \
@@ -254,9 +223,7 @@ class TestSameErrors:
     def test_non_utf8_byte_in_a_later_range(self, tmp_path, cpus):
         path = tmp_path / "data.jsonl"
         lines = [LINE] * 30
-        write_lines(path, lines)
-        cpus(3)
-        starts = range_starts(path)
+        starts = range_starts(len(lines), 3)
         lines[starts[2]] = LINE.replace("0.5", "0.\udcff5")
         write_lines(path, lines)
         assert split_error(path, cpus, 3) == (
@@ -265,16 +232,14 @@ class TestSameErrors:
 
     def test_refused_line_before_a_bad_byte_in_its_chunk_wins(self, tmp_path,
                                                               cpus):
-        # the line just before the cut is refused and the one just after it
-        # holds a bad byte, both in one 8 KiB block of the file; whether the
-        # cut splits them or not, the earlier line is the one reported
+        # the line just before the middle is refused and the one just after
+        # it holds a bad byte, both in one 8 KiB block of the file; the
+        # earlier line is the one reported
         path = tmp_path / "data.jsonl"
         lines = [LINE] * 400
-        write_lines(path, lines)
-        cpus(2)
-        (_, cut), _ = dataio._byte_ranges(str(path))
+        second = range_starts(len(lines), 2)[1]
+        cut = (second - 1) * (WIDTH + 1)
         assert cut % 8192 and cut // 8192 == (cut + WIDTH) // 8192
-        second = range_starts(path)[1]
         lines[second - 2] = "{oops"
         lines[second - 1] = LINE.replace("0.5", "0.\udcff5")
         write_lines(path, lines)
@@ -285,9 +250,7 @@ class TestSameErrors:
     def test_nan_in_a_later_range(self, tmp_path, cpus):
         path = tmp_path / "data.jsonl"
         lines = [LINE] * 30
-        write_lines(path, lines)
-        cpus(3)
-        starts = range_starts(path)
+        starts = range_starts(len(lines), 3)
         lines[starts[1] + 4] = LINE.replace("3.0", "NaN")
         lines[starts[2] + 1] = LINE.replace("0.5", "Infinity")
         write_lines(path, lines)
@@ -298,18 +261,14 @@ class TestSameErrors:
     @pytest.mark.parametrize("later_range", [False, True])
     def test_nan_before_a_malformed_line_wins(self, tmp_path, cpus, count,
                                               later_range):
-        # non-finite values used to be checked only once every line had
-        # parsed, so a later malformed line was reported instead
+        # non-finite values are checked once the parse stops, and a NaN row
+        # must still win over the later line that stopped it
         path = tmp_path / "data.jsonl"
         lines = [LINE] * 30
-        write_lines(path, lines)
-        cpus(3)
-        starts = range_starts(path)
         lines[1] = LINE.replace("3.0", "NaN")
-        lines[starts[1] if later_range else 3] = "{oops"
+        lines[range_starts(len(lines), 3)[1] if later_range else 3] = "{oops"
         write_lines(path, lines)
         cpus(count)
-        assert len(dataio._byte_ranges(str(path))) == count
         assert outcome(path) == (
             "error", f"{path}:2: features must be finite numbers")
 
@@ -330,86 +289,22 @@ class TestSameErrors:
 
 
 class TestChildren:
-    def test_killed_child_range_is_parsed_here(self, tmp_path, cpus,
-                                               monkeypatch):
-        path = tmp_path / "data.jsonl"
-        write_lines(path, [LINE.replace("0.5", str(i)) for i in range(40)])
-        cpus(1)
-        expected = outcome(path)
-        parent = os.getpid()
-        parse = dataio._parse_instance
-
-        def dies_in_a_child(obj):
-            if os.getpid() != parent and obj["features"][0] == 25:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return parse(obj)
-
-        monkeypatch.setattr(dataio, "_parse_instance", dies_in_a_child)
-        cpus(4)
-        assert outcome(path) == expected
-
-    def test_child_dying_mid_send_is_parsed_here(self, tmp_path, cpus,
-                                                 monkeypatch):
-        path = tmp_path / "data.jsonl"
-        write_lines(path, [LINE.replace("0.5", str(i)) for i in range(40)])
-        cpus(1)
-        expected = outcome(path)
-        send = dataio._send
-
-        def half_a_send(pipe, part):
-            buffer = io.BytesIO()
-            send(buffer, part)
-            sent = buffer.getvalue()
-            pipe.write(sent[:len(sent) // 2])
-            pipe.flush()
-            os._exit(0)
-
-        monkeypatch.setattr(dataio, "_send", half_a_send)
-        for count in (2, 3):
-            cpus(count)
-            assert outcome(path) == expected
-
     def test_interrupt_in_own_range_reaps_children(self, tmp_path, cpus,
                                                    monkeypatch):
         path = tmp_path / "data.jsonl"
         write_lines(path, [LINE] * 40)
-        parent = os.getpid()
-        parse = dataio._parse_instance
 
-        def interrupted_here(obj):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return parse(obj)
+        def interrupted(obj):
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(dataio, "_parse_instance", interrupted_here)
+        monkeypatch.setattr(dataio, "_parse_instance", interrupted)
         cpus(3)
         with pytest.raises(KeyboardInterrupt):
             load_dataset(str(path))
         no_child_left()
 
-    def test_sent_part_round_trips(self):
-        part = dataio._Part()
-        part.values.extend([1.5, -0.0, 2.0])
-        part.labels.append(2)
-        part.counts.append(1)
-        part.lines, part.first = 6, (4, 2, 3)
-        part.error = (6, "k changed from 2 to 3", ValueError("cause"))
-        buffer = io.BytesIO()
-        dataio._send(buffer, part)
-        buffer.seek(0)
-        back = dataio._receive(buffer)
-        assert (back.lines, back.first, back.error) == (
-            6, (4, 2, 3), (6, "k changed from 2 to 3", None))
-        for name in dataio._Part.BUFFERS:
-            assert getattr(back, name) == getattr(part, name)
-        assert dataio._receive(io.BytesIO(pickle.dumps("x")[:3])) is None
-
     def test_fork_warning_is_silenced(self, tmp_path, cpus):
-        # Python 3.12+ warns when a process with other threads forks; the
-        # message below is the one the filter must match
-        assert re.match(dataio._FORK_WARNING,
-                        "This process (pid=123) is multi-threaded, use of "
-                        "fork() may lead to deadlocks in the child.")
+        # a load with other threads running warns of nothing
         path = tmp_path / "data.jsonl"
         write_lines(path, [LINE] * 20)
         cpus(2)

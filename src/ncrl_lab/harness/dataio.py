@@ -8,14 +8,14 @@ pass in this process, appending each line's checked features to a growing
 float64 buffer, so neither holds a whole-file copy of the text or of the
 values as Python objects.
 
-A dataset whose text is estimated at two `MIN_RANGE_BYTES` or more is
-saved as one row block per usable CPU, through the fork helper
-`_in_children`: this process formats and writes the first block while
-forked children each form the whole text of another and send it back
-through a pipe, read in file order; a block whose child died is formatted
-here. The bytes written are those of one pass.
+A dataset is saved as up to one row block per usable CPU, each of at least
+`MIN_RANGE_BYTES` of estimated text: this process forks a child for each
+block after the first, formats and writes the first block, then copies
+each child's text, sent back through a pipe, in file order; a block whose
+fork failed or whose child died is formatted here. The bytes written are
+those of one pass.
 
-A regular file of at least two `MIN_RANGE_BYTES` gets a binary twin, the
+A regular file of at least `TWIN_MIN_BYTES` gets a binary twin, the
 file's path plus `TWIN_SUFFIX` (`data.jsonl.twin.npz`), after a successful
 parse: an npz file, read without pickle, holding the parsed features and
 label flags, the file's sha256 and `TWIN_FORMAT`. A later load reads the
@@ -54,8 +54,7 @@ import numpy as np
 from ..datagen import Dataset
 
 # A dataset is saved as row blocks of at least this much estimated text,
-# one per usable CPU, so one under twice this size is written in one pass;
-# a regular file of at least twice this size gets a binary twin.
+# one per usable CPU, so one under twice this size is written in one pass.
 MIN_RANGE_BYTES = 1 << 20
 
 # Rows are formatted in chunks of this many lines, about 0.3 MiB of text at
@@ -64,9 +63,10 @@ MIN_RANGE_BYTES = 1 << 20
 _CHUNK_ROWS = 256
 _COPY_BYTES = 1 << 16
 
-# A dataset file's twin is its path plus this suffix. Bump the format number
-# with any change to what a JSONL file loads as, its values or its errors,
-# so that older twins are parsed again.
+# A regular dataset file of at least this size gets a twin, its path plus
+# this suffix. Bump the format number with any change to what a JSONL file
+# loads as, its values or its errors, so that older twins are parsed again.
+TWIN_MIN_BYTES = 2 << 20
 TWIN_SUFFIX = ".twin.npz"
 TWIN_FORMAT = 1
 
@@ -251,16 +251,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork(send, job):
-    """(pid, the read end of its pipe) of a forked child that runs
-    `send(pipe, job)` on the write end and leaves; None if fork fails."""
+def _fork(data: Dataset, block):
+    """(pid, the read end of its pipe) of a forked child that sends the text
+    of rows `block` of `data` through the write end by `_send_text` and
+    leaves; None if fork fails."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns that fork() in a process with other threads
             # may deadlock the child on a lock one of them held. Here those
             # are numpy's BLAS workers (OpenBLAS stops its own around a
-            # fork). A child runs only save's formatting, `repr` and numpy's
+            # fork). A child runs only `_send_text`: `repr` and numpy's
             # nonzero, searchsorted and tolist, none of which calls BLAS,
             # with every module imported, and leaves by os._exit, so it
             # takes no lock those threads use.
@@ -276,45 +277,11 @@ def _fork(send, job):
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
-                send(pipe, job)
+                _send_text(pipe, data, block)
         finally:
             os._exit(0)
     os.close(write_fd)
     return pid, os.fdopen(read_fd, "rb")
-
-
-def _reap(child, kill: bool) -> None:
-    pid, pipe = child
-    pipe.close()
-    # a child is gone already where SIGCHLD is ignored or handled elsewhere
-    with contextlib.suppress(ProcessLookupError, ChildProcessError):
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _in_children(jobs: list, here, send, receive):
-    """`here(job)` for each of `jobs`, in order. This process runs the first
-    job while a forked child runs `send(pipe, job)` for each of the others;
-    `receive(pipe)` gives the result a child sent, or None if it died
-    first, and then the job runs here. Closing the generator kills and
-    reaps the children not yet reaped."""
-    children = {}
-    try:
-        for index, job in enumerate(jobs[1:], start=1):
-            child = _fork(send, job)
-            if child:
-                children[index] = child
-        yield here(jobs[0])
-        for index, job in enumerate(jobs[1:], start=1):
-            result = None
-            if index in children:
-                result = receive(children[index][1])
-                _reap(children.pop(index), kill=False)
-            yield here(job) if result is None else result
-    finally:
-        for child in children.values():
-            _reap(child, kill=True)
 
 
 def _dataset_text(data: Dataset, lo: int, hi: int):
@@ -374,32 +341,38 @@ def _copy_text(pipe, handle):
 
 
 def _write_blocks(data: Dataset, handle) -> None:
-    """Write the text of `data` to the binary file `handle`, one row block
-    per `_row_blocks` entry, through `_in_children`."""
-    def here(block):
-        for chunk in _dataset_text(data, *block):
-            handle.write(chunk.encode("ascii"))
-        return True
-
-    with contextlib.closing(_in_children(
-            _row_blocks(data), here,
-            lambda pipe, block: _send_text(pipe, data, block),
-            lambda pipe: _copy_text(pipe, handle))) as blocks:
-        for _ in blocks:
-            pass
+    """Write the text of `data` to the binary file `handle` as
+    `save_dataset` says, one row block per `_row_blocks` entry. Each child
+    is reaped on the way out, once its text is copied or the save has
+    failed, and killed first in case it has not left."""
+    blocks = _row_blocks(data)
+    children = [_fork(data, block) for block in blocks[1:]]
+    try:
+        for block, child in zip(blocks, [None, *children]):
+            if child is None or not _copy_text(child[1], handle):
+                for chunk in _dataset_text(data, *block):
+                    handle.write(chunk.encode("ascii"))
+    finally:
+        for pid, pipe in filter(None, children):
+            pipe.close()
+            # a child is gone already where SIGCHLD is ignored or handled
+            # elsewhere
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def save_dataset(data: Dataset, path: str) -> None:
     """Write `data` to `path` as JSONL, one `json.dumps` line per row.
 
-    A dataset whose text is estimated at two MIN_RANGE_BYTES or more is cut
-    into up to one contiguous row block per usable CPU. This process
-    formats and writes the first block while forked children each form the
-    whole text of another block in their own memory; that text is then
-    copied here in file order, in bounded chunks, so the file is the one a
-    single pass writes. A block whose child died is formatted here. Every
-    child is reaped before this returns or raises, and a failure leaves no
-    file.
+    The rows are cut into up to one contiguous block per usable CPU, each
+    of at least MIN_RANGE_BYTES of estimated text. This process formats and
+    writes the first block while forked children each form the whole text
+    of another block in their own memory; that text is then copied here in
+    file order, in bounded chunks, so the file is the one a single pass
+    writes. A block whose fork failed or whose child died is formatted
+    here. Every child is reaped before this returns or raises, and a
+    failure leaves no file.
     """
     _atomic_write(path, lambda handle: _write_blocks(data, handle))
 
@@ -422,12 +395,12 @@ def _parse_dataset(path: str) -> Dataset:
 
 
 def _twin_key(path: str):
-    """The sha256 of `path` if it is a regular file of at least two
-    MIN_RANGE_BYTES, the files that have twins; else None, as it is for a
+    """The sha256 of `path` if it is a regular file of at least
+    TWIN_MIN_BYTES, the files that have twins; else None, as it is for a
     file that cannot be read, which the parse then reports."""
     digest = hashlib.sha256()
     try:
-        if not os.path.isfile(path) or os.path.getsize(path) < 2 * MIN_RANGE_BYTES:
+        if not os.path.isfile(path) or os.path.getsize(path) < TWIN_MIN_BYTES:
             return None
         with open(path, "rb") as raw:
             while block := raw.read(1 << 20):
@@ -460,7 +433,7 @@ def load_dataset(path: str) -> Dataset:
     is reported as `path:line: reason`; a `k` or feature length that differs
     from the first instance's is refused at its line.
 
-    A regular file of at least two MIN_RANGE_BYTES is read from its twin,
+    A regular file of at least TWIN_MIN_BYTES is read from its twin,
     `path` + TWIN_SUFFIX, when the twin's format number and sha256 match the
     file's bytes, and is parsed otherwise; a successful parse then writes the
     twin if it can. A twin that is missing, stale or unreadable is never an

@@ -1,11 +1,12 @@
 """Saving a dataset as row blocks formatted in forked children.
 
-The tests force several blocks on small datasets by lowering the range size
-and setting the CPU count the writer sees. Every save must write the bytes
-of a one-pass save and leave no child process behind; a failed save leaves
-no file.
+The tests force several blocks on small datasets by lowering the block size
+(`MIN_RANGE_BYTES`) and setting the CPU count the writer sees. Every save
+must write the bytes of a one-pass save and leave no child process behind;
+a failed save leaves no file.
 """
 
+import errno
 import io
 import json
 import os
@@ -69,7 +70,7 @@ class TestSameFile:
             assert len(dataio._row_blocks(DATA)) == count
             assert saved_bytes(tmp_path / f"{count}.jsonl") == expected
 
-    def test_blocks_follow_the_load_rule(self, monkeypatch):
+    def test_blocks_follow_the_save_size_rule(self, monkeypatch):
         # the text is estimated as the first line's length times the rows,
         # and cut into up to one block per CPU of at least MIN_RANGE_BYTES
         monkeypatch.setattr(dataio, "_usable_cpus", lambda: 8)
@@ -175,6 +176,23 @@ class TestChildren:
             cpus(count)
             path = tmp_path / f"{count}.jsonl"
             assert saved_bytes(path) == one_pass_text(DATA)
+
+    def test_failed_fork_block_is_formatted_here(self, tmp_path, cpus,
+                                                 monkeypatch):
+        # the fork for the second block fails, as it does at the process
+        # limit; the third block's child still sends its text
+        fork, calls = os.fork, []
+
+        def fails_once():
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fails_once)
+        cpus(3)
+        assert saved_bytes(tmp_path / "data.jsonl") == one_pass_text(DATA)
+        assert len(calls) == 2  # one fork per block after the first
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError])
     def test_failure_in_own_block_leaves_nothing(self, tmp_path, cpus,

@@ -3,7 +3,7 @@
 A load that finds a twin whose format number and sha256 match the file's
 bytes reads it instead of parsing, and gives what a parse gives; any other
 twin is parsed over, and no twin ever fails a load or changes its error.
-Most tests lower the range size, so that small files get twins.
+Most tests lower the twin size rule, so that small files get twins.
 """
 
 import errno
@@ -38,9 +38,8 @@ K_ONE = b"".join(b'{"features": [%d.5], "labels": [%s], "k": 1}\n'
 
 @pytest.fixture
 def twins(monkeypatch):
-    """Give every file of two bytes or more a twin, and save in one block."""
-    monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", 1)
-    monkeypatch.setattr(dataio, "_usable_cpus", lambda: 1)
+    """Give every nonempty file a twin."""
+    monkeypatch.setattr(dataio, "TWIN_MIN_BYTES", 1)
 
 
 def twin_of(path):
@@ -154,12 +153,10 @@ class TestTwinLoad:
                                                    monkeypatch):
         path = tmp_path / "data.jsonl"
         path.write_bytes(ALL_NONE)
-        size = len(ALL_NONE)
-        assert size % 2 == 0
-        monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", size // 2 + 1)
+        monkeypatch.setattr(dataio, "TWIN_MIN_BYTES", len(ALL_NONE) + 1)
         load_dataset(str(path))
         assert os.listdir(tmp_path) == ["data.jsonl"]
-        monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", size // 2)
+        monkeypatch.setattr(dataio, "TWIN_MIN_BYTES", len(ALL_NONE))
         load_dataset(str(path))
         assert os.path.isfile(twin_of(path))
 
@@ -167,9 +164,9 @@ class TestTwinLoad:
         # a twin left next to a file under the size rule is not read
         path = tmp_path / "data.jsonl"
         path.write_bytes(K_ONE)
-        monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(dataio, "TWIN_MIN_BYTES", 1)
         parsed = load_dataset(str(path))
-        monkeypatch.setattr(dataio, "MIN_RANGE_BYTES", len(K_ONE))
+        monkeypatch.setattr(dataio, "TWIN_MIN_BYTES", len(K_ONE) + 1)
         calls = parses(monkeypatch)
         assert loaded(load_dataset(str(path))) == loaded(parsed)
         assert calls == [str(path)]
@@ -184,7 +181,7 @@ class TestTwinNeverFailsALoad:
         path = tmp_path_factory.mktemp("twin") / "data.jsonl"
         path.write_bytes(data.draw(st.sampled_from([MIXED, ALL_NONE, K_ONE])))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dataio, "MIN_RANGE_BYTES", 1)
+            patch.setattr(dataio, "TWIN_MIN_BYTES", 1)
             expected = loaded(load_dataset(str(path)))
             with open(twin_of(path), "rb") as handle:
                 twin = bytearray(handle.read())
@@ -251,14 +248,14 @@ class TestTwinNeverFailsALoad:
 
 
 def test_fresh_interpreter_reads_the_twin(tmp_path):
-    # a file of at least two MIN_RANGE_BYTES, under the loader's own rule,
+    # a file of at least TWIN_MIN_BYTES, under the loader's own rule,
     # loaded in a child whose json.loads refuses every line: it loads from
     # the twin this process wrote, and fails once the twin is gone
     path = tmp_path / "data.jsonl"
     save_dataset(generate(SyntheticConfig(num_labels=10, feature_dim=40,
                                           num_instances=5000, seed=4)),
                  str(path))
-    assert path.stat().st_size >= 2 * dataio.MIN_RANGE_BYTES
+    assert path.stat().st_size >= dataio.TWIN_MIN_BYTES
     parsed = load_dataset(str(path))
     script = (
         "import hashlib, json, sys\n"

@@ -6,25 +6,22 @@ share that convention.
 """
 
 from .consistency import (ConsistencyReport, bayes_ncre_risk,
-                          bayes_optimal_membership, minimize_conditional_ncrl,
                           ncre_conditional_risk, optimal_margin_closed_form,
                           run_consistency_experiment)
 from .datagen import (Dataset, SyntheticConfig, class_prior_report, generate,
-                      ground_truth_scores, inject_false_negatives,
-                      inject_symmetric_noise, split, strip_none_instances, take)
-from .losses import (LOSS_KINDS, LossResult, Margins, atl, batch_loss, bce,
-                     bce_shifted, hamming_error, margin_regularization, margins,
-                     ncre_error, ncrl_final, ncrl_noreg, ncrl_plain,
-                     pairwise_ranking, ranking_error, shifted_negative_prob,
-                     sigmoid, softplus, validate_labels, with_none_flag)
+                      inject_false_negatives, inject_symmetric_noise, split,
+                      strip_none_instances, take)
+from .losses import (LOSS_KINDS, LossResult, atl, batch_loss, bce, bce_shifted,
+                     margin_regularization, ncre_error, ncrl_final, ncrl_noreg,
+                     ncrl_plain, pairwise_ranking, sigmoid, with_none_flag)
 from .metrics import (ConfusionCounts, MetricsReport, average_precision,
                       confusion, evaluate, mean_average_precision, mean_ncre,
                       micro_macro_f1)
 from .model import (Adam, LinearScorer, MlpScorer, TrainConfig, TrainHistory,
-                    TrainResult, forward, grad_check, learning_rate_at,
+                    TrainResult, grad_check, learning_rate_at,
                     scorer_from_dict, scorer_to_dict, train)
-from .prediction import (COARSE_GRID, FINE_GRID, predict_adaptive,
-                         predict_global, predict_per_label,
-                         sweep_global_threshold, sweep_per_label_thresholds)
+from .prediction import (COARSE_GRID, FINE_GRID, adaptive_flags, global_flags,
+                         per_label_flags, sweep_global_threshold,
+                         sweep_per_label_thresholds)
 
 __version__ = "0.1.0"

@@ -4,7 +4,10 @@ Given per-label marginal probabilities delta_i = P(y_i = 1 | x), the
 conditional surrogate risk has a unique minimizer (up to a shared score
 offset) whose margins are logit(delta_i). Minimizing the risk numerically and
 comparing against that closed form verifies, trial by trial, that the
-recovered scores fall in the Bayes-optimal set for the ranking error.
+recovered scores fall in the Bayes-optimal set for the ranking error. The
+risk and closed-form helpers take a batch of T trials, (T, K) marginals and
+(T, K+1) scores, and return one value or row per trial; the experiment
+calls them once over all its trials.
 
 Most trials of the fixed-step descent settle into a fixed point or a short
 cycle long before the last step. A trial is retired once its state repeats
@@ -44,57 +47,38 @@ class ConsistencyReport:
     trials: int
 
 
-def _validate_delta(delta) -> np.ndarray:
-    d = np.asarray(delta, dtype=float)
-    if d.ndim != 1 or d.size < 1:
-        raise ValueError("marginals must form a nonempty 1-D vector")
+def _validate_delta(deltas) -> np.ndarray:
+    d = np.asarray(deltas, dtype=float)
+    if d.ndim != 2 or d.size < 1:
+        raise ValueError("marginals must form a nonempty (T, K) array")
     if not ((d > 0.0) & (d < 1.0)).all():
         raise ValueError("every marginal must lie strictly inside (0, 1)")
     return d
 
 
-def _check_scores(delta: np.ndarray, f) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or f.size != delta.size + 1:
-        raise ValueError(
-            f"scores must have length K+1={delta.size + 1}, got {f.size}"
-        )
-    return f
+def ncre_conditional_risk(deltas, scores) -> np.ndarray:
+    """(T,) expected ranking error of each trial: row t of the (T, K+1)
+    scores when label i is positive with probability deltas[t, i]."""
+    d = _validate_delta(deltas)
+    f = np.asarray(scores, dtype=float)
+    shape = (len(d), d.shape[1] + 1)
+    if f.shape != shape:
+        raise ValueError(f"scores must be (T, K+1) = {shape}, got {f.shape}")
+    m = f[:, 1:] - f[:, :1]
+    return (d * (m < 0) + (1 - d) * (m > 0) + 0.5 * (m == 0)).sum(axis=1)
 
 
-def ncre_conditional_risk(delta, f) -> float:
-    """Expected ranking error at f when label i is positive with prob delta_i."""
-    d = _validate_delta(delta)
-    f = _check_scores(d, f)
-    m = f[1:] - f[0]
-    pen = d * (m < 0) + (1 - d) * (m > 0) + 0.5 * (m == 0)
-    return float(pen.sum())
+def bayes_ncre_risk(deltas) -> np.ndarray:
+    """(T,) minimum achievable conditional ranking error of each trial: the
+    row sums of min(delta, 1-delta)."""
+    d = _validate_delta(deltas)
+    return np.minimum(d, 1 - d).sum(axis=1)
 
 
-def bayes_ncre_risk(delta) -> float:
-    """Minimum achievable conditional ranking error: sum of min(delta, 1-delta)."""
-    d = _validate_delta(delta)
-    return float(np.minimum(d, 1 - d).sum())
-
-
-def bayes_optimal_membership(delta, f, tie_tol: float = 0.0) -> bool:
-    """Whether f ranks every label on the Bayes-optimal side of the none score.
-
-    Requires f_i > f_0 when delta_i > 1/2 and f_i < f_0 when delta_i < 1/2;
-    delta_i = 1/2 imposes no constraint. Margins within tie_tol of zero are
-    treated as ties and fail the strict inequalities.
-    """
-    d = _validate_delta(delta)
-    f = _check_scores(d, f)
-    m = f[1:] - f[0]
-    ok_high = (d <= 0.5) | (m > tie_tol)
-    ok_low = (d >= 0.5) | (m < -tie_tol)
-    return bool((ok_high & ok_low).all())
-
-
-def optimal_margin_closed_form(delta) -> np.ndarray:
-    """Margins of the conditional-risk minimizer: logit(delta) per label."""
-    d = _validate_delta(delta)
+def optimal_margin_closed_form(deltas) -> np.ndarray:
+    """(T, K) margins of each trial's conditional-risk minimizer:
+    logit(delta) per label."""
+    d = _validate_delta(deltas)
     return np.log(d / (1 - d))
 
 
@@ -183,21 +167,6 @@ def _descend(deltas: np.ndarray, scores: np.ndarray, step: float, iters: int):
     return scores
 
 
-def minimize_conditional_ncrl(delta, init=None, step: float = DEFAULT_STEP,
-                              iters: int = DEFAULT_ITERS) -> np.ndarray:
-    """Minimize the conditional surrogate risk by fixed-step gradient descent.
-
-    The result is that of exactly `iters` steps; the descent stops iterating
-    once the scores repeat a state, so a large `iters` costs little.
-    """
-    d = _validate_delta(delta)
-    if init is None:
-        f0 = np.zeros(d.size + 1)
-    else:
-        f0 = _check_scores(d, init).copy()
-    return _descend(d[None, :], f0[None, :], step, iters)[0]
-
-
 def run_consistency_experiment(trials: int, k: int, seed: int,
                                step: float = DEFAULT_STEP,
                                iters: int = DEFAULT_ITERS) -> ConsistencyReport:
@@ -216,14 +185,14 @@ def run_consistency_experiment(trials: int, k: int, seed: int,
     scores = _descend(deltas, np.zeros((trials, k + 1)), step, iters)
 
     m = scores[:, 1:] - scores[:, :1]
-    deviation = float(np.abs(m - np.log(deltas / (1 - deltas))).max())
+    deviation = float(np.abs(m - optimal_margin_closed_form(deltas)).max())
 
     decided = np.abs(deltas - 0.5) > 0.01
     sign_ok = np.where(deltas > 0.5, m > TIE_TOL, m < -TIE_TOL)
     agreement = float(sign_ok[decided].mean()) if decided.any() else 1.0
 
-    risk = (deltas * (m < 0) + (1 - deltas) * (m > 0) + 0.5 * (m == 0)).sum(axis=1)
-    gap = float((risk - np.minimum(deltas, 1 - deltas).sum(axis=1)).max())
+    risk = ncre_conditional_risk(deltas, scores)
+    gap = float((risk - bayes_ncre_risk(deltas)).max())
     return ConsistencyReport(
         max_margin_deviation=deviation,
         sign_agreement_rate=agreement,

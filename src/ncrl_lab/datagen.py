@@ -165,20 +165,6 @@ def generate(config: SyntheticConfig) -> Dataset:
     return data
 
 
-def ground_truth_scores(data: Dataset) -> np.ndarray:
-    """Score matrix of the hidden scorer with the none score pinned at zero.
-
-    Row format (0, w_i . x - b_i): every truly positive label scores above 0
-    and every negative one below, so the generator's own noiseless output has
-    ncre_error 0 under these scores.
-    """
-    if not data.provenance or "weights" not in data.provenance:
-        raise ValueError("dataset carries no generation provenance")
-    margins = data.features @ data.provenance["weights"].T
-    scored = margins - data.provenance["thresholds"]
-    return np.column_stack([np.zeros(len(data)), scored])
-
-
 def _check_rate(rate: float) -> float:
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"noise rate must lie in [0, 1], got {rate}")

@@ -488,42 +488,6 @@ def write_results_csv(rows, path: str) -> None:
     _atomic_text_write(path, [buffer.getvalue()])
 
 
-def _parse_row(record: list) -> ResultRow:
-    """One CSV record as a ResultRow; errors name no location."""
-    if len(record) != len(CSV_HEADER):
-        raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(record)}")
-    row = dict(zip(CSV_HEADER, record))
-    for name in ("gamma", "value", "seconds"):
-        try:
-            row[name] = float(row[name])
-        except ValueError:
-            raise ValueError(f"{name} must be a number, got {row[name]!r}") from None
-    if row["seed"] != "all":
-        try:
-            row["seed"] = int(row["seed"])
-        except ValueError:
-            raise ValueError("seed must be an integer or 'all', got "
-                             f"{row['seed']!r}") from None
-    return ResultRow(**row)
-
-
-def read_results_csv(path: str) -> list:
-    """Rows of a results CSV; a refused row is reported as path:line."""
-    rows = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape",
-              newline="") as handle:
-        reader = csv.reader(line for _, line in _lines(handle, path))
-        header = next(reader, None)
-        if tuple(header or ()) != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected CSV header {header}")
-        for record in reader:
-            try:
-                rows.append(_parse_row(record))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-    return rows
-
-
 def read_config_file(path: str) -> dict:
     """Flat `key = value` config; # starts a comment, blank lines ignored.
 

@@ -41,32 +41,12 @@ class LossResult:
     grad: np.ndarray
 
 
-@dataclass
-class Margins:
-    """Per-label and average margins of a score vector.
-
-    m_pos[i-1] = f_i - f_0 and m_neg = -m_pos for the pre-defined labels;
-    m0_pos = f_0 - mean(f_1..f_K) and m0_neg = -m0_pos.
-    """
-
-    m_pos: np.ndarray
-    m_neg: np.ndarray
-    m0_pos: float
-    m0_neg: float
-
-
 def sigmoid(x):
     """Numerically stable logistic function: 1 / (1 + z) for x >= 0 and
     z / (1 + z) below, with z = exp(-|x|), in one division per entry."""
     x = np.asarray(x, dtype=float)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, z) / (1.0 + z)
-
-
-def softplus(x):
-    """log(1 + exp(x)) without overflow; note -log sigmoid(x) = softplus(-x)."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def with_none_flag(pre_labels) -> np.ndarray:
@@ -77,26 +57,6 @@ def with_none_flag(pre_labels) -> np.ndarray:
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be binary flags")
     return np.concatenate([[1 - y.max(initial=0)], y])
-
-
-def validate_labels(labels) -> np.ndarray:
-    """Check a full K+1 label vector: binary flags with a consistent none flag."""
-    y = np.asarray(labels, dtype=int)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("label vector must cover the none class plus K >= 1 labels")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be binary flags")
-    if y[0] != int(y[1:].max() == 0):
-        raise ValueError("none flag inconsistent with pre-defined labels")
-    return y
-
-
-def margins(f) -> Margins:
-    f = np.asarray(f, dtype=float)
-    m_pos = f[1:] - f[0]
-    k = f.size - 1
-    m0_pos = float(f[0] - f[1:].sum() / k)
-    return Margins(m_pos=m_pos, m_neg=-m_pos, m0_pos=m0_pos, m0_neg=-m0_pos)
 
 
 def check_gamma(gamma: float) -> float:
@@ -505,13 +465,6 @@ def margin_regularization(y, f) -> LossResult:
     return LossResult(float(value[0]), np.concatenate([dz, np.full(k, -dz[0] / k)]))
 
 
-def shifted_negative_prob(m_neg: float, gamma: float) -> float:
-    """Negative-label probability sigmoid(m_neg) raised by gamma, capped at 1."""
-    check_gamma(gamma)
-    p = min(float(sigmoid(m_neg)) + gamma, 1.0)
-    return max(p, _P_FLOOR)
-
-
 ncrl_final = _per_instance(
     "ncrl_final",
     """Full training loss: ranking terms plus the average-margin term, with every
@@ -542,24 +495,3 @@ pairwise_ranking = _per_instance(
     "pairwise",
     "Logistic pairwise ranking loss over pre-defined labels only.",
     name="pairwise_ranking")
-
-
-def hamming_error(y, h) -> int:
-    """Number of pre-defined labels misclassified by prediction flags h."""
-    y = np.asarray(y, dtype=int)
-    h = np.asarray(h, dtype=int)
-    if y.shape != h.shape:
-        raise ValueError("labels and predictions must have equal length")
-    return int((y != h).sum())
-
-
-def ranking_error(y, f) -> float:
-    """Reversed (positive, negative) pairs among pre-defined labels, ties 1/2."""
-    y = np.asarray(y, dtype=int)
-    f = np.asarray(f, dtype=float)
-    if f.size != y.size + 1:
-        raise ValueError(f"scores must have length K+1={y.size + 1}, got {f.size}")
-    scores = f[1:]
-    pair = (y == 1)[:, None] & (y == 0)[None, :]
-    rev = (scores[:, None] < scores[None, :]) + 0.5 * (scores[:, None] == scores[None, :])
-    return float((rev * pair).sum())

@@ -1,4 +1,4 @@
-"""Evaluation measures over predicted label sets and score rankings.
+"""Evaluation measures over prediction flags and score rankings.
 
 Gold labels arrive as full (n, K+1) vectors with the none flag at column 0;
 confusion counting runs over the K pre-defined labels only, so none-class
@@ -37,17 +37,6 @@ class MetricsReport:
         return asdict(self)
 
 
-def flags_from_sets(preds, k: int) -> np.ndarray:
-    """Convert per-instance positive index collections to an (n, k) flag matrix."""
-    flags = np.zeros((len(preds), k), dtype=int)
-    for row, idx in enumerate(preds):
-        idx = np.asarray(idx, dtype=int)
-        if idx.size and (idx.min() < 1 or idx.max() > k):
-            raise ValueError(f"prediction indices must lie in 1..{k}")
-        flags[row, idx - 1] = 1
-    return flags
-
-
 def gold_flags(gold) -> np.ndarray:
     """The (n, K) pre-defined columns of (n, K+1) gold label vectors, as ints."""
     g = np.asarray(gold, dtype=int)
@@ -59,19 +48,19 @@ def gold_flags(gold) -> np.ndarray:
 def _tally(preds, gold, axis):
     """TP, FP and FN counts along `axis` (None pools every label).
 
-    A flag or gold entry counts as positive when it is 1 and as negative when
-    it is 0, after a cast to int; other values count nowhere.
+    preds is an (n, K) flag matrix. A flag or gold entry counts as positive
+    when it is 1 and as negative when it is 0, after a cast to int; other
+    values count nowhere.
     """
     y = gold_flags(gold)
-    if len(preds) != len(y):
+    p = np.asarray(preds)
+    if p.ndim != 2:
+        raise ValueError("predictions must be an (n, K) flag matrix")
+    if len(p) != len(y):
         raise ValueError("predictions and gold must have equal instance counts")
-    p = np.asarray(preds) if isinstance(preds, np.ndarray) else None
-    if p is not None and p.ndim == 2:
-        if p.shape != y.shape:
-            raise ValueError("prediction flags must match gold shape")
-        p = np.asarray(p, dtype=int)
-    else:
-        p = flags_from_sets(preds, y.shape[1])
+    if p.shape != y.shape:
+        raise ValueError("prediction flags must match gold shape")
+    p = np.asarray(p, dtype=int)
     predicted, actual = p == 1, y == 1
     return (np.count_nonzero(predicted & actual, axis=axis),
             np.count_nonzero(predicted & (y == 0), axis=axis),
@@ -79,11 +68,8 @@ def _tally(preds, gold, axis):
 
 
 def confusion(preds, gold) -> ConfusionCounts:
-    """Tally per-label TP/FP/FN of predictions against gold label vectors.
-
-    preds is either a sequence of positive-index collections or an (n, K)
-    flag matrix.
-    """
+    """Tally per-label TP/FP/FN of an (n, K) flag matrix against gold label
+    vectors."""
     return ConfusionCounts(*_tally(preds, gold, axis=0))
 
 

@@ -248,14 +248,6 @@ def _views(flat: np.ndarray, shapes: dict) -> dict:
             for (key, shape), end in zip(shapes.items(), ends)}
 
 
-def forward(scorer, features) -> np.ndarray:
-    """Score a single feature vector."""
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 1 or x.size != scorer.dim:
-        raise ValueError(f"features must be a vector of length {scorer.dim}")
-    return scorer.forward(x[None, :])[0]
-
-
 class Adam:
     """Adaptive-moment optimizer over a dict of parameter arrays; each key
     costs a dozen whole-array passes into kept scratch, so the trainer hands

@@ -1,10 +1,12 @@
-"""Turning score vectors into predicted label sets.
+"""Turning score matrices into (n, K) bool prediction flags.
 
-Three rules are supported: adaptive thresholding (positive iff a label
-outscores the none score, with ties predicting negative), a global threshold
-on sigmoid probabilities, and per-label thresholds. Sweeps pick thresholds
-from a grid by dev-set F1 with ties broken toward the smaller threshold;
-the global sweep also takes the stacked scores of several scorers at once.
+Three rules are supported, one function each: adaptive thresholding
+(`adaptive_flags`: positive iff a label outscores the none score, with ties
+predicting negative), a global threshold on sigmoid probabilities
+(`global_flags`), and per-label thresholds (`per_label_flags`). Sweeps
+pick thresholds from a grid by dev-set F1 with ties broken toward the
+smaller threshold; the global sweep also takes the stacked scores of
+several scorers at once.
 """
 
 from __future__ import annotations
@@ -18,13 +20,6 @@ from .metrics import gold_flags, pooled_f1
 
 COARSE_GRID = tuple(round(i / 10, 1) for i in range(1, 10))
 FINE_GRID = tuple(round(i / 100, 2) for i in range(10, 91))
-
-
-def _check_scores(f) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise ValueError("score vector must cover the none class plus K >= 1 labels")
-    return f
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -74,28 +69,6 @@ def per_label_flags(scores, thresholds) -> np.ndarray:
     if not ((t > 0) & (t < 1)).all():
         raise ValueError("thresholds must lie in (0, 1)")
     return sigmoid(s[:, 1:]) > t
-
-
-def _set_from_flags(flags: np.ndarray) -> np.ndarray:
-    return np.nonzero(flags)[0] + 1
-
-
-def predict_adaptive(f) -> np.ndarray:
-    """Positive label indices {i : f_i > f_0}; empty means NA."""
-    f = _check_scores(f)
-    return _set_from_flags(adaptive_flags(f[None, :])[0])
-
-
-def predict_global(f, t: float) -> np.ndarray:
-    """Positive label indices {i : sigmoid(f_i) > t}."""
-    f = _check_scores(f)
-    return _set_from_flags(global_flags(f[None, :], t)[0])
-
-
-def predict_per_label(f, thresholds) -> np.ndarray:
-    """Positive label indices {i : sigmoid(f_i) > t_i}."""
-    f = _check_scores(f)
-    return _set_from_flags(per_label_flags(f[None, :], thresholds)[0])
 
 
 def _threshold_counts(scores, gold, grid, stacked: bool = False):

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncrl_lab.consistency import (DEFAULT_STEP, _descend, bayes_ncre_risk,
-                                  bayes_optimal_membership,
-                                  minimize_conditional_ncrl,
+from ncrl_lab.consistency import (DEFAULT_ITERS, DEFAULT_STEP, TIE_TOL,
+                                  _descend, bayes_ncre_risk,
                                   ncre_conditional_risk,
                                   optimal_margin_closed_form,
                                   run_consistency_experiment)
@@ -18,90 +17,89 @@ from ncrl_lab.consistency import (DEFAULT_STEP, _descend, bayes_ncre_risk,
 LN4 = math.log(4)
 
 
+def minimize(delta, step=DEFAULT_STEP, iters=DEFAULT_ITERS):
+    """One trial's (1, K+1) minimizer, descended from zero scores as
+    run_consistency_experiment descends each of its trials."""
+    deltas = np.array([delta], dtype=float)
+    return _descend(deltas, np.zeros((1, deltas.shape[1] + 1)), step, iters)
+
+
 class TestConditionalRisk:
     def test_correct_side(self):
-        assert ncre_conditional_risk([0.8], [0.0, 1.0]) == pytest.approx(0.2)
+        assert ncre_conditional_risk([[0.8]], [[0.0, 1.0]]) == \
+            pytest.approx([0.2])
 
     def test_tie_penalty(self):
-        assert ncre_conditional_risk([0.8], [0.0, 0.0]) == pytest.approx(0.5)
+        assert ncre_conditional_risk([[0.8]], [[0.0, 0.0]]) == \
+            pytest.approx([0.5])
 
     def test_sum_over_labels(self):
-        risk = ncre_conditional_risk([0.8, 0.3], [0.0, 1.0, -1.0])
-        assert risk == pytest.approx(0.5)
+        # one value per trial, each summed over that trial's labels
+        risk = ncre_conditional_risk([[0.8, 0.3], [0.8, 0.3]],
+                                     [[0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+        assert risk == pytest.approx([0.5, 1.5])
+        with pytest.raises(ValueError, match=r"\(T, K\+1\)"):
+            ncre_conditional_risk([[0.8, 0.3]], [0.0, 1.0, -1.0])
 
     def test_marginals_must_be_interior(self):
         with pytest.raises(ValueError):
-            ncre_conditional_risk([1.0], [0.0, 1.0])
+            ncre_conditional_risk([[1.0]], [[0.0, 1.0]])
         with pytest.raises(ValueError):
-            ncre_conditional_risk([0.0], [0.0, 1.0])
+            ncre_conditional_risk([[0.0]], [[0.0, 1.0]])
 
     def test_bayes_risk(self):
-        assert bayes_ncre_risk([0.8, 0.3]) == pytest.approx(0.5)
-        assert bayes_ncre_risk([0.5]) == pytest.approx(0.5)
-
-
-class TestBayesMembership:
-    def test_member(self):
-        assert bayes_optimal_membership([0.8, 0.3], [0.0, 1.0, -1.0])
-
-    def test_wrong_side(self):
-        assert not bayes_optimal_membership([0.8, 0.3], [0.0, -1.0, -2.0])
-
-    def test_half_is_unconstrained(self):
-        assert bayes_optimal_membership([0.5], [0.0, 7.0])
-
-    def test_tie_tolerance(self):
-        assert not bayes_optimal_membership([0.8], [0.0, 5e-7], tie_tol=1e-6)
-        assert bayes_optimal_membership([0.8], [0.0, 5e-7], tie_tol=0.0)
+        assert bayes_ncre_risk([[0.8, 0.3], [0.5, 0.5]]) == \
+            pytest.approx([0.5, 1.0])
+        assert bayes_ncre_risk([[0.5]]) == pytest.approx([0.5])
 
 
 class TestClosedForm:
     def test_symmetry_point(self):
-        assert optimal_margin_closed_form([0.5])[0] == pytest.approx(0.0)
+        assert optimal_margin_closed_form([[0.5]])[0, 0] == pytest.approx(0.0)
 
     def test_logit_values(self):
-        assert_allclose(optimal_margin_closed_form([0.8]), [LN4],
-                        rtol=0, atol=1e-12)
-        assert_allclose(optimal_margin_closed_form([0.2]), [-LN4],
-                        rtol=0, atol=1e-12)
+        assert_allclose(optimal_margin_closed_form([[0.8], [0.2]]),
+                        [[LN4], [-LN4]], rtol=0, atol=1e-12)
 
     def test_degenerate_marginals_rejected(self):
         with pytest.raises(ValueError):
-            optimal_margin_closed_form([1.0])
+            optimal_margin_closed_form([[1.0]])
         with pytest.raises(ValueError):
-            optimal_margin_closed_form([0.0])
+            optimal_margin_closed_form([[0.0]])
+        with pytest.raises(ValueError, match=r"\(T, K\)"):
+            optimal_margin_closed_form([0.8])
 
 
 class TestMinimizer:
     def test_recovers_logit(self):
-        f = minimize_conditional_ncrl([0.8])
+        f = minimize([0.8])[0]
         assert_allclose(f[1] - f[0], LN4, rtol=0, atol=1e-3)
 
     def test_symmetric_fixed_point(self):
-        f = minimize_conditional_ncrl([0.5, 0.5, 0.5])
+        f = minimize([0.5, 0.5, 0.5])[0]
         assert_allclose(f[1:] - f[0], np.zeros(3), rtol=0, atol=1e-3)
 
     def test_risk_gap_closes(self):
-        delta = [0.9, 0.1]
-        f = minimize_conditional_ncrl(delta)
-        gap = ncre_conditional_risk(delta, f) - bayes_ncre_risk(delta)
-        assert 0.0 <= gap < 1e-9
+        delta = [[0.9, 0.1]]
+        gap = ncre_conditional_risk(delta, minimize(delta[0])) \
+            - bayes_ncre_risk(delta)
+        assert 0.0 <= gap[0] < 1e-9
 
     def test_half_marginal_risk(self):
         # the tie-penalty 1/2 is itself the Bayes risk at delta = 1/2
-        f = minimize_conditional_ncrl([0.5])
-        assert abs(f[1] - f[0]) < 1e-3
-        assert ncre_conditional_risk([0.5], f) == bayes_ncre_risk([0.5])
+        f = minimize([0.5])
+        assert abs(f[0, 1] - f[0, 0]) < 1e-3
+        assert ncre_conditional_risk([[0.5]], f) == bayes_ncre_risk([[0.5]])
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
-            minimize_conditional_ncrl([0.8], step=0.0)
+            minimize([0.8], step=0.0)
 
     def test_non_finite_step_rejected(self):
         # a NaN step used to surface as "non-finite scores at iteration 0"
         for step in (math.nan, math.inf):
             with pytest.raises(ValueError, match="step must be finite"):
-                minimize_conditional_ncrl([0.8], step=step)
+                minimize([0.8], step=step)
 
     def test_margin_overflow_raises(self):
         # at step 1e308 the scores stay finite while their margins overflow,
@@ -167,11 +165,11 @@ class TestDescentExactness:
         # the one-row descent stops iterating once its state repeats; a
         # plain loop over 500,000 steps takes several seconds
         started = time.perf_counter()
-        f = minimize_conditional_ncrl([0.8], iters=500_000)
+        f = minimize([0.8], iters=500_000)
         assert time.perf_counter() - started < 2.0
         # the plain descent reaches its fixed point within 2,000 steps
         assert np.array_equal(f, _plain_descent(
-            np.array([[0.8]]), np.zeros((1, 2)), DEFAULT_STEP, 2000)[0])
+            np.array([[0.8]]), np.zeros((1, 2)), DEFAULT_STEP, 2000))
 
 
 class TestExperiment:
@@ -201,10 +199,12 @@ class TestMembershipOfMinimizers:
             k = int(rng.integers(1, 6))
             delta = rng.uniform(0.05, 0.95, size=k)
             delta = np.where(np.abs(delta - 0.5) < 0.02, 0.6, delta)
-            f = minimize_conditional_ncrl(delta)
-            assert bayes_optimal_membership(delta, f, tie_tol=1e-6)
+            f = minimize(delta)[0]
+            # each label strictly on its Bayes-optimal side of f0
+            m = f[1:] - f[0]
+            assert np.where(delta > 0.5, m > TIE_TOL, m < -TIE_TOL).all()
 
     def test_margin_monotone_in_delta(self):
         grid = np.arange(0.1, 0.95, 0.1)
-        recovered = [minimize_conditional_ncrl([d])[1] for d in grid]
+        recovered = [minimize([d])[0, 1] for d in grid]
         assert (np.diff(recovered) > 0).all()

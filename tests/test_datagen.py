@@ -4,10 +4,24 @@ import numpy as np
 import pytest
 
 from ncrl_lab.datagen import (Dataset, SyntheticConfig, class_prior_report,
-                              generate, ground_truth_scores,
-                              inject_false_negatives, inject_symmetric_noise,
-                              split, strip_none_instances, take)
+                              generate, inject_false_negatives,
+                              inject_symmetric_noise, split,
+                              strip_none_instances, take)
 from ncrl_lab.losses import batch_ncre
+
+
+def ground_truth_scores(data):
+    """Score matrix of the generator's hidden scorer, none score pinned at 0.
+
+    Row format (0, w_i . x - b_i): every truly positive label scores above 0
+    and every negative one below, so noiseless generated labels have ranking
+    error 0 under these scores.
+    """
+    if not data.provenance or "weights" not in data.provenance:
+        raise ValueError("dataset carries no generation provenance")
+    margins = data.features @ data.provenance["weights"].T
+    scored = margins - data.provenance["thresholds"]
+    return np.column_stack([np.zeros(len(data)), scored])
 
 
 def flat_dataset(labels):

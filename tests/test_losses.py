@@ -6,15 +6,27 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncrl_lab.losses import (Workspace, atl, batch_loss, bce, bce_shifted,
-                             check_loss, hamming_error, instance_losses,
-                             margin_regularization, margins, ncre_error,
-                             ncrl_final, ncrl_noreg, ncrl_plain,
-                             pairwise_ranking, ranking_error,
-                             shifted_negative_prob, sigmoid, softplus,
-                             stack_rank, validate_labels, with_none_flag)
+from ncrl_lab.losses import (_P_FLOOR, Workspace, atl, batch_loss, bce,
+                             bce_shifted, check_gamma, check_loss,
+                             instance_losses, margin_regularization,
+                             ncre_error, ncrl_final, ncrl_noreg, ncrl_plain,
+                             pairwise_ranking, sigmoid, stack_rank,
+                             with_none_flag)
 
 LN2 = math.log(2)
+
+
+def softplus(x):
+    """log(1 + exp(x)) without overflow; note -log sigmoid(x) = softplus(-x)."""
+    x = np.asarray(x, dtype=float)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def shifted_negative_prob(m_neg: float, gamma: float) -> float:
+    """Negative-label probability sigmoid(m_neg) raised by gamma, capped at 1."""
+    check_gamma(gamma)
+    p = min(float(sigmoid(m_neg)) + gamma, 1.0)
+    return max(p, _P_FLOOR)
 
 # margin losses: value must not change when every score is shifted, and the
 # gradient entries must sum to zero
@@ -253,22 +265,6 @@ class TestPairwiseRanking:
             assert np.array_equal(res.grad, np.zeros(4))
 
 
-class TestHammingAndRankingError:
-    def test_hamming_values(self):
-        assert hamming_error([1, 0], [1, 0]) == 0
-        assert hamming_error([1, 0], [0, 1]) == 2
-        assert hamming_error([1, 1, 0], [1, 0, 0]) == 1
-
-    def test_hamming_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_error([1, 0], [1, 0, 0])
-
-    def test_ranking_error_values(self):
-        assert ranking_error([1, 0], [0.0, 2.0, 1.0]) == 0.0
-        assert ranking_error([1, 0], [0.0, 1.0, 2.0]) == 1.0
-        assert ranking_error([1, 0], [0.0, 1.0, 1.0]) == 0.5
-
-
 class TestSharedInvariants:
     def test_shift_invariance_and_zero_sum(self):
         rng = np.random.default_rng(12)
@@ -280,10 +276,8 @@ class TestSharedInvariants:
                 assert_allclose(op(y, f + c).value, base.value,
                                 rtol=0, atol=1e-9)
                 assert abs(base.grad.sum()) < 1e-9
-            # the discrete errors share the invariance
+            # the discrete error shares the invariance
             assert_allclose(ncre_error(y, f + c), ncre_error(y, f),
-                            rtol=0, atol=0)
-            assert_allclose(ranking_error(y, f + c), ranking_error(y, f),
                             rtol=0, atol=0)
 
     def test_clamp_deadzone_exact(self):
@@ -300,23 +294,6 @@ class TestSharedInvariants:
         fin, nor = ncrl_final(y, f, gamma), ncrl_noreg(y, f, gamma)
         assert fin.value == nor.value
         assert np.array_equal(fin.grad, nor.grad)
-
-    def test_margin_identity(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            f = rng.normal(0, 3, size=6)
-            f[0] = 0.0  # with f0 at zero the identity is exact in floats
-            m = margins(f)
-            for i in range(1, 6):
-                for j in range(1, 6):
-                    assert m.m_pos[i - 1] + m.m_neg[j - 1] == f[i] - f[j]
-            assert m.m0_pos == -m.m0_neg
-        # in general position one rounding separates the two sides
-        for _ in range(50):
-            f = rng.normal(0, 3, size=6)
-            m = margins(f)
-            lhs = m.m_pos[:, None] + m.m_neg[None, :]
-            assert_allclose(lhs, f[1:, None] - f[None, 1:], rtol=0, atol=1e-12)
 
     def test_stability_at_large_scores(self):
         rng = np.random.default_rng(14)
@@ -341,15 +318,6 @@ class TestLabelHelpers:
     def test_with_none_flag(self):
         assert np.array_equal(with_none_flag([0, 0]), [1, 0, 0])
         assert np.array_equal(with_none_flag([1, 0]), [0, 1, 0])
-
-    def test_validate_labels(self):
-        assert np.array_equal(validate_labels([1, 0, 0]), [1, 0, 0])
-        with pytest.raises(ValueError):
-            validate_labels([0, 0, 0])  # none flag must be set
-        with pytest.raises(ValueError):
-            validate_labels([1, 1, 0])  # none flag set alongside a positive
-        with pytest.raises(ValueError):
-            validate_labels([2, 0, 0])
 
 
 class TestBatchLoss:

@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ncrl_lab.metrics import (average_precision, confusion, evaluate,
-                              flags_from_sets, mean_average_precision,
-                              mean_ncre, micro_f1_flags, micro_macro_f1)
+                              mean_average_precision, mean_ncre,
+                              micro_f1_flags, micro_macro_f1)
+from ncrl_lab.prediction import adaptive_flags
 
 
 def brute_force_ap(scores, gold_flags):
@@ -44,10 +45,21 @@ class TestConfusion:
         assert counts.fn.tolist() == [0, 1]
 
     def test_accepts_index_sets(self):
+        # the index sets {1, 2} and {} reach confusion as adaptive flags
         gold = np.array([[0, 1, 1], [1, 0, 0]])
-        counts = confusion([[1, 2], []], gold)
+        flags = adaptive_flags([[0.0, 1.0, 2.0], [0.0, -1.0, -2.0]])
+        counts = confusion(flags, gold)
         assert counts.tp.tolist() == [1, 1]
         assert counts.fp.sum() == 0 and counts.fn.sum() == 0
+
+    def test_rejects_what_is_not_a_flag_matrix(self):
+        # only an (n, K) flag matrix is counted, never index sets
+        gold = np.array([[0, 1, 0], [1, 0, 0]])
+        for preds in ([1, 0], np.zeros((1, 2, 2), dtype=int)):
+            with pytest.raises(ValueError, match=r"\(n, K\) flag matrix"):
+                confusion(preds, gold)
+            with pytest.raises(ValueError, match=r"\(n, K\) flag matrix"):
+                micro_f1_flags(preds, gold)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -186,9 +198,3 @@ class TestEvaluate:
         as_dict = report.as_dict()
         assert set(as_dict) == {"micro_f1", "macro_f1", "micro_precision",
                                 "micro_recall", "mean_ap", "mean_ncre"}
-
-    def test_flags_from_sets_validation(self):
-        assert np.array_equal(flags_from_sets([[1], [], [2]], 2),
-                              [[1, 0], [0, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            flags_from_sets([[3]], 2)

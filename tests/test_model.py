@@ -18,7 +18,7 @@ from ncrl_lab.harness.seeds import derive_seed
 from ncrl_lab.losses import LOSS_KINDS, ncrl_final
 from ncrl_lab.metrics import mean_ncre, micro_f1_flags
 from ncrl_lab.model import (ADAPTIVE_KINDS, Adam, LinearScorer, MlpScorer,
-                            TrainConfig, forward, grad_check,
+                            TrainConfig, grad_check,
                             learning_rate_at, native_dev_metric,
                             scorer_from_dict, scorer_to_dict, train)
 from ncrl_lab.prediction import (COARSE_GRID, adaptive_flags,
@@ -35,22 +35,23 @@ def separable_splits(num_labels=10, feature_dim=50, n=7000, seed=3):
 class TestForward:
     def test_zero_parameters(self):
         scorer = LinearScorer(np.zeros((3, 4)), np.zeros(3))
-        assert np.array_equal(forward(scorer, np.ones(4)), np.zeros(3))
+        assert np.array_equal(scorer.forward(np.ones((2, 4))), np.zeros((2, 3)))
 
     def test_hand_set_one_dim(self):
         scorer = LinearScorer(np.array([[0.5], [-2.0]]), np.array([1.0, 3.0]))
-        assert_allclose(forward(scorer, [2.0]), [2.0, -1.0], rtol=0, atol=0)
+        assert_allclose(scorer.forward(np.array([[2.0]])), [[2.0, -1.0]],
+                        rtol=0, atol=0)
 
     def test_purity(self):
         rng = np.random.default_rng(0)
         scorer = LinearScorer.create(4, 6, rng)
-        x = rng.normal(size=6)
-        assert np.array_equal(forward(scorer, x), forward(scorer, x))
+        x = rng.normal(size=(3, 6))
+        assert np.array_equal(scorer.forward(x), scorer.forward(x))
 
     def test_dimension_mismatch(self):
         scorer = LinearScorer(np.zeros((3, 4)), np.zeros(3))
         with pytest.raises(ValueError):
-            forward(scorer, np.ones(5))
+            scorer.forward(np.ones((1, 5)))
 
     def test_mlp_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)

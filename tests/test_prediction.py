@@ -12,8 +12,7 @@ from ncrl_lab.losses import ncre_error, sigmoid
 from ncrl_lab.metrics import confusion, micro_macro_f1
 from ncrl_lab.prediction import (COARSE_GRID, FINE_GRID, adaptive_flags,
                                  global_flags, per_label_flags,
-                                 predict_adaptive, predict_global,
-                                 predict_per_label, sweep_global_threshold,
+                                 sweep_global_threshold,
                                  sweep_per_label_thresholds)
 
 
@@ -62,6 +61,11 @@ def brute_force_per_label(scores, gold, grid):
     return np.array(out)
 
 
+def positives(flags):
+    """Label indices 1..K that a one-row (1, K) flag matrix predicts."""
+    return (np.nonzero(flags[0])[0] + 1).tolist()
+
+
 def random_scored_set(rng, n=12, k=3):
     scores = rng.normal(0.0, 2.0, size=(n, k + 1))
     y = rng.integers(0, 2, size=(n, k))
@@ -71,20 +75,20 @@ def random_scored_set(rng, n=12, k=3):
 
 class TestPredictAdaptive:
     def test_positive_above_none(self):
-        assert predict_adaptive([0.0, 1.0, -1.0]).tolist() == [1]
+        assert positives(adaptive_flags([[0.0, 1.0, -1.0]])) == [1]
 
     def test_all_below_is_na(self):
-        assert predict_adaptive([0.0, -1.0, -2.0]).tolist() == []
+        assert positives(adaptive_flags([[0.0, -1.0, -2.0]])) == []
 
     def test_tie_predicts_negative(self):
-        assert predict_adaptive([0.0, 0.0, 1.0]).tolist() == [2]
+        assert positives(adaptive_flags([[0.0, 0.0, 1.0]])) == [2]
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            f = rng.normal(0, 2, size=5)
+            f = rng.normal(0, 2, size=(1, 5))
             c = float(rng.normal(0, 10))
-            assert predict_adaptive(f).tolist() == predict_adaptive(f + c).tolist()
+            assert np.array_equal(adaptive_flags(f), adaptive_flags(f + c))
 
     def test_zero_ncre_recovers_gold(self):
         rng = np.random.default_rng(2)
@@ -95,50 +99,49 @@ class TestPredictAdaptive:
             f[1:] = np.where(y == 1, rng.uniform(0.5, 2, k),
                              -rng.uniform(0.5, 2, k))
             assert ncre_error(y, f) == 0.0
-            assert predict_adaptive(f).tolist() == (np.nonzero(y)[0] + 1).tolist()
+            assert np.array_equal(adaptive_flags(f[None, :])[0], y == 1)
 
 
 class TestPredictGlobal:
     def test_half_threshold_excludes_zero_scores(self):
-        assert predict_global([9.0, 0.0, 0.0], 0.5).tolist() == []
+        assert positives(global_flags([[9.0, 0.0, 0.0]], 0.5)) == []
 
     def test_half_threshold_splits(self):
-        assert predict_global([9.0, 2.0, -2.0], 0.5).tolist() == [1]
+        assert positives(global_flags([[9.0, 2.0, -2.0]], 0.5)) == [1]
 
     def test_low_threshold_admits_both(self):
         # sigmoid(-2) is about 0.119, above a 0.1 threshold
-        assert predict_global([9.0, 2.0, -2.0], 0.1).tolist() == [1, 2]
+        assert positives(global_flags([[9.0, 2.0, -2.0]], 0.1)) == [1, 2]
 
     def test_threshold_range(self):
         with pytest.raises(ValueError):
-            predict_global([0.0, 1.0], 1.0)
+            global_flags([[0.0, 1.0]], 1.0)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            f = rng.normal(0, 2, size=6)
-            low = set(predict_global(f, 0.3).tolist())
-            high = set(predict_global(f, 0.7).tolist())
-            assert high <= low
+            f = rng.normal(0, 2, size=(1, 6))
+            low, high = global_flags(f, 0.3), global_flags(f, 0.7)
+            assert not (high & ~low).any()
 
 
 class TestPredictPerLabel:
     def test_uniform_equals_global(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            f = rng.normal(0, 2, size=5)
-            assert (predict_per_label(f, [0.4] * 4).tolist()
-                    == predict_global(f, 0.4).tolist())
+            f = rng.normal(0, 2, size=(1, 5))
+            assert np.array_equal(per_label_flags(f, [0.4] * 4),
+                                  global_flags(f, 0.4))
 
     def test_split_thresholds(self):
-        assert predict_per_label([9.0, 0.0, 0.0], [0.4, 0.6]).tolist() == [1]
+        assert positives(per_label_flags([[9.0, 0.0, 0.0]], [0.4, 0.6])) == [1]
 
     def test_high_thresholds_empty(self):
-        assert predict_per_label([0.0, 1.5, 2.0], [0.99, 0.99]).tolist() == []
+        assert positives(per_label_flags([[0.0, 1.5, 2.0]], [0.99, 0.99])) == []
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            predict_per_label([0.0, 1.0, 2.0], [0.5])
+            per_label_flags([[0.0, 1.0, 2.0]], [0.5])
 
 
 class TestSweepGlobal:
@@ -330,14 +333,6 @@ class TestSweepExactness:
 
 
 class TestFlagHelpers:
-    def test_adaptive_flags_match_sets(self):
-        rng = np.random.default_rng(12)
-        scores, _ = random_scored_set(rng)
-        flags = adaptive_flags(scores)
-        for row in range(len(scores)):
-            assert (np.nonzero(flags[row])[0] + 1).tolist() == \
-                predict_adaptive(scores[row]).tolist()
-
     def test_stacked_adaptive_flags_match_each_row(self):
         rng = np.random.default_rng(14)
         stack = np.stack([random_scored_set(rng)[0] for _ in range(3)])
@@ -365,10 +360,3 @@ class TestFlagHelpers:
             assert micro_macro_f1(confusion(flags, gold)) == micro_macro_f1(
                 confusion(flags.astype(int), gold))
 
-    def test_global_flags_match_sets(self):
-        rng = np.random.default_rng(13)
-        scores, _ = random_scored_set(rng)
-        flags = global_flags(scores, 0.3)
-        for row in range(len(scores)):
-            assert (np.nonzero(flags[row])[0] + 1).tolist() == \
-                predict_global(scores[row], 0.3).tolist()

@@ -1,1 +1,1 @@
-"""Experiment harness: CLI, IO, seeding, featurization, prebuilt suites."""
+"""Experiment harness: CLI, IO, seeding, prebuilt suites."""

@@ -88,9 +88,10 @@ def _pair(pre_labels, scores, require_finite=True):
 # Y is a (B, K+1) binary matrix including the none column, as 0/1 ints or as
 # bools flagging the positives; F is (B, K+1) float.
 # A cell stack adds a leading axis: (C, B, K+1), one loss kind and gamma per
-# cell. Cores return per-instance values (..., B) and gradients (..., B, K+1).
-# In a stack sorted by `stack_rank`, each step of the fused margin path, and
-# the atl kernel, runs on one contiguous run of cells and writes into the
+# cell, with its cells sorted by `stack_rank`; the trainer sorts its stacks
+# so, and the kernels refuse any other order. Cores return per-instance values
+# (..., B) and gradients (..., B, K+1). Each step of the fused margin path,
+# and the atl kernel, runs on one contiguous run of cells and writes into the
 # buffers of a Workspace.
 
 
@@ -208,11 +209,8 @@ def stack_rank(kind: str, gamma: float) -> int:
 
 
 class _Plan(NamedTuple):
-    """Where each setting of a kind-sorted stack applies, and its constants;
-    `order` is None for a sorted stack and its sorting permutation otherwise.
-    """
+    """Where each setting of a kind-sorted stack applies, and its constants."""
 
-    order: object = None
     margin: int = 0  # cells 0..margin-1 take the fused path
     atl: int = 0  # cells margin..atl-1 take the atl kernel, the rest pairwise
     average: slice = slice(0)  # cells whose average column counts
@@ -224,18 +222,18 @@ class _Plan(NamedTuple):
 @functools.lru_cache(maxsize=64)
 def _plan(kinds: tuple, gammas: tuple) -> _Plan:
     """Cached, since a training run asks for the same stack every step; the
-    arrays are read-only."""
+    arrays are read-only. A stack not sorted by `stack_rank` is refused."""
     ranks = [stack_rank(kind, gamma) for kind, gamma in zip(kinds, gammas)]
-    order = sorted(range(len(ranks)), key=ranks.__getitem__)
-    if order != list(range(len(ranks))):
-        return _Plan(order=np.array(order))
+    if ranks != sorted(ranks):
+        raise ValueError("a cell stack must be sorted by stack_rank, got kinds "
+                         f"{list(kinds)} with gammas {list(gammas)}")
     start = [bisect.bisect_left(ranks, rank) for rank in range(8)]
     margin, shifted = start[6], start[3]
     slope = np.array([float(0 < rank < 5) for rank in ranks[:margin]])[:, None, None]
     gamma = np.array(gammas[shifted:margin], dtype=float)[:, None, None]
     for array in (slope, gamma):
         array.flags.writeable = False
-    return _Plan(None, margin, start[7], slice(start[2], start[4]), shifted, slope,
+    return _Plan(margin, start[7], slice(start[2], start[4]), shifted, slope,
                  float(gamma[0, 0, 0]) if len(set(gamma.flat)) == 1 else gamma)
 
 
@@ -350,17 +348,10 @@ def _stack_losses(kinds, Y, F, gammas, workspace=None):
 
     The one dispatch from loss kind to kernel: the margin cells share one
     fused call and the atl cells another, each on its contiguous run of the
-    sorted stack; pairwise cells run one cell at a time. A stack not sorted
-    by `stack_rank` is sorted here and its results put back in the given
-    order.
+    stack, which must be sorted by `stack_rank`; pairwise cells run one cell
+    at a time.
     """
     plan = _plan(tuple(kinds), tuple(gammas))
-    if plan.order is not None:
-        order = plan.order
-        vals, grads = _stack_losses([kinds[c] for c in order], Y[order], F[order],
-                                    [gammas[c] for c in order], workspace)
-        inverse = np.argsort(order)
-        return vals[inverse], grads[inverse]
     ws = Workspace() if workspace is None else workspace
     vals, grads = ws.take("vals", F.shape[:-1]), ws.take("grads", F.shape)
     m, a = plan.margin, plan.atl
@@ -387,10 +378,10 @@ def batch_loss(kind, Y, F, gamma=0.0, workspace=None):
 
     With (B, K+1) arrays, one kind and one gamma, returns a float and a
     (B, K+1) gradient. With a (C, B, K+1) cell stack, `kind` and `gamma` are
-    sequences of C, one per cell, and it returns the C per-cell means and the
+    sequences of C, one per cell, sorted by `stack_rank` (a stack in any
+    other order is refused), and it returns the C per-cell means and the
     (C, B, K+1) gradients. A 2-D call runs as a stack of one cell, so each
-    cell of a stack comes out exactly as its own 2-D call would give, in any
-    cell order; a stack sorted by `stack_rank` skips a sort and a copy. Y
+    cell of a stack comes out exactly as its own 2-D call would give. Y
     holds 0/1 ints or the bools `Y == 1`, which give the same numbers and
     spare the kernel a compare. A `workspace` lends its buffers, and the
     gradients are then a view of them.

@@ -107,26 +107,25 @@ def micro_f1_flags(pred_flags, gold) -> float:
 
 
 def average_precision(scores, gold_flags) -> float:
-    """AP of one instance's gold set under its score-ranked labels.
-
-    Labels are ranked by descending score with ties broken by ascending label
-    index; AP averages precision-at-rank over the gold positions.
-    """
+    """AP of one instance's gold set under its score-ranked labels: the
+    one-instance case of `mean_average_precision`, given K flags with at
+    least one set."""
     f = np.asarray(scores, dtype=float)
     y = np.asarray(gold_flags, dtype=int)
     if f.size != y.size + 1:
         raise ValueError(f"scores must have length K+1={y.size + 1}, got {f.size}")
     if y.sum() == 0:
         raise ValueError("average precision needs at least one positive label")
-    order = np.argsort(-f[1:], kind="stable")
-    rel = y[order]
-    cum = np.cumsum(rel)
-    ranks = np.arange(1, y.size + 1)
-    return float((cum[rel == 1] / ranks[rel == 1]).mean())
+    return mean_average_precision(f[None], np.concatenate([[0], y])[None])
 
 
 def mean_average_precision(scores, gold) -> float:
-    """Mean per-instance AP over instances with at least one positive label."""
+    """Mean per-instance AP over instances with at least one positive label.
+
+    Labels are ranked by descending score with ties broken by ascending label
+    index; an instance's AP averages precision-at-rank over its gold
+    positions.
+    """
     s = np.asarray(scores, dtype=float)
     y = gold_flags(gold)
     if len(s) != len(y):

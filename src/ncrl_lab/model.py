@@ -8,8 +8,9 @@ margin-based losses, a swept global threshold for the others) and, for a
 swept rule, that epoch's threshold. `train` takes a list of configs, with
 one data set for all or one per config, and trains the cells that share
 their settings as one stacked model: one flat (C, P) array holds its
-parameters, a row per cell, with the cells sorted by training set and loss
-kind. At each epoch end the rows that share a dev set are scored together by
+parameters, a row per cell, with the cells sorted by loss kind
+(`stack_rank`, the order the loss kernels take) and then by training set.
+At each epoch end the rows that share a dev set are scored together by
 one stacked `native_dev_metric` call. Every cell comes out as if trained
 alone.
 """
@@ -91,14 +92,15 @@ class TrainResult:
 class _Scorer:
     """Parameter layout shared by the scorers.
 
-    Every parameter may carry a leading cell axis. A stacked scorer holds C
-    cells and maps (C, B, d) features to (C, B, K+1) scores with one batched
-    matmul per layer; each cell's arithmetic is that of its own scorer. One
-    built by `stack` keeps a cell's parameters in one row of a (C, P) array
-    `flat`, which its `params` view, so a cell's state is a row to step, copy
-    or drop. `backward` writes into the arrays of a dict `out` if given.
-    `forward` keeps what `backward` can reuse in a dict `acts` that the
-    caller passes to both, so nothing of one call stays on the scorer.
+    The constructors take one scorer's parameters; `stack` builds a stacked
+    scorer, whose parameters carry a leading cell axis. It holds C cells and
+    maps (C, B, d) features to (C, B, K+1) scores with one batched matmul per
+    layer; each cell's arithmetic is that of its own scorer. It keeps a
+    cell's parameters in one row of a (C, P) array `flat`, which its
+    `params` view, so a cell's state is a row to step, copy or drop.
+    `backward` writes into the arrays of a dict `out` if given. `forward`
+    keeps what `backward` can reuse in a dict `acts` that the caller passes
+    to both, so nothing of one call stays on the scorer.
     """
 
     @classmethod
@@ -136,9 +138,9 @@ class LinearScorer(_Scorer):
             "bias": np.asarray(bias, dtype=float),
         }
         w, b = self.params["weights"], self.params["bias"]
-        if w.ndim not in (2, 3) or b.shape != w.shape[:-1]:
-            raise ValueError("weights must be (K+1, d), or (C, K+1, d) for a "
-                             "cell stack, with a matching bias")
+        if w.ndim != 2 or b.shape != w.shape[:1]:
+            raise ValueError("linear parameters must be weights (K+1, d) and "
+                             f"bias (K+1,); got {w.shape} and {b.shape}")
         self._check_finite()
 
     @classmethod
@@ -184,14 +186,12 @@ class MlpScorer(_Scorer):
             "b2": np.asarray(b2, dtype=float),
         }
         w1, b1, w2, b2 = self.params.values()
-        if (w1.ndim not in (2, 3) or w2.shape[:-2] != w1.shape[:-2]
-                or w2.ndim != w1.ndim or w2.shape[-1] != w1.shape[-2]
-                or b1.shape != w1.shape[:-1] or b2.shape != w2.shape[:-1]):
+        if (w1.ndim != 2 or w2.ndim != 2 or w2.shape[1] != w1.shape[0]
+                or b1.shape != w1.shape[:1] or b2.shape != w2.shape[:1]):
             raise ValueError(
                 "MLP parameters must be w1 (H, d), b1 (H,), w2 (K+1, H) and "
-                "b2 (K+1,), or all four with one leading cell axis; got "
-                f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
-        if w1.shape[-2] < 1:
+                f"b2 (K+1,); got {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+        if w1.shape[0] < 1:
             raise ValueError("hidden width must be >= 1")
         self._check_finite()
 
@@ -253,9 +253,9 @@ class Adam:
     costs a dozen whole-array passes into kept scratch, so the trainer hands
     it one key: a stack's (C, P) flat parameters, a row per cell."""
 
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -296,20 +296,17 @@ def learning_rate_at(step: int, total_steps: int, peak: float,
     return peak * (total_steps - step) / (total_steps - warmup)
 
 
-def native_dev_metric(scorer, dev: Dataset, loss_kind):
-    """(dev micro F1, threshold) under the loss's own prediction rule:
+def native_dev_metric(scorer, dev: Dataset, loss_kinds) -> list:
+    """(dev micro F1, threshold) of each cell of a stacked scorer of R cells,
+    given their R loss kinds, under each loss's own prediction rule:
     adaptive thresholding for ADAPTIVE_KINDS, with threshold None, and the
     best coarse global threshold for the others.
 
-    A stacked scorer of R cells takes a sequence of R loss kinds and gives a
-    list of R pairs, each what its cell alone gives, from one forward over
-    the dev features: the adaptive cells share one `adaptive_flags` call and
-    one count of true and false positives, the others one stacked sweep.
+    Each pair is what its cell alone gives, from one forward over the dev
+    features: the adaptive cells share one `adaptive_flags` call and one
+    count of true and false positives, the others one stacked sweep.
     """
     scores = scorer.forward(dev.features)
-    one = scores.ndim == 2
-    if one:
-        scores, loss_kind = scores[None], [loss_kind]
     # every row's adaptive F1, which is the metric of the adaptive rows
     positive = dev.labels[:, 1:] == 1  # a Dataset's labels are 0/1
     flags = adaptive_flags(scores)
@@ -317,13 +314,13 @@ def native_dev_metric(scorer, dev: Dataset, loss_kind):
     fp = np.count_nonzero(flags, axis=(1, 2)) - tp
     fn = np.count_nonzero(positive) - tp
     picks = [(pooled_f1(*counts)[0], None) for counts in zip(tp, fp, fn)]
-    swept = [row for row, kind in enumerate(loss_kind) if kind not in ADAPTIVE_KINDS]
+    swept = [row for row, kind in enumerate(loss_kinds) if kind not in ADAPTIVE_KINDS]
     if swept:
         thresholds, f1s = sweep_global_threshold(scores[swept], dev.labels,
                                                  COARSE_GRID)
         for row, t, f1 in zip(swept, thresholds, f1s):
             picks[row] = f1, t
-    return picks[0] if one else picks
+    return picks
 
 
 def _stack_key(config: TrainConfig, scorer) -> tuple:
@@ -394,11 +391,11 @@ def train(data, dev, configs, scorers=None) -> list:
         stacks.setdefault(_stack_key(config, scorer), []).append(i)
     results = [None] * len(cells)
     for members in stacks.values():
-        # cells that share a training set become adjacent stack rows, and
-        # within them the loss kernel wants its cells sorted by kind
+        # the loss kernel takes its cells sorted by kind, and within a kind
+        # the cells that share a training set become adjacent stack rows
         first: dict = {}
-        members.sort(key=lambda i: (first.setdefault(id(datas[i]), len(first)),
-                                    stack_rank(configs[i].loss_kind, configs[i].gamma)))
+        members.sort(key=lambda i: (stack_rank(configs[i].loss_kind, configs[i].gamma),
+                                    first.setdefault(id(datas[i]), len(first))))
         for i, result in zip(members, _train_stack([cells[i] for i in members])):
             results[i] = result
     return results
@@ -418,8 +415,9 @@ class _Feed:
 
 def _train_stack(cells: list) -> list:
     """Train (config, scorer, shuffle_rng, data, dev) cells that share a
-    _stack_key, with the cells that share a training set adjacent. Parameters,
-    gradients and Adam moments are (C, P) arrays, a row per live cell."""
+    _stack_key, sorted by `stack_rank`; each run of adjacent cells on one
+    training set is fed as one block of rows. Parameters, gradients and Adam
+    moments are (C, P) arrays, a row per live cell."""
     started = time.perf_counter()
     config = cells[0][0]  # the settings every cell of the stack shares
     size = config.batch_size
@@ -573,7 +571,7 @@ def _piece_step(stack, first, x, y, kinds, gammas, step, failed, loss_sum,
 
 
 def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,
-               trials: int = 100, seed: int = 0, fd_step: float = 1e-5) -> float:
+               trials: int = 100, seed: int = 0) -> float:
     """Worst mismatch between analytic gradients and central finite differences.
 
     Relative error per coordinate, falling back to absolute error where the
@@ -587,6 +585,7 @@ def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,
     check_loss(loss_kind, gamma)
     check_seed(seed)
     rng = np.random.default_rng(seed)
+    fd_step = 1e-5
     eye = np.eye(k + 1)
     worst = 0.0
     for trial in range(trials):
@@ -608,17 +607,15 @@ def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,
     return worst
 
 
-def scorer_to_dict(scorer, config: TrainConfig | None = None) -> dict:
+def scorer_to_dict(scorer, config: TrainConfig) -> dict:
     """Flat JSON-ready checkpoint: kind, shapes, row-major arrays, config echo."""
-    out = {
+    return {
         "kind": scorer.kind,
         "k": scorer.k,
         "dim": scorer.dim,
         "params": {key: value.tolist() for key, value in scorer.params.items()},
+        "config": asdict(config),
     }
-    if config is not None:
-        out["config"] = asdict(config)
-    return out
 
 
 _CHECKPOINT_KINDS = {"linear": ("weights", "bias"), "mlp": ("w1", "b1", "w2", "b2")}
@@ -653,8 +650,6 @@ def scorer_from_dict(payload: dict):
             raise ValueError(f"checkpoint param {key!r} must be a numeric array")
         arrays.append(value)
     scorer = (LinearScorer if kind == "linear" else MlpScorer)(*arrays)
-    if next(iter(scorer.params.values())).ndim != 2:
-        raise ValueError("a checkpoint holds one scorer, not a cell stack")
     for key, actual in (("k", scorer.k), ("dim", scorer.dim)):
         if key not in payload:
             raise ValueError(f"checkpoint lacks {key!r}")

@@ -277,7 +277,8 @@ class TestDatasetIo:
         writers = {
             "data.jsonl": lambda path: save_dataset(data, path),
             "model.json": lambda path: save_json(scorer_to_dict(
-                MlpScorer.create(3, 6, 4, np.random.default_rng(0))), path),
+                MlpScorer.create(3, 6, 4, np.random.default_rng(0)),
+                TrainConfig("atl", hidden_width=4)), path),
             "report.json": lambda path: save_json({"micro_f1": 0.5}, path),
             "rows.csv": lambda path: write_results_csv([row], path),
         }
@@ -596,7 +597,8 @@ class TestCli:
         data, model = str(tmp_path / "data.jsonl"), str(tmp_path / "model.json")
         assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "40",
                      "--out", data]) == 0
-        mlp = scorer_to_dict(MlpScorer.create(3, 5, 4, np.random.default_rng(0)))
+        mlp = scorer_to_dict(MlpScorer.create(3, 5, 4, np.random.default_rng(0)),
+                             TrainConfig("atl", hidden_width=4))
         without_w2 = {**mlp, "params": {k: v for k, v in mlp["params"].items()
                                         if k != "w2"}}
         cases = (

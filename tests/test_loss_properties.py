@@ -16,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 
 from ncrl_lab import losses
 from ncrl_lab.losses import (LOSS_KINDS, Workspace, batch_loss,
-                             instance_losses, margin_regularization, sigmoid)
+                             instance_losses, margin_regularization, sigmoid,
+                             stack_rank)
 from ncrl_lab.model import (LinearScorer, MlpScorer, TrainConfig,
                             scorer_from_dict, scorer_to_dict)
 
@@ -29,6 +30,14 @@ def taken(kind, gamma):
     """The drawn `gamma` for a kind that shifts, else 0, the only gamma a
     kind that does not shift is given."""
     return gamma if kind in SHIFTED else 0.0
+
+
+def sorted_cells(kinds, gammas):
+    """The drawn cells' kinds and taken gammas, sorted by `stack_rank` as a
+    stack must be."""
+    cells = sorted(zip(kinds, map(taken, kinds, gammas)),
+                   key=lambda cell: stack_rank(*cell))
+    return [kind for kind, _ in cells], [gamma for _, gamma in cells]
 
 
 @st.composite
@@ -135,7 +144,7 @@ class TestAgainstReference:
         st.lists(st.sampled_from(GAMMAS), min_size=c, max_size=c))))
     def test_mixed_stack_cells_match_reference(self, case):
         (Y, F), kinds, gammas = case
-        gammas = list(map(taken, kinds, gammas))
+        kinds, gammas = sorted_cells(kinds, gammas)
         values, grads = batch_loss(kinds, Y, F, gammas)
         for c, (kind, gamma) in enumerate(zip(kinds, gammas)):
             assert_matches_reference(kind, Y[c], F[c], gamma, values[c])
@@ -182,7 +191,7 @@ class TestBoolLabels:
         st.lists(st.sampled_from(GAMMAS), min_size=c, max_size=c))))
     def test_stacked_batch_loss_with_workspace(self, case):
         (Y, F), kinds, gammas = case
-        gammas = list(map(taken, kinds, gammas))
+        kinds, gammas = sorted_cells(kinds, gammas)
         values, grads = batch_loss(kinds, Y, F, gammas, Workspace())
         flag_values, flag_grads = batch_loss(kinds, Y == 1, F, gammas,
                                              Workspace())

@@ -394,8 +394,8 @@ class TestBatchLoss:
     def test_stacked_matches_per_cell_exactly(self):
         # every margin kind at every gamma, plus atl and pairwise, in one
         # (C, B, K+1) stack: each cell must equal its own 2-D call bit for bit,
-        # whatever the cell order. The kind-sorted order is the trainer's and
-        # runs as given; the others are sorted inside and put back.
+        # whichever cells a stack holds and whatever the order of the cells
+        # that share a rank. A stack not sorted by `stack_rank` is refused.
         rng = np.random.default_rng(16)
         b, k = 48, 6
         # a kind that does not shift takes only gamma 0, here once per gamma
@@ -421,8 +421,9 @@ class TestBatchLoss:
         ranked = sorted(range(n), key=lambda c: stack_rank(*cells[c]))
         margin_only = [c for c, (kind, _) in enumerate(cells)
                        if kind not in ("atl", "pairwise")]
-        for order in (list(range(n)), interleaved, ranked, ranked[::-1],
+        for drawn in (list(range(n)), interleaved, ranked, ranked[::-1],
                       margin_only, margin_only[::-1], [5, 6], [6, 0, 5]):
+            order = sorted(drawn, key=lambda c: stack_rank(*cells[c]))
             values, grads = batch_loss([cells[c][0] for c in order], Y[order],
                                        F[order], [cells[c][1] for c in order],
                                        workspace=Workspace())
@@ -430,6 +431,10 @@ class TestBatchLoss:
             for row, c in enumerate(order):
                 assert values[row] == alone[c][0], cells[c]
                 assert np.array_equal(grads[row], alone[c][1]), cells[c]
+        unsorted = ranked[::-1]
+        with pytest.raises(ValueError, match="sorted by stack_rank"):
+            batch_loss([cells[c][0] for c in unsorted], Y[unsorted], F[unsorted],
+                       [cells[c][1] for c in unsorted])
 
     def test_stacked_arguments_checked(self):
         Y, F = np.zeros((2, 1, 3), dtype=int), np.zeros((2, 1, 3))

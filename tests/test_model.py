@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ncrl_lab import model
 from ncrl_lab.datagen import (Dataset, SyntheticConfig, generate, split,
                               strip_none_instances, take)
 from ncrl_lab.harness.experiments import (ExperimentConfig, _no_none_cell,
                                           make_splits, run_no_none_study)
 from ncrl_lab.harness.seeds import derive_seed
-from ncrl_lab.losses import LOSS_KINDS, ncrl_final
+from ncrl_lab.losses import LOSS_KINDS, ncrl_final, stack_rank
 from ncrl_lab.metrics import mean_ncre, micro_f1_flags
 from ncrl_lab.model import (ADAPTIVE_KINDS, Adam, LinearScorer, MlpScorer,
                             TrainConfig, grad_check,
@@ -421,6 +422,37 @@ class TestStackedTraining:
                 assert result.history.train_loss == alone.history.train_loss
                 assert result.history.dev_metric == alone.history.dev_metric
 
+    def test_mixed_kinds_over_two_sets_reach_the_kernel_sorted(self,
+                                                               monkeypatch):
+        # kinds alternate across two training sets of unequal size: the
+        # trainer sorts the stack by stack_rank, so set a feeds two blocks of
+        # rows, and every cell still trains as it does alone
+        data = generate(SyntheticConfig(num_labels=4, feature_dim=6,
+                                        num_instances=700,
+                                        none_fraction_target=0.3, seed=7))
+        a, b, dev = (take(data, range(lo, hi))
+                     for lo, hi in ((0, 300), (300, 530), (530, 700)))
+        shared = dict(epochs=2, batch_size=64, learning_rate=0.05)
+        cells = [(TrainConfig("ncrl_final", gamma=0.05, seed=1, **shared), a),
+                 (TrainConfig("bce", seed=2, **shared), b),
+                 (TrainConfig("bce", seed=3, **shared), a),
+                 (TrainConfig("ncrl_plain", seed=4, **shared), b)]
+        alone = [train(part, dev, [config])[0] for config, part in cells]
+        calls = []
+        kernel = model.batch_loss
+
+        def spy(kinds, Y, F, gammas, workspace=None):
+            calls.append([stack_rank(*cell) for cell in zip(kinds, gammas)])
+            return kernel(kinds, Y, F, gammas, workspace)
+
+        monkeypatch.setattr(model, "batch_loss", spy)
+        stacked = train([part for _, part in cells], dev,
+                        [config for config, _ in cells])
+        assert max(map(len, calls)) == 4
+        assert all(ranks == sorted(ranks) for ranks in calls)
+        for result, expected in zip(stacked, alone):
+            assert _outcome(result) == _outcome(expected)
+
     def test_per_config_sets_checked(self):
         data = generate(SyntheticConfig(num_labels=3, feature_dim=5,
                                         num_instances=60, seed=0))
@@ -604,7 +636,8 @@ class TestStackedDevMetric:
                     for cell, kind in zip(cells, kinds)]
         assert native_dev_metric(stack, dev, kinds) == expected
         for cell, kind, pick in zip(cells, kinds, expected):
-            assert native_dev_metric(cell, dev, kind) == pick
+            one = type(cell).stack([cell])
+            assert native_dev_metric(one, dev, [kind]) == [pick]
             assert (pick[1] is None) == (kind in ADAPTIVE_KINDS)
         # rows gathered from the stack, as the trainer scores a dev set's
         # rows: mixed rules, global only, adaptive only
@@ -698,7 +731,7 @@ class TestSchedule:
 class TestCheckpoints:
     def test_linear_round_trip(self):
         scorer = LinearScorer.create(3, 4, np.random.default_rng(5))
-        clone = scorer_from_dict(scorer_to_dict(scorer))
+        clone = scorer_from_dict(scorer_to_dict(scorer, TrainConfig("bce")))
         for key in scorer.params:
             assert np.array_equal(clone.params[key], scorer.params[key])
 
@@ -718,18 +751,22 @@ class TestCheckpoints:
                          ("w2", np.zeros((2, 4, 6)))):
             with pytest.raises(ValueError, match="MLP parameters"):
                 MlpScorer(**{**good, key: bad})
+        # a stack is built by MlpScorer.stack; the constructor takes one scorer
         stacked = {key: np.stack([value, value]) for key, value in good.items()}
-        assert MlpScorer(**stacked).k == 3
         with pytest.raises(ValueError, match="MLP parameters"):
-            MlpScorer(**{**stacked, "b2": np.zeros((3, 4))})
+            MlpScorer(**stacked)
+        assert MlpScorer.stack([MlpScorer(**good)] * 2).k == 3
 
     def test_stacked_checkpoint_rejected(self):
         stack = LinearScorer.stack([LinearScorer(np.zeros((3, 4)), np.zeros(3))] * 2)
-        with pytest.raises(ValueError, match="not a cell stack"):
-            scorer_from_dict(scorer_to_dict(stack))
+        with pytest.raises(ValueError, match=r"linear parameters must be "
+                           r"weights \(K\+1, d\) and bias \(K\+1,\); got "
+                           r"\(2, 3, 4\) and \(2, 3\)"):
+            scorer_from_dict(scorer_to_dict(stack, TrainConfig("bce")))
 
     def test_header_must_match_parameters(self):
-        good = scorer_to_dict(LinearScorer.create(3, 4, np.random.default_rng(1)))
+        good = scorer_to_dict(LinearScorer.create(3, 4, np.random.default_rng(1)),
+                              TrainConfig("bce"))
         cases = (
             ({"k": 99, "dim": 1}, "checkpoint has k=99 but its parameters have k=3"),
             ({"dim": 1}, "checkpoint has dim=1 but its parameters have dim=4"),

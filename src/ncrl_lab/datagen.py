@@ -72,7 +72,11 @@ class SyntheticConfig:
 
 @dataclass(eq=False)
 class Dataset:
-    """Feature matrix paired with full label vectors (none flag at column 0)."""
+    """Feature matrix paired with full label vectors (none flag at column 0).
+
+    `labels` is an (n, K+1) bool array flagging the positives; it may be
+    given as bools or as numbers equal to 0 or 1.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -80,7 +84,8 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
+        self.labels = labels.astype(bool, copy=False)
         if self.features.ndim != 2 or self.labels.ndim != 2:
             raise ValueError("features and labels must be 2-D")
         if len(self.features) != len(self.labels):
@@ -91,9 +96,9 @@ class Dataset:
             raise ValueError("labels need a none column plus K >= 1 label columns")
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
-        if self.labels.min() < 0 or self.labels.max() > 1:
+        if not np.array_equal(self.labels, labels):  # a value other than 0/1
             raise ValueError("labels must be binary flags")
-        derived = (self.labels[:, 1:].max(axis=1) == 0).astype(int)
+        derived = ~self.labels[:, 1:].any(axis=1)
         if not np.array_equal(self.labels[:, 0], derived):
             bad = int(np.nonzero(self.labels[:, 0] != derived)[0][0])
             raise ValueError(f"none flag inconsistent with labels at row {bad}")
@@ -117,8 +122,7 @@ class Dataset:
 
 
 def _labels_from_flags(y: np.ndarray) -> np.ndarray:
-    none = (y.max(axis=1) == 0).astype(int)
-    return np.column_stack([none, y])
+    return np.column_stack([~y.any(axis=1), y])
 
 
 def _calibrate_base(w: np.ndarray, bias: np.ndarray, target: float,
@@ -146,7 +150,7 @@ def generate(config: SyntheticConfig) -> Dataset:
 
     x = x_rng.standard_normal((config.num_instances, config.feature_dim))
     thresholds = bias + base
-    y = (x @ w.T > thresholds).astype(int)
+    y = x @ w.T > thresholds
     data = Dataset(
         features=x,
         labels=_labels_from_flags(y),
@@ -176,8 +180,8 @@ def inject_false_negatives(data: Dataset, rate: float, seed: int) -> Dataset:
     _check_rate(rate)
     rng = np.random.default_rng(seed)
     y = data.labels[:, 1:].copy()
-    flips = (rng.random(y.shape) < rate) & (y == 1)
-    y[flips] = 0
+    flips = (rng.random(y.shape) < rate) & y
+    y[flips] = False
     return Dataset(data.features, _labels_from_flags(y), data.provenance)
 
 
@@ -187,13 +191,13 @@ def inject_symmetric_noise(data: Dataset, rate: float, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     y = data.labels[:, 1:].copy()
     flips = rng.random(y.shape) < rate
-    y[flips] = 1 - y[flips]
+    y[flips] = ~y[flips]
     return Dataset(data.features, _labels_from_flags(y), data.provenance)
 
 
 def strip_none_instances(data: Dataset) -> Dataset:
     """Drop every instance whose labels are all negative."""
-    keep = data.labels[:, 0] == 0
+    keep = ~data.labels[:, 0]
     if not keep.any():
         raise ValueError("stripping none-class instances would empty the dataset")
     return take(data, np.nonzero(keep)[0])
@@ -235,6 +239,6 @@ def class_prior_report(data: Dataset) -> dict:
         "num_instances": len(data),
         "positive_counts": [int(c) for c in counts],
         "positive_rates": [float(r) for r in rates],
-        "none_fraction": float((data.labels[:, 0] == 1).mean()),
+        "none_fraction": float(data.labels[:, 0].mean()),
         "imbalance_ratio": ratio,
     }

@@ -18,12 +18,12 @@ those of one pass.
 A regular file of at least `TWIN_MIN_BYTES` gets a binary twin, the
 file's path plus `TWIN_SUFFIX` (`data.jsonl.twin.npz`), after a successful
 parse: an npz file, read without pickle, holding the parsed features and
-label flags, the file's sha256 and `TWIN_FORMAT`. A later load reads the
-twin when its format number and sha256 match the file's current bytes, and
-parses the file in every other case, rewriting the twin. The twin is
-written through `_atomic_write`, and a failed write is skipped, so it is
-only ever a whole copy: it never fails a load nor changes a value or an
-error, and deleting it is always safe.
+the Dataset's bool label flags as they are, the file's sha256 and
+`TWIN_FORMAT`. A later load reads the twin when its format number and
+sha256 match the file's current bytes, and parses the file in every other
+case, rewriting the twin. The twin is written through `_atomic_write`, and
+a failed write is skipped, so it is only ever a whole copy: it never fails
+a load nor changes a value or an error, and deleting it is always safe.
 
 Every reader follows one rule: the first line in file order that is
 refused, for a byte that is not UTF-8 or for its content, is reported as
@@ -384,12 +384,12 @@ def _parse_dataset(path: str) -> Dataset:
     counts = np.frombuffer(counts, dtype=np.int64)
     matrix = np.frombuffer(values, dtype=float).reshape(len(counts), dim)
     try:
-        flags = np.zeros((len(counts), k + 1), dtype=int)
+        flags = np.zeros((len(counts), k + 1), dtype=bool)
     except MemoryError:
         raise ValueError(f"{path}:{line}: k = {k} is too large; no memory for "
                          f"a {len(counts)} x {k + 1} label matrix") from None
     flags[np.repeat(np.arange(len(counts)), counts),
-          np.frombuffer(labels, dtype=np.int64)] = 1
+          np.frombuffer(labels, dtype=np.int64)] = True
     flags[:, 0] = counts == 0
     return Dataset(matrix, flags, provenance={"source": path})
 
@@ -447,7 +447,7 @@ def load_dataset(path: str) -> Dataset:
             with contextlib.suppress(OSError, MemoryError):
                 _atomic_write(path + TWIN_SUFFIX, lambda handle: np.savez(
                     handle, format=TWIN_FORMAT, sha256=key,
-                    features=data.features, labels=data.labels.astype(bool)))
+                    features=data.features, labels=data.labels))
     return data
 
 

@@ -85,8 +85,9 @@ def _pair(pre_labels, scores, require_finite=True):
 
 
 # --- batched cores -----------------------------------------------------------
-# Y is a (B, K+1) binary matrix including the none column, as 0/1 ints or as
-# bools flagging the positives; F is (B, K+1) float.
+# Y is a (B, K+1) bool matrix flagging the positives, none column included,
+# as a Dataset holds its labels; `_stack_losses` turns 0/1 numbers into it
+# and refuses any other value. F is (B, K+1) float.
 # A cell stack adds a leading axis: (C, B, K+1), one loss kind and gamma per
 # cell, with its cells sorted by `stack_rank`; the trainer sorts its stacks
 # so, and the kernels refuse any other order. Cores return per-instance values
@@ -246,7 +247,7 @@ def _margin_losses(plan, Y, F, ws, vals, grads) -> None:
     """
     k = F.shape[-1] - 1
     z, sign, value, kept, *work = ws.take("float", F.shape, parts=8)
-    positive, mask = ws.take("bool", F.shape, bool, parts=2)
+    mask = ws.take("bool", F.shape, bool)
     af0, total, mean, spread = ws.take("small", vals.shape, parts=4)
     avg, cells = plan.average, slice(plan.shifted, plan.margin)
     np.subtract(F, np.multiply(plan.slope, F[..., :1], out=af0[..., None]), out=z)
@@ -254,19 +255,15 @@ def _margin_losses(plan, Y, F, ws, vals, grads) -> None:
         mean = np.add.reduce(F[avg, :, 1:], axis=-1, out=mean[avg])
         mean /= k
         np.subtract(F[avg, :, 0], mean, out=z[avg, :, 0])
-    if Y.dtype == bool:  # a trainer hands its labels over as these flags
-        positive = Y
-    else:
-        positive = np.equal(Y, 1, out=positive)
     # -1 on positives, +1 on negatives: a cast and two float passes run
     # faster than one bool * float pass
-    np.copyto(sign, positive)
+    np.copyto(sign, Y)
     sign *= -2.0
     sign += 1.0
     _logistic(z, sign, value, grads, work)
     if cells.start < cells.stop:
         # the negatives, on the average column only for ncrl_final
-        mask = np.logical_not(positive[cells], out=mask[cells])
+        mask = np.logical_not(Y[cells], out=mask[cells])
         mask[avg.stop - cells.start:, :, 0] = False
         _shift([w[cells] for w in work], plan.gamma, mask, value[cells],
                grads[cells], kept[cells])
@@ -302,10 +299,7 @@ def _atl_losses(Y, F, ws, vals, grads) -> None:
     keep = ws.take("atl_bool", (2,) + F.shape, bool)  # the scores in each softmax
     flags = ws.take("atl_flags", F.shape)
     top, total, (count, picked) = ws.take("atl_row", (2,) + vals.shape, parts=3)
-    if Y.dtype == bool:
-        np.copyto(keep[0], Y)
-    else:
-        np.equal(Y, 1, out=keep[0])
+    np.copyto(keep[0], Y)
     np.logical_not(keep[0], out=keep[1])
     keep[..., 0] = True  # f_0 is in both softmaxes
     e.fill(-np.inf)
@@ -333,7 +327,7 @@ def _pairwise_batch(Y, F):
     y = Y[:, 1:]
     f = F[:, 1:]
     diff = f[:, None, :] - f[:, :, None]  # diff[b, i, j] = f_j - f_i
-    pair = (y == 1)[:, :, None] & (y == 0)[:, None, :]
+    pair = y[:, :, None] & ~y[:, None, :]
     value, slope, *work = (np.empty(diff.shape) for _ in range(6))
     _logistic(diff, 1.0, value, slope, work)  # softplus and sigmoid
     vals = (value * pair).sum(axis=(1, 2))
@@ -349,9 +343,14 @@ def _stack_losses(kinds, Y, F, gammas, workspace=None):
     The one dispatch from loss kind to kernel: the margin cells share one
     fused call and the atl cells another, each on its contiguous run of the
     stack, which must be sorted by `stack_rank`; pairwise cells run one cell
-    at a time.
+    at a time. The one place labels change form: 0/1 numbers become the
+    bool flags the kernels take, and any other value is refused.
     """
     plan = _plan(tuple(kinds), tuple(gammas))
+    if Y.dtype != bool:
+        Y, zero = Y == 1, Y == 0
+        if not (Y | zero).all():
+            raise ValueError("labels must be binary flags")
     ws = Workspace() if workspace is None else workspace
     vals, grads = ws.take("vals", F.shape[:-1]), ws.take("grads", F.shape)
     m, a = plan.margin, plan.atl
@@ -382,9 +381,10 @@ def batch_loss(kind, Y, F, gamma=0.0, workspace=None):
     other order is refused), and it returns the C per-cell means and the
     (C, B, K+1) gradients. A 2-D call runs as a stack of one cell, so each
     cell of a stack comes out exactly as its own 2-D call would give. Y
-    holds 0/1 ints or the bools `Y == 1`, which give the same numbers and
-    spare the kernel a compare. A `workspace` lends its buffers, and the
-    gradients are then a view of them.
+    holds the bool flags a Dataset holds, or 0/1 numbers, which give the
+    same numbers after one compare; any other label value is refused. A
+    `workspace` lends its buffers, and the gradients are then a view of
+    them.
     """
     F = np.asarray(F, dtype=float)
     if not np.isfinite(F).all():

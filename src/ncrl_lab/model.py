@@ -12,7 +12,7 @@ parameters, a row per cell, with the cells sorted by loss kind
 (`stack_rank`, the order the loss kernels take) and then by training set.
 At each epoch end the rows that share a dev set are scored together by
 one stacked `native_dev_metric` call. Every cell comes out as if trained
-alone.
+alone. Labels reach the loss kernel as the bool flags a Dataset holds.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def native_dev_metric(scorer, dev: Dataset, loss_kinds) -> list:
     """
     scores = scorer.forward(dev.features)
     # every row's adaptive F1, which is the metric of the adaptive rows
-    positive = dev.labels[:, 1:] == 1  # a Dataset's labels are 0/1
+    positive = dev.labels[:, 1:]  # a Dataset's labels are bool flags
     flags = adaptive_flags(scores)
     tp = np.count_nonzero(flags & positive, axis=(1, 2))
     fp = np.count_nonzero(flags, axis=(1, 2)) - tp
@@ -351,12 +351,12 @@ def train(data, dev, configs, scorers=None) -> list:
     forward, one batch_loss and one backward per run of adjacent cells with
     one batch length (the whole stack on most steps), writing gradients in
     place, then one Adam step for the whole stack. Each step gathers its
-    labels from a `labels == 1` table built once per training set. Each
-    cell keeps its own init and shuffle streams (drawn from its seed), epoch
-    length, learning-rate schedule, dev evaluation, best-dev checkpoint and
-    divergence, so its parameters are bit-identical to training it alone;
-    the cells ending an epoch on one step are scored on dev with one
-    stacked `native_dev_metric` call per dev set.
+    labels straight from its training set's bool flags, the form the loss
+    kernel takes. Each cell keeps its own init and shuffle streams (drawn
+    from its seed), epoch length, learning-rate schedule, dev evaluation,
+    best-dev checkpoint and divergence, so its parameters are bit-identical
+    to training it alone; the cells ending an epoch on one step are scored
+    on dev with one stacked `native_dev_metric` call per dev set.
     A cell that has run all its steps leaves the stack; so does a cell whose
     scores or loss stop being finite, and its result carries the
     FloatingPointError while the others train on. `scorers` optionally gives
@@ -409,7 +409,6 @@ class _Feed:
     rows: int  # live stack rows in the block
     steps: int  # batches per epoch
     total: int  # steps over all epochs
-    positive: np.ndarray  # data.labels == 1, the label table each step gathers
     orders: np.ndarray | None = None  # this epoch's shuffle of each row's cell
 
 
@@ -438,8 +437,7 @@ def _train_stack(cells: list) -> list:
             feeds[-1].rows += 1
         else:
             steps = math.ceil(len(cell[3]) / size)
-            feeds.append(_Feed(cell[3], 1, steps, config.epochs * steps,
-                               cell[3].labels == 1))
+            feeds.append(_Feed(cell[3], 1, steps, config.epochs * steps))
     loss_sum = np.zeros(len(cells))
 
     def drop(keep: np.ndarray) -> None:
@@ -477,7 +475,7 @@ def _train_stack(cells: list) -> list:
             if not runs or runs[-1][1][0].shape[1] != idx.shape[1]:
                 runs.append((lo, [], []))
             runs[-1][1].append(feed.data.features.take(idx, axis=0))
-            runs[-1][2].append(feed.positive.take(idx, axis=0))
+            runs[-1][2].append(feed.data.labels.take(idx, axis=0))
             lo += feed.rows
         failed = {}  # stack row -> divergence message
         for lo, xs, ys in runs:

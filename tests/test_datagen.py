@@ -201,6 +201,7 @@ class TestDatasetOps:
         data = flat_dataset([[1, 0, 0]] * 10)
         a, b, c = split(data, 6, 2)
         assert (len(a), len(b), len(c)) == (6, 2, 2)
+        assert all(part.labels.dtype == bool for part in (a, b, c))
         with pytest.raises(ValueError):
             split(data, 8, 5)
 
@@ -211,15 +212,18 @@ class TestDatasetOps:
         sub = take(data, [0, 3, 5])
         assert sub.provenance is data.provenance
         assert len(sub) == 3
+        assert sub.labels.dtype == bool
 
     def test_noise_ops_keep_none_flag_consistent(self):
         cfg = SyntheticConfig(num_labels=5, feature_dim=10, num_instances=500,
                               none_fraction_target=0.3, seed=12)
         data = generate(cfg)
+        assert data.labels.dtype == bool
         for out in (inject_false_negatives(data, 0.4, seed=1),
                     inject_symmetric_noise(data, 0.2, seed=2),
                     strip_none_instances(data)):
             assert none_consistent(out)
+            assert out.labels.dtype == bool
 
     def test_validation_rejects_bad_labels(self):
         feats = np.zeros((2, 3))
@@ -228,6 +232,10 @@ class TestDatasetOps:
         for bad in ([[1, 0, 2], [1, 0, 0]], [[0, -1, 1], [1, 0, 0]]):
             with pytest.raises(ValueError, match="labels must be binary flags"):
                 Dataset(feats, np.array(bad))
+        # a fractional flag is refused, not truncated to 0 or 1
+        for bad in ([[1, 0.5]], [[0, 1.9]]):
+            with pytest.raises(ValueError, match="labels must be binary flags"):
+                Dataset(np.zeros((1, 2)), bad)
         with pytest.raises(ValueError):
             Dataset(np.array([[np.nan, 0, 0], [0, 0, 0]]),
                     np.array([[1, 0, 0], [1, 0, 0]]))

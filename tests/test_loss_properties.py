@@ -10,6 +10,7 @@ import json
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -197,6 +198,21 @@ class TestBoolLabels:
                                              Workspace())
         self.assert_same_bits(flag_values, values)
         self.assert_same_bits(flag_grads, grads)
+
+
+def test_labels_other_than_0_1_are_refused():
+    # a 2 or a -1 is neither a positive nor a negative flag, so no kernel
+    # may read it as either: every kind, 2-D or stacked, refuses it
+    F = np.array([[0.3, -0.2, 0.5, 1.0]])
+    for bad in (2, -1):
+        Y = np.array([[0, 1, bad, 0]])
+        for kind in LOSS_KINDS:
+            gamma = taken(kind, 0.05)
+            for args in ((kind, Y, F, gamma),
+                         ([kind] * 2, np.stack([Y] * 2), np.stack([F] * 2),
+                          [gamma] * 2)):
+                with pytest.raises(ValueError, match="labels must be binary flags"):
+                    batch_loss(*args)
 
 
 def _masked_lse_softmax(F, mask):

@@ -381,7 +381,7 @@ class TestStackedTraining:
             assert result.history.best_epoch == alone.history.best_epoch
             assert result.history.threshold == alone.history.threshold
 
-    def test_loss_divergence_leaves_other_cells_alone(self):
+    def test_loss_divergence_leaves_other_cells_alone(self, monkeypatch):
         # biases near +-1e308 keep one cell's scores finite but overflow its
         # margins, so its loss, not its scores, stops being finite
         data = generate(SyntheticConfig(num_labels=4, feature_dim=6,
@@ -399,14 +399,28 @@ class TestStackedTraining:
             bias[0] = -1e308
             return [None, LinearScorer(np.full((5, 6), 0.1), bias), None, None]
 
-        # one shared training set; then uneven sets, where a set smaller than
-        # a batch gives the first step two batch lengths, and the diverging
-        # cell sits in the second run of rows, which spans two training sets
-        uneven = [take(train_part, np.arange(40)), train_part,
-                  take(train_part, np.arange(100, 400)), train_part]
+        # one shared training set; then uneven sets, where atl's set, smaller
+        # than a batch, gives the first step two batch lengths, and the
+        # diverging ncrl_plain cell shares its run of rows with ncrl_final,
+        # which trains on another set with full batches
+        uneven = [take(train_part, np.arange(100, 400)), train_part,
+                  take(train_part, np.arange(40)), train_part]
+        calls = []  # (kinds, whether every cell's loss is finite) per call
+        kernel = model.batch_loss
+
+        def spy(kinds, Y, F, gammas, workspace=None):
+            values, grads = kernel(kinds, Y, F, gammas, workspace)
+            calls.append((list(kinds), bool(np.isfinite(values).all())))
+            return values, grads
+
+        monkeypatch.setattr(model, "batch_loss", spy)
         for datas in ([train_part] * 4, uneven):
+            calls.clear()
             with np.errstate(over="ignore", invalid="ignore"):
                 stacked = train(datas, dev_part, configs, scorers=scorers())
+            diverging = [kinds for kinds, finite in calls if not finite]
+            assert len(diverging) == 1
+            assert {"ncrl_plain", "ncrl_final"} <= set(diverging[0])
             for config, part, scorer, result in zip(configs, datas, scorers(),
                                                     stacked):
                 with np.errstate(over="ignore", invalid="ignore"):

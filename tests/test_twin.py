@@ -101,6 +101,7 @@ class TestTwinLoad:
         parsed = load_dataset(str(path))
         assert loaded(from_twin(path)) == loaded(parsed)
         assert from_twin(path) == data
+        assert from_twin(path).labels.dtype == parsed.labels.dtype == bool
 
     def test_edited_file_is_parsed_again(self, tmp_path, twins):
         path = tmp_path / "data.jsonl"

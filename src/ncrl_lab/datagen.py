@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from .losses import binary_flags
+
 PROBE_SIZE = 10000
 
 
@@ -74,8 +76,9 @@ class SyntheticConfig:
 class Dataset:
     """Feature matrix paired with full label vectors (none flag at column 0).
 
-    `labels` is an (n, K+1) bool array flagging the positives; it may be
-    given as bools or as numbers equal to 0 or 1.
+    `labels` is an (n, K+1) bool array flagging the positives, read through
+    `losses.binary_flags`: bools are kept as they are, numbers equal to 0 or
+    1 become flags, and any other value is refused.
     """
 
     features: np.ndarray
@@ -84,8 +87,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels)
-        self.labels = labels.astype(bool, copy=False)
+        self.labels = binary_flags(self.labels)
         if self.features.ndim != 2 or self.labels.ndim != 2:
             raise ValueError("features and labels must be 2-D")
         if len(self.features) != len(self.labels):
@@ -96,8 +98,6 @@ class Dataset:
             raise ValueError("labels need a none column plus K >= 1 label columns")
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
-        if not np.array_equal(self.labels, labels):  # a value other than 0/1
-            raise ValueError("labels must be binary flags")
         derived = ~self.labels[:, 1:].any(axis=1)
         if not np.array_equal(self.labels[:, 0], derived):
             bad = int(np.nonzero(self.labels[:, 0] != derived)[0][0])

@@ -138,10 +138,19 @@ def _train_config_base(args, loss_kind: str, gamma: float) -> TrainConfig:
     )
 
 
+def _check_dims(name, first, other_name, other) -> None:
+    """Refuse two sources whose label count k or feature dim differ, naming
+    each with its own."""
+    if (first.k, first.dim) != (other.k, other.dim):
+        raise ValueError(f"{name} has k={first.k}, dim={first.dim} but "
+                         f"{other_name} has k={other.k}, dim={other.dim}")
+
+
 def _cmd_train(args) -> int:
     data = load_dataset(args.data)
     if args.dev:
         dev = load_dataset(args.dev)
+        _check_dims(f"train data {args.data}", data, f"dev data {args.dev}", dev)
     else:
         n_dev = max(1, int(DEV_FRACTION * len(data)))
         if n_dev >= len(data):
@@ -178,10 +187,7 @@ def _checkpoint_scores(args):
     except ValueError as exc:
         raise ValueError(f"{args.model}: {exc}") from exc
     data = load_dataset(args.data)
-    if (scorer.k, scorer.dim) != (data.k, data.dim):
-        raise ValueError(
-            f"checkpoint {args.model} has k={scorer.k}, dim={scorer.dim} but "
-            f"data {args.data} has k={data.k}, dim={data.dim}")
+    _check_dims(f"checkpoint {args.model}", scorer, f"data {args.data}", data)
     return data, scorer.forward(data.features)
 
 

@@ -49,14 +49,27 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
 
+def binary_flags(labels) -> np.ndarray:
+    """Labels or prediction flags as bools: the one reading of a label value.
+
+    A bool array passes through as it is; numbers equal to 0 or 1 become
+    flags, and any other value is refused.
+    """
+    y = np.asarray(labels)
+    if y.dtype == bool:
+        return y
+    flags = y == 1
+    if not (flags | (y == 0)).all():
+        raise ValueError("labels must be binary flags")
+    return flags
+
+
 def with_none_flag(pre_labels) -> np.ndarray:
-    """Prepend the derived none flag to K pre-defined label flags."""
-    y = np.asarray(pre_labels, dtype=int)
+    """Prepend the derived none flag to K pre-defined label flags, as bools."""
+    y = binary_flags(pre_labels)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("pre-defined labels must be a nonempty 1-D array")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be binary flags")
-    return np.concatenate([[1 - y.max(initial=0)], y])
+    return np.concatenate([[not y.any()], y])
 
 
 def check_gamma(gamma: float) -> float:
@@ -86,8 +99,9 @@ def _pair(pre_labels, scores, require_finite=True):
 
 # --- batched cores -----------------------------------------------------------
 # Y is a (B, K+1) bool matrix flagging the positives, none column included,
-# as a Dataset holds its labels; `_stack_losses` turns 0/1 numbers into it
-# and refuses any other value. F is (B, K+1) float.
+# as a Dataset holds its labels; `_stack_losses` reads any other label array
+# through `binary_flags`, so 0/1 numbers become flags and other values are
+# refused. F is (B, K+1) float.
 # A cell stack adds a leading axis: (C, B, K+1), one loss kind and gamma per
 # cell, with its cells sorted by `stack_rank`; the trainer sorts its stacks
 # so, and the kernels refuse any other order. Cores return per-instance values
@@ -343,14 +357,10 @@ def _stack_losses(kinds, Y, F, gammas, workspace=None):
     The one dispatch from loss kind to kernel: the margin cells share one
     fused call and the atl cells another, each on its contiguous run of the
     stack, which must be sorted by `stack_rank`; pairwise cells run one cell
-    at a time. The one place labels change form: 0/1 numbers become the
-    bool flags the kernels take, and any other value is refused.
+    at a time. Labels reach the kernels as `binary_flags` reads them.
     """
     plan = _plan(tuple(kinds), tuple(gammas))
-    if Y.dtype != bool:
-        Y, zero = Y == 1, Y == 0
-        if not (Y | zero).all():
-            raise ValueError("labels must be binary flags")
+    Y = binary_flags(Y)
     ws = Workspace() if workspace is None else workspace
     vals, grads = ws.take("vals", F.shape[:-1]), ws.take("grads", F.shape)
     m, a = plan.margin, plan.atl
@@ -405,9 +415,9 @@ def batch_loss(kind, Y, F, gamma=0.0, workspace=None):
 
 def batch_ncre(Y, F):
     """Ranking error of every instance in a batch (labels include none column)."""
-    y, F = np.asarray(Y)[:, 1:], np.asarray(F, dtype=float)
+    y, F = binary_flags(Y)[:, 1:], np.asarray(F, dtype=float)
     f, f0 = F[:, 1:], F[:, :1]
-    pen = (y == 1) * (f < f0) + (y == 0) * (f > f0) + 0.5 * (f == f0)
+    pen = (y & (f < f0) | ~y & (f > f0)) + 0.5 * (f == f0)
     return pen.sum(axis=1)
 
 

@@ -2,8 +2,12 @@
 
 Gold labels arrive as full (n, K+1) vectors with the none flag at column 0;
 confusion counting runs over the K pre-defined labels only, so none-class
-instances can contribute false positives but never true positives. All 0/0
-ratios (precision, recall, F1) evaluate to 0 so runs stay comparable.
+instances can contribute false positives but never true positives. Gold
+labels and prediction flags are read through `losses.binary_flags`, so bools
+and 0/1 numbers are counted alike and any other value is refused, and
+`gold_flags` checks the gold against the shape of the flags or scores it
+is compared with. All 0/0 ratios (precision, recall, F1) evaluate to 0 so
+runs stay comparable.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .losses import batch_ncre
+from .losses import batch_ncre, binary_flags, with_none_flag
 
 
 @dataclass
@@ -37,34 +41,39 @@ class MetricsReport:
         return asdict(self)
 
 
-def gold_flags(gold) -> np.ndarray:
-    """The (n, K) pre-defined columns of (n, K+1) gold label vectors, as ints."""
-    g = np.asarray(gold, dtype=int)
-    if g.ndim != 2 or g.shape[1] < 2:
+def score_matrix(scores, stacked: bool = False) -> np.ndarray:
+    """(n, K+1) scores, or with `stacked` also (R, n, K+1) ones of R scorers."""
+    s = np.asarray(scores, dtype=float)
+    if s.ndim not in ((2, 3) if stacked else (2,)) or s.shape[-1] < 2:
+        raise ValueError("scores must be (n, K+1) with the none score first"
+                         + (", or (R, n, K+1) for R scorers" if stacked else ""))
+    return s
+
+
+def gold_flags(gold, shape) -> np.ndarray:
+    """The (n, K) pre-defined columns of (n, K+1) gold label vectors, as a
+    bool view of `binary_flags(gold)`, checked against the (..., n, K)
+    `shape` of the flags or label scores they are compared with."""
+    y = binary_flags(gold)
+    if y.ndim != 2 or y.shape[1] < 2:
         raise ValueError("gold labels must be (n, K+1) with the none column first")
-    return g[:, 1:]
+    if shape[-2] != len(y):
+        raise ValueError("scores or flags and gold must have equal instance counts")
+    if shape[-1] != y.shape[1] - 1:
+        raise ValueError("scores or flags must match gold shape")
+    return y[:, 1:]
 
 
 def _tally(preds, gold, axis):
-    """TP, FP and FN counts along `axis` (None pools every label).
-
-    preds is an (n, K) flag matrix. A flag or gold entry counts as positive
-    when it is 1 and as negative when it is 0, after a cast to int; other
-    values count nowhere.
-    """
-    y = gold_flags(gold)
-    p = np.asarray(preds)
+    """TP, FP and FN counts along `axis` (None pools every label) of an
+    (n, K) flag matrix, both it and the gold read as `binary_flags`."""
+    p = binary_flags(preds)
     if p.ndim != 2:
         raise ValueError("predictions must be an (n, K) flag matrix")
-    if len(p) != len(y):
-        raise ValueError("predictions and gold must have equal instance counts")
-    if p.shape != y.shape:
-        raise ValueError("prediction flags must match gold shape")
-    p = np.asarray(p, dtype=int)
-    predicted, actual = p == 1, y == 1
-    return (np.count_nonzero(predicted & actual, axis=axis),
-            np.count_nonzero(predicted & (y == 0), axis=axis),
-            np.count_nonzero((p == 0) & actual, axis=axis))
+    y = gold_flags(gold, p.shape)
+    return (np.count_nonzero(p & y, axis=axis),
+            np.count_nonzero(p & ~y, axis=axis),
+            np.count_nonzero(~p & y, axis=axis))
 
 
 def confusion(preds, gold) -> ConfusionCounts:
@@ -103,20 +112,15 @@ def micro_macro_f1(counts: ConfusionCounts):
 
 def micro_f1_flags(pred_flags, gold) -> float:
     """Micro F1 straight from an (n, K) prediction flag matrix."""
-    return pooled_f1(*_tally(np.asarray(pred_flags), gold, axis=None))[0]
+    return pooled_f1(*_tally(pred_flags, gold, axis=None))[0]
 
 
 def average_precision(scores, gold_flags) -> float:
     """AP of one instance's gold set under its score-ranked labels: the
-    one-instance case of `mean_average_precision`, given K flags with at
-    least one set."""
-    f = np.asarray(scores, dtype=float)
-    y = np.asarray(gold_flags, dtype=int)
-    if f.size != y.size + 1:
-        raise ValueError(f"scores must have length K+1={y.size + 1}, got {f.size}")
-    if y.sum() == 0:
-        raise ValueError("average precision needs at least one positive label")
-    return mean_average_precision(f[None], np.concatenate([[0], y])[None])
+    one-instance case of `mean_average_precision`, given K+1 scores and K
+    flags with at least one set."""
+    return mean_average_precision(np.asarray(scores, dtype=float)[None],
+                                  with_none_flag(gold_flags)[None])
 
 
 def mean_average_precision(scores, gold) -> float:
@@ -126,11 +130,9 @@ def mean_average_precision(scores, gold) -> float:
     index; an instance's AP averages precision-at-rank over its gold
     positions.
     """
-    s = np.asarray(scores, dtype=float)
-    y = gold_flags(gold)
-    if len(s) != len(y):
-        raise ValueError("scores and gold must have equal instance counts")
-    qualifying = y.sum(axis=1) > 0
+    s = score_matrix(scores)
+    y = gold_flags(gold, s[:, 1:].shape)
+    qualifying = y.any(axis=1)
     if not qualifying.any():
         raise ValueError("no instance has a positive pre-defined label")
     s, y = s[qualifying], y[qualifying]
@@ -144,17 +146,17 @@ def mean_average_precision(scores, gold) -> float:
 
 def mean_ncre(scores, gold) -> float:
     """Mean none-class ranking error over all instances."""
-    s = np.asarray(scores, dtype=float)
-    g = np.asarray(gold, dtype=int)
-    if len(s) != len(g) or len(s) == 0:
-        raise ValueError("need equally many score and gold rows, at least one")
-    return float(batch_ncre(g, s).mean())
+    s = score_matrix(scores)
+    gold_flags(gold, s[:, 1:].shape)  # the gold must fit the scores
+    if len(s) == 0:
+        raise ValueError("mean ranking error needs at least one instance")
+    return float(batch_ncre(gold, s).mean())
 
 
 def evaluate(scores, gold, pred_flags) -> MetricsReport:
     """Full report for one evaluation split."""
     micro, macro, precision, recall = micro_macro_f1(
-        confusion(np.asarray(pred_flags), gold)
+        confusion(pred_flags, gold)
     )
     return MetricsReport(
         micro_f1=micro,

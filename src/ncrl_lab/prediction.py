@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .losses import sigmoid
-from .metrics import gold_flags, pooled_f1
+from .metrics import gold_flags, pooled_f1, score_matrix
 
 COARSE_GRID = tuple(round(i / 10, 1) for i in range(1, 10))
 FINE_GRID = tuple(round(i / 100, 2) for i in range(10, 91))
@@ -33,19 +33,10 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
-def _score_matrix(scores, stacked: bool = False) -> np.ndarray:
-    """(n, K+1) scores, or with `stacked` also (R, n, K+1) ones of R scorers."""
-    s = np.asarray(scores, dtype=float)
-    if s.ndim not in ((2, 3) if stacked else (2,)) or s.shape[-1] < 2:
-        raise ValueError("scores must be (n, K+1) with the none score first"
-                         + (", or (R, n, K+1) for R scorers" if stacked else ""))
-    return s
-
-
 def adaptive_flags(scores) -> np.ndarray:
     """(n, K) bool flags under adaptive thresholding: positive iff
     f_i > f_0; stacked (R, n, K+1) scores of R scorers give (R, n, K) flags."""
-    s = _score_matrix(scores, stacked=True)
+    s = score_matrix(scores, stacked=True)
     return s[..., 1:] > s[..., :1]
 
 
@@ -54,13 +45,13 @@ def global_flags(scores, t: float) -> np.ndarray:
     sigmoid(f_i) > t."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {t}")
-    s = _score_matrix(scores)
+    s = score_matrix(scores)
     return sigmoid(s[:, 1:]) > t
 
 
 def per_label_flags(scores, thresholds) -> np.ndarray:
     """(n, K) bool flags under per-label thresholds: sigmoid(f_i) > t_i."""
-    s = _score_matrix(scores)
+    s = score_matrix(scores)
     t = np.asarray(thresholds, dtype=float)
     if t.shape != (s.shape[1] - 1,):
         raise ValueError(
@@ -84,12 +75,8 @@ def _threshold_counts(scores, gold, grid, stacked: bool = False):
     buckets offset by the row.
     """
     g = _check_grid(grid)
-    s = _score_matrix(scores, stacked)
-    y = gold_flags(gold)
-    if len(y) != s.shape[-2]:
-        raise ValueError("predictions and gold must have equal instance counts")
-    if y.shape[1] != s.shape[-1] - 1:
-        raise ValueError("prediction flags must match gold shape")
+    s = score_matrix(scores, stacked)
+    y = gold_flags(gold, s[..., 1:].shape)
     k = y.shape[1]
     p = sigmoid(s[..., 1:])
     # a compare pass per threshold runs several times faster than a binary
@@ -100,14 +87,13 @@ def _threshold_counts(scores, gold, grid, stacked: bool = False):
     for t in g:
         np.greater(p, t, out=above)
         bucket += above.view(np.uint8)
-    # gold class per entry: 0 negative, 1 positive, 2 neither (counts nowhere)
-    gold_class = np.where((y == 0) | (y == 1), y, 2)
-    width = 3 * k * (g.size + 1)  # counts per scorer
-    cell = (gold_class * k + np.arange(k)) * (g.size + 1) + bucket
+    # gold class per entry: 0 negative, 1 positive
+    width = 2 * k * (g.size + 1)  # counts per scorer
+    cell = (y * k + np.arange(k)) * (g.size + 1) + bucket
     if s.ndim == 3:
         cell += np.arange(len(s))[:, None, None] * width
     counts = np.bincount(cell.ravel(), minlength=width * math.prod(s.shape[:-2]))
-    counts = counts.reshape(s.shape[:-2] + (3, k, g.size + 1))
+    counts = counts.reshape(s.shape[:-2] + (2, k, g.size + 1))
     above = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
     fp, tp = (above[..., c, :, 1:].swapaxes(-1, -2) for c in (0, 1))
     return g, tp, fp, above[..., 1, :, :1].swapaxes(-1, -2) - tp

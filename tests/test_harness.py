@@ -592,6 +592,12 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"checkpoint {model} has k=3, dim=5" in err
             assert f"data {other} has k=4, dim=6" in err
+        # so must a dev set agree with its training set
+        assert main(["train", "--data", data, "--dev", other, "--loss", "bce",
+                     "--epochs", "1", "--out", model]) == 1
+        assert capsys.readouterr().err == (
+            f"error: train data {data} has k=3, dim=5 but dev data {other} "
+            "has k=4, dim=6\n")
 
     def test_malformed_checkpoint_exits_1_naming_the_key(self, tmp_path, capsys):
         data, model = str(tmp_path / "data.jsonl"), str(tmp_path / "model.json")

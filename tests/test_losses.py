@@ -318,6 +318,11 @@ class TestLabelHelpers:
     def test_with_none_flag(self):
         assert np.array_equal(with_none_flag([0, 0]), [1, 0, 0])
         assert np.array_equal(with_none_flag([1, 0]), [0, 1, 0])
+        # bools, as a Dataset holds its labels; a fractional label is
+        # refused, not truncated to 0 by an int cast
+        assert with_none_flag([1, 0]).dtype == bool
+        with pytest.raises(ValueError, match="labels must be binary flags"):
+            with_none_flag([0, 0.5])
 
 
 class TestBatchLoss:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ncrl_lab.datagen import Dataset
 from ncrl_lab.metrics import (average_precision, confusion, evaluate,
-                              mean_average_precision, mean_ncre,
+                              gold_flags, mean_average_precision, mean_ncre,
                               micro_f1_flags, micro_macro_f1)
-from ncrl_lab.prediction import adaptive_flags
+from ncrl_lab.prediction import (adaptive_flags, sweep_global_threshold,
+                                 sweep_per_label_thresholds)
 
 
 def brute_force_ap(scores, gold_flags):
@@ -182,6 +184,49 @@ class TestMeanMetrics:
         gold = np.array([[0, 1, 0], [0, 1, 0]])
         # first instance clean, second fully reversed
         assert mean_ncre(scores, gold) == pytest.approx(1.0)
+
+    def test_scores_must_match_gold_shape(self):
+        # narrower scores used to give nan, wider ones and 1-D rows an
+        # IndexError
+        scores = np.array([[0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+        gold = np.array([[0, 1, 0], [0, 1, 1]])
+        for metric in (mean_average_precision, mean_ncre):
+            for bad in (scores[:, :2], np.column_stack([scores, scores[:, 1]]),
+                        scores[:1]):
+                with pytest.raises(ValueError, match="scores or flags"):
+                    metric(bad, gold)
+            with pytest.raises(ValueError, match="scores must be"):
+                metric(scores[0], gold[0])
+
+
+def test_labels_other_than_0_1_are_refused():
+    # a 2 or a -1 is neither a positive nor a negative flag, so no count,
+    # sweep or ranking error may read it as either
+    scores = np.array([[0.3, -0.2, 0.5, 1.0], [0.0, 1.0, -1.0, 0.2]])
+    gold = np.array([[0, 1, 0, 0], [0, 1, 0, 1]])
+    flags = np.array([[1, 0, 0], [0, 1, 1]])
+    for bad in (2, -1):
+        bad_gold, bad_flags = gold.copy(), flags.copy()
+        bad_gold[0, 2] = bad_flags[0, 1] = bad
+        for metric, args in (
+                (confusion, (flags, bad_gold)), (confusion, (bad_flags, gold)),
+                (micro_f1_flags, (flags, bad_gold)),
+                (micro_f1_flags, (bad_flags, gold)),
+                (mean_average_precision, (scores, bad_gold)),
+                (mean_ncre, (scores, bad_gold)),
+                (sweep_global_threshold, (scores, bad_gold)),
+                (sweep_per_label_thresholds, (scores, bad_gold))):
+            with pytest.raises(ValueError, match="labels must be binary flags"):
+                metric(*args)
+
+
+def test_dataset_labels_reach_the_counts_uncopied():
+    # gold_flags used to cast a Dataset's bool labels to an int64 copy on
+    # every metric call
+    data = Dataset(np.zeros((2, 1)), np.array([[0, 1, 0], [1, 0, 0]], bool))
+    y = gold_flags(data.labels, (2, 2))
+    assert y.dtype == bool
+    assert np.shares_memory(y, data.labels)
 
 
 class TestEvaluate:

@@ -4,10 +4,10 @@ Gold labels arrive as full (n, K+1) vectors with the none flag at column 0;
 confusion counting runs over the K pre-defined labels only, so none-class
 instances can contribute false positives but never true positives. Gold
 labels and prediction flags are read through `losses.binary_flags`, so bools
-and 0/1 numbers are counted alike and any other value is refused, and
-`gold_flags` checks the gold against the shape of the flags or scores it
-is compared with. All 0/0 ratios (precision, recall, F1) evaluate to 0 so
-runs stay comparable.
+and 0/1 numbers are counted alike and any other value is refused.
+`gold_flags` also checks the gold against the shape of the flags or scores
+it is compared with. All 0/0 ratios (precision, recall, F1) evaluate to 0
+so runs stay comparable.
 """
 
 from __future__ import annotations

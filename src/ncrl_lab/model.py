@@ -357,11 +357,12 @@ def train(data, dev, configs, scorers=None) -> list:
     best-dev checkpoint and divergence, so its parameters are bit-identical
     to training it alone; the cells ending an epoch on one step are scored
     on dev with one stacked `native_dev_metric` call per dev set.
-    A cell that has run all its steps leaves the stack; so does a cell whose
-    scores or loss stop being finite, and its result carries the
-    FloatingPointError while the others train on. `scorers` optionally gives
-    a scorer (or None) per config; a given scorer is trained in place and
-    ends at its best-dev checkpoint.
+    A cell leaves the stack at the end of the step that runs its last epoch,
+    or of the step on which its scores or loss stop being finite: a diverged
+    cell's gradient on that step is zeroed, it records no epoch on it, and
+    its result carries the FloatingPointError while the others train on.
+    `scorers` optionally gives a scorer (or None) per config; a given scorer
+    is trained in place and ends at its best-dev checkpoint.
     """
     if scorers is None:
         scorers = [None] * len(configs)
@@ -408,7 +409,6 @@ class _Feed:
     data: Dataset
     rows: int  # live stack rows in the block
     steps: int  # batches per epoch
-    total: int  # steps over all epochs
     orders: np.ndarray | None = None  # this epoch's shuffle of each row's cell
 
 
@@ -416,7 +416,10 @@ def _train_stack(cells: list) -> list:
     """Train (config, scorer, shuffle_rng, data, dev) cells that share a
     _stack_key, sorted by `stack_rank`; each run of adjacent cells on one
     training set is fed as one block of rows. Parameters, gradients and Adam
-    moments are (C, P) arrays, a row per live cell."""
+    moments are (C, P) arrays, a row per live cell. A row leaves at the end
+    of the step that ran its cell's last epoch or on which the cell diverged;
+    a diverged row's gradient is zeroed, so the shared Adam step stays finite,
+    and it records no epoch on that step."""
     started = time.perf_counter()
     config = cells[0][0]  # the settings every cell of the stack shares
     size = config.batch_size
@@ -436,28 +439,8 @@ def _train_stack(cells: list) -> list:
         if feeds and feeds[-1].data is cell[3]:
             feeds[-1].rows += 1
         else:
-            steps = math.ceil(len(cell[3]) / size)
-            feeds.append(_Feed(cell[3], 1, steps, config.epochs * steps))
+            feeds.append(_Feed(cell[3], 1, math.ceil(len(cell[3]) / size)))
     loss_sum = np.zeros(len(cells))
-
-    def drop(keep: np.ndarray) -> None:
-        """Keep only the flagged rows of the stack and its feeds."""
-        nonlocal grads, grad_views, loss_sum
-        stack.flat, grads = stack.flat[keep], grads[keep]
-        stack.params, grad_views = _views(stack.flat, shapes), _views(grads, shapes)
-        optimizer.m["flat"] = optimizer.m["flat"][keep]
-        optimizer.v["flat"] = optimizer.v["flat"][keep]
-        lo = 0
-        for feed in feeds:
-            block = keep[lo:lo + feed.rows]
-            lo += feed.rows
-            feed.rows = int(block.sum())
-            feed.orders = feed.orders[block]
-        feeds[:] = [feed for feed in feeds if feed.rows]
-        for rows in (live, kinds, gammas):
-            rows[:] = [r for r, k in zip(rows, keep) if k]
-        loss_sum = loss_sum[keep]
-
     step = 0
     while live:
         # a cell starting an epoch reshuffles; adjacent feeds with one batch
@@ -482,33 +465,28 @@ def _train_stack(cells: list) -> list:
             x, y = (xs[0], ys[0]) if len(xs) == 1 else map(np.concatenate, (xs, ys))
             _piece_step(stack, lo, x, y, kinds, gammas, step, failed, loss_sum,
                         grad_views, workspace)
-        if failed:
-            keep = np.ones(len(live), dtype=bool)
-            for row, message in failed.items():
-                errors[live[row]] = FloatingPointError(message)
-                keep[row] = False
-            drop(keep)
-            if not live:
-                break
-        if len({feed.total for feed in feeds}) == 1:
-            lr = learning_rate_at(step, feeds[0].total, config.learning_rate,
-                                  config.warmup_fraction)
-        else:
-            lr = np.repeat([learning_rate_at(step, feed.total, config.learning_rate,
-                                             config.warmup_fraction)
-                            for feed in feeds], [feed.rows for feed in feeds])
+        for row, message in failed.items():
+            errors[live[row]] = FloatingPointError(message)
+            grads[row] = 0.0
+        # one schedule per feed; a scalar rate when the feeds share one
+        counts = [feed.rows for feed in feeds]
+        totals = [config.epochs * feed.steps for feed in feeds]
+        lr = [learning_rate_at(step, total, config.learning_rate,
+                               config.warmup_fraction) for total in totals]
+        lr = lr[0] if len(set(totals)) == 1 else np.repeat(lr, counts)
         optimizer.step({"flat": stack.flat}, {"flat": grads}, lr, config.weight_decay)
         step += 1
         # a cell ending an epoch records it, with the rows that share a dev
-        # set scored in one pass; one ending its last epoch leaves
+        # set scored in one pass
         ending: dict = {}  # id of a dev set -> the rows ending an epoch on it
         lo = 0
         for feed in feeds:
             if step % feed.steps == 0:
                 for row in range(lo, lo + feed.rows):
-                    histories[live[row]].train_loss.append(
-                        float(loss_sum[row] / len(feed.data)))
-                    ending.setdefault(id(cells[live[row]][4]), []).append(row)
+                    if row not in failed:
+                        histories[live[row]].train_loss.append(
+                            float(loss_sum[row] / len(feed.data)))
+                        ending.setdefault(id(cells[live[row]][4]), []).append(row)
             lo += feed.rows
         for rows in ending.values():
             picks = native_dev_metric(stack.cell(np.array(rows)),
@@ -523,9 +501,20 @@ def _train_stack(cells: list) -> list:
                     best[c] = stack.flat[row]
                     history.best_epoch = len(history.dev_metric) - 1
                     history.threshold = threshold
-        if ending and any(step == feed.total for feed in feeds):
-            drop(np.repeat([step != feed.total for feed in feeds],
-                           [feed.rows for feed in feeds]))
+        # the one exit: rows that ran their last epoch or diverged leave
+        if failed or step in totals:
+            keep = np.repeat([step != total for total in totals], counts)
+            keep[list(failed)] = False
+            stack.flat, grads = stack.flat[keep], grads[keep]
+            stack.params, grad_views = _views(stack.flat, shapes), _views(grads, shapes)
+            optimizer.m["flat"] = optimizer.m["flat"][keep]
+            optimizer.v["flat"] = optimizer.v["flat"][keep]
+            for feed, block in zip(feeds, np.split(keep, np.cumsum(counts))):
+                feed.rows, feed.orders = int(block.sum()), feed.orders[block]
+            feeds = [feed for feed in feeds if feed.rows]
+            live, kinds, gammas = ([r for r, k in zip(rows, keep) if k]
+                                   for rows in (live, kinds, gammas))
+            loss_sum = loss_sum[keep]
     share = (time.perf_counter() - started) / len(cells)
     best_params = _views(best, shapes)
     for c, (cell, history, error) in enumerate(zip(cells, histories, errors)):
@@ -542,8 +531,8 @@ def _piece_step(stack, first, x, y, kinds, gammas, step, failed, loss_sum,
     """Forward, loss and backward for the len(x) stack rows from `first` on:
     adds each row's batch loss to `loss_sum` and writes its gradients in place
     into `grads`. A row whose scores or loss are not finite goes to `failed`,
-    and the step drops it before the update; its scores are zeroed so the
-    other rows still share one batch_loss call."""
+    and the step zeroes its gradient row; its scores are zeroed so the other
+    rows still share one batch_loss call."""
     if len(x) < len(kinds):  # a part of the stack: view its rows
         rows = slice(first, first + len(x))
         stack, grads = stack.cell(rows), {k: v[rows] for k, v in grads.items()}

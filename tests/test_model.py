@@ -436,6 +436,47 @@ class TestStackedTraining:
                 assert result.history.train_loss == alone.history.train_loss
                 assert result.history.dev_metric == alone.history.dev_metric
 
+    def test_divergence_on_an_epochs_last_step_records_no_epoch(self):
+        # set s has 28 rows, two 16-row batches an epoch; a bias of 1e308
+        # gives each of its two rows whose label 1 is negative a finite loss
+        # near 1e308, and the batch that holds both an infinite mean; cell
+        # seed 3's shuffles first put them together in step 9's short batch,
+        # the last of its fifth and final epoch, where the ncrl_final cell
+        # on s also ends; the atl and bce cells train on
+        data = generate(SyntheticConfig(num_labels=4, feature_dim=6,
+                                        num_instances=400,
+                                        none_fraction_target=0.3, seed=8))
+        labels = data.labels[:28].copy()
+        labels[:, :2] = [False, True]
+        labels[:2, 1:3] = [False, True]
+        s = Dataset(data.features[:28], labels)
+        t, u, dev = (take(data, range(lo, hi))
+                     for lo, hi in ((28, 128), (128, 168), (200, 400)))
+        shared = dict(epochs=5, batch_size=16, learning_rate=0.05)
+        cells = [(TrainConfig("ncrl_plain", seed=3, **shared), s),
+                 (TrainConfig("ncrl_final", gamma=0.05, seed=1, **shared), s),
+                 (TrainConfig("atl", seed=2, **shared), t),
+                 (TrainConfig("bce", seed=4, **shared), u)]
+
+        def scorers():
+            bias = np.zeros(5)
+            bias[1] = 1e308
+            return [LinearScorer(np.full((5, 6), 0.1), bias), None, None, None]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = train([part for _, part in cells], dev,
+                            [config for config, _ in cells], scorers=scorers())
+            alone = [train(part, dev, [config], scorers=[scorer])[0]
+                     for (config, part), scorer in zip(cells, scorers())]
+        assert str(stacked[0].error) == "training loss diverged at step 9"
+        assert len(stacked[0].history.train_loss) == 4
+        assert len(stacked[0].history.dev_metric) == 4
+        for result, expected in zip(stacked, alone):
+            assert _outcome(result) == _outcome(expected)
+            assert result.history.train_loss == expected.history.train_loss
+            assert result.history.dev_metric == expected.history.dev_metric
+        assert [result.error is None for result in stacked] == [False] + [True] * 3
+
     def test_mixed_kinds_over_two_sets_reach_the_kernel_sorted(self,
                                                                monkeypatch):
         # kinds alternate across two training sets of unequal size: the

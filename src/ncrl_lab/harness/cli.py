@@ -38,12 +38,14 @@ def _emit(payload: dict) -> None:
 
 
 def _parse_list(text: str, parse) -> list:
-    """Parse each entry of a comma list; an empty list is a usage error."""
-    values = [parse(part.strip()) for part in text.split(",") if part.strip()]
-    if not values:
+    """Parse each entry of a comma list; an empty list or entry is a usage
+    error, so no value moves to another's place."""
+    parts = [part.strip() for part in text.split(",")]
+    if not all(parts):
         raise argparse.ArgumentTypeError(
-            f"need a comma list of at least one value, got {text!r}")
-    return values
+            "need a comma list of at least one value and no empty entry, "
+            f"got {text!r}")
+    return [parse(part) for part in parts]
 
 
 def _float_list(text: str) -> list:
@@ -173,7 +175,7 @@ def _prediction_flags(args, scores):
     if args.rule == "adaptive":
         return adaptive_flags(scores)
     if args.rule == "global":
-        return global_flags(scores, args.threshold)
+        return global_flags(scores, 0.5 if args.threshold is None else args.threshold)
     if args.thresholds is None:
         raise ValueError("--rule per-label requires --thresholds")
     return per_label_flags(scores, args.thresholds)
@@ -307,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--rule", choices=("adaptive", "global", "per-label"),
                     default="adaptive")
-    ev.add_argument("--threshold", type=float, default=0.5,
-                    help="probability threshold for --rule global")
+    ev.add_argument("--threshold", type=float, default=None,
+                    help="probability threshold for --rule global (default 0.5)")
     ev.add_argument("--thresholds", type=_float_list, default=None,
                     help="comma list for --rule per-label")
     ev.set_defaults(handler=_cmd_eval)
@@ -434,6 +436,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)
+    for flag, rule in (("threshold", "global"), ("thresholds", "per-label")):
+        if getattr(args, flag, None) is not None and args.rule != rule:
+            parser.error(f"argument --{flag}: --rule {args.rule} does not read it")
     try:
         if getattr(args, "out", None) is not None:
             check_output_path(args.out)  # before the work, not after it

@@ -809,23 +809,68 @@ class TestCli:
 
     def test_empty_comma_list_is_usage_error(self, tmp_path, capsys):
         # an empty --k used to run no check and report "pass": true, and an
-        # empty --sweep-gamma used to run the six-variant ablation instead
+        # empty --sweep-gamma used to run the six-variant ablation instead;
+        # an empty entry used to be skipped, so --losses ,atl trained atl
+        # alone, --seeds 0,,1 ran two seeds, and a later --thresholds or
+        # --bias value moved one label to the left
         out = tmp_path / "rows.csv"
-        for argv in (["grad-check", "--loss", "ncrl_plain", "--k", ""],
-                     ["grad-check", "--loss", "ncrl_plain", "--k", " , "],
-                     ["ablate", "--k", "3", "--dim", "5", "--n", "300",
-                      "--seeds", "0", "--epochs", "1", "--sweep-gamma", "",
-                      "--out", str(out)],
-                     ["compare", "--losses", "bce", "--seeds", "",
-                      "--out", str(out)],
-                     ["compare", "--losses", ",", "--out", str(out)],
-                     ["eval", "--model", "m.json", "--data", "d.jsonl",
-                      "--rule", "per-label", "--thresholds", ""]):
+        config = tmp_path / "run.cfg"
+        config.write_text("losses = ,atl\n")
+        for argv, flag in (
+                (["grad-check", "--loss", "ncrl_plain", "--k", ""], "--k"),
+                (["grad-check", "--loss", "ncrl_plain", "--k", " , "], "--k"),
+                (["ablate", "--k", "3", "--dim", "5", "--n", "300",
+                  "--seeds", "0", "--epochs", "1", "--sweep-gamma", "",
+                  "--out", str(out)], "--sweep-gamma"),
+                (["compare", "--losses", "bce", "--seeds", "",
+                  "--out", str(out)], "--seeds"),
+                (["compare", "--losses", ",", "--out", str(out)], "--losses"),
+                (["eval", "--model", "m.json", "--data", "d.jsonl",
+                  "--rule", "per-label", "--thresholds", ""], "--thresholds"),
+                (["compare", "--losses", ",atl", "--out", str(out)], "--losses"),
+                (["compare", "--losses", "bce", "--seeds", "0,,1",
+                  "--out", str(out)], "--seeds"),
+                (["compare", "--config", str(config), "--out", str(out)],
+                 "--losses"),
+                (["eval", "--model", "m.json", "--data", "d.jsonl",
+                  "--rule", "per-label", "--thresholds", "0.5,,0.5,0.5,0.5"],
+                 "--thresholds"),
+                (["gen-data", "--k", "4", "--bias", "0,,0,0,0",
+                  "--out", str(out)], "--bias")):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
-            assert "at least one value" in capsys.readouterr().err, argv
+            err = capsys.readouterr().err
+            assert "at least one value" in err, argv
+            assert f"argument {flag}: need a comma list" in err, argv
         assert not out.exists()
+
+    def test_threshold_flag_the_rule_does_not_read_is_usage_error(self, tmp_path,
+                                                                  capsys):
+        # eval --rule adaptive --threshold 0.3 used to exit 0 and ignore it
+        data, model = str(tmp_path / "data.jsonl"), str(tmp_path / "model.json")
+        assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "80",
+                     "--out", data]) == 0
+        assert main(["train", "--data", data, "--loss", "bce", "--epochs",
+                     "1", "--out", model]) == 0
+        scored = ["eval", "--model", model, "--data", data]
+        for rule, flag, value in (("adaptive", "--threshold", "0.3"),
+                                  ("per-label", "--threshold", "0.3"),
+                                  ("adaptive", "--thresholds", "0.5,0.5,0.5"),
+                                  ("global", "--thresholds", "0.5,0.5,0.5")):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(scored + ["--rule", rule, flag, value])
+            assert exc.value.code == 2, (rule, flag)
+            assert (f"argument {flag}: --rule {rule} does not read it"
+                    in capsys.readouterr().err), (rule, flag)
+        # --rule global with no --threshold still reads 0.5
+        reports = []
+        for extra in ([], ["--threshold", "0.5"]):
+            capsys.readouterr()
+            assert main(scored + ["--rule", "global"] + extra) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     def test_repeated_list_value_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

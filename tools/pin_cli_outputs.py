@@ -33,15 +33,14 @@ import tempfile
 from pathlib import Path
 
 from ncrl_lab.harness import cli
-from ncrl_lab.losses import LOSS_KINDS
 
 FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "cli_pins.json"
-CHECKPOINT_LOSSES = (("bce", "0"), ("atl", "0"), ("ncrl_final", "0.05"),
-                     ("pairwise", "0"))
+_CHECKPOINT_LOSSES = (("bce", "0"), ("atl", "0"), ("ncrl_final", "0.05"),
+                      ("pairwise", "0"))
+_ALL_LOSSES = ("ncrl_plain,ncrl_final:0.05,ncrl_noreg:0.05,bce,"
+               "bce_shifted:0.05,atl,pairwise")
 _SIZE = ["--k", "4", "--dim", "6", "--n", "400"]
 _TRAIN = ["--epochs", "3", "--batch-size", "32"]
-_SHIFTED_GAMMA = {"ncrl_final": "0.05", "ncrl_noreg": "0.05",
-                  "bce_shifted": "0.05"}
 
 
 def _run(argv: list) -> dict:
@@ -84,7 +83,7 @@ def session(workdir: str) -> dict:
         ["gen-data", *_SIZE, "--fn-rate", "0.1", "--seed", "3", "--out", data]))
     with open(data, encoding="utf-8") as handle:
         digests["data.jsonl"] = _digest(handle.read())
-    for kind, gamma in CHECKPOINT_LOSSES:
+    for kind, gamma in _CHECKPOINT_LOSSES:
         model = path(f"{kind}.json")
         report = _run(["train", "--data", data, "--loss", kind, "--gamma", gamma,
                        *_TRAIN, "--seed", "1", "--out", model])
@@ -101,11 +100,9 @@ def session(workdir: str) -> dict:
                 ("sweep per-label", ["sweep", *scored, "--per-label",
                                      "--grid", "fine"])):
             digests[f"{name} {kind}"] = _report_digest(_run(argv))
-    losses = ",".join(f"{kind}:{_SHIFTED_GAMMA[kind]}" if kind in _SHIFTED_GAMMA
-                      else kind for kind in LOSS_KINDS)
     suite = [*_SIZE, *_TRAIN, "--seeds", "0,1"]
     for name, argv in (
-            ("compare", ["compare", "--losses", losses]),
+            ("compare", ["compare", "--losses", _ALL_LOSSES]),
             ("no-none-study", ["compare", "--no-none-study",
                                "--losses", "ncrl_final:0.05"]),
             ("ablate", ["ablate", "--gamma", "0.05"])):

@@ -21,7 +21,7 @@ from .model import (Adam, LinearScorer, MlpScorer, TrainConfig, TrainHistory,
                     TrainResult, grad_check, learning_rate_at,
                     scorer_from_dict, scorer_to_dict, train)
 from .prediction import (COARSE_GRID, FINE_GRID, adaptive_flags, global_flags,
-                         per_label_flags, sweep_global_threshold,
+                         native_flags, sweep_global_threshold,
                          sweep_per_label_thresholds)
 
 __version__ = "0.1.0"

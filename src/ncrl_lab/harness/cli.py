@@ -20,9 +20,8 @@ from ..losses import LOSS_KINDS
 from ..metrics import evaluate
 from ..model import (TrainConfig, grad_check, scorer_from_dict, scorer_to_dict,
                      train)
-from ..prediction import (COARSE_GRID, FINE_GRID, adaptive_flags, global_flags,
-                          per_label_flags, sweep_global_threshold,
-                          sweep_per_label_thresholds)
+from ..prediction import (COARSE_GRID, FINE_GRID, native_flags,
+                          sweep_global_threshold, sweep_per_label_thresholds)
 from .dataio import (check_output_path, load_dataset, load_json,
                      read_config_file, save_dataset, save_json,
                      write_results_csv)
@@ -161,7 +160,7 @@ def _cmd_train(args) -> int:
     config = replace(_train_config_base(args, args.loss, args.gamma),
                      seed=args.seed)
     scorer, history = train(data, dev, [config])[0]
-    save_json(scorer_to_dict(scorer, config), args.out)
+    save_json(scorer_to_dict(scorer, config, history.threshold), args.out)
     _emit({
         "out": args.out,
         "final_train_loss": history.train_loss[-1],
@@ -171,18 +170,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _prediction_flags(args, scores):
-    if args.rule == "adaptive":
-        return adaptive_flags(scores)
-    if args.rule == "global":
-        return global_flags(scores, 0.5 if args.threshold is None else args.threshold)
-    if args.thresholds is None:
-        raise ValueError("--rule per-label requires --thresholds")
-    return per_label_flags(scores, args.thresholds)
+def _threshold(args, checkpoint: dict):
+    """The threshold eval flags at, None for adaptive: with no --rule, the
+    one the checkpoint was trained with."""
+    if args.rule is None and "threshold" not in checkpoint:
+        raise ValueError(f"{args.model}: checkpoint names no rule; pass --rule")
+    return {None: checkpoint.get("threshold"), "adaptive": None,
+            "global": 0.5 if args.threshold is None else args.threshold,
+            "per-label": args.thresholds}[args.rule]
 
 
 def _checkpoint_scores(args):
-    """Load --model and --data, check that they agree, and score the data."""
+    """Load --model and --data, check that they agree, and score the data;
+    (data, scores, the checkpoint's JSON object)."""
     payload = load_json(args.model)  # its errors name the path
     try:
         scorer = scorer_from_dict(payload)
@@ -190,13 +190,15 @@ def _checkpoint_scores(args):
         raise ValueError(f"{args.model}: {exc}") from exc
     data = load_dataset(args.data)
     _check_dims(f"checkpoint {args.model}", scorer, f"data {args.data}", data)
-    return data, scorer.forward(data.features)
+    return data, scorer.forward(data.features), payload
 
 
 def _cmd_eval(args) -> int:
-    data, scores = _checkpoint_scores(args)
-    report = evaluate(scores, data.labels, _prediction_flags(args, scores))
-    _emit({"rule": args.rule, **report.as_dict()})
+    data, scores, checkpoint = _checkpoint_scores(args)
+    t = _threshold(args, checkpoint)
+    report = evaluate(scores, data.labels, native_flags(scores, t))
+    rule = args.rule or ("adaptive" if t is None else "global")
+    _emit({"rule": rule, **report.as_dict()})
     return 0
 
 
@@ -224,7 +226,7 @@ def _cmd_consistency(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    data, scores = _checkpoint_scores(args)
+    data, scores, _ = _checkpoint_scores(args)
     grid = FINE_GRID if args.grid == "fine" else COARSE_GRID
     if args.per_label:
         thresholds = sweep_per_label_thresholds(scores, data.labels, grid)
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--rule", choices=("adaptive", "global", "per-label"),
-                    default="adaptive")
+                    help="default: the rule the checkpoint was trained with")
     ev.add_argument("--threshold", type=float, default=None,
                     help="probability threshold for --rule global (default 0.5)")
     ev.add_argument("--thresholds", type=_float_list, default=None,
@@ -438,7 +440,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for flag, rule in (("threshold", "global"), ("thresholds", "per-label")):
         if getattr(args, flag, None) is not None and args.rule != rule:
-            parser.error(f"argument --{flag}: --rule {args.rule} does not read it")
+            parser.error(f"argument --{flag}: --rule {args.rule} does not read it"
+                         if args.rule else f"argument --{flag}: needs --rule {rule}")
+    if getattr(args, "rule", None) == "per-label" and args.thresholds is None:
+        parser.error("argument --thresholds: --rule per-label requires it")
     try:
         if getattr(args, "out", None) is not None:
             check_output_path(args.out)  # before the work, not after it

@@ -24,8 +24,7 @@ from ..datagen import (SyntheticConfig, generate, inject_false_negatives,
                        inject_symmetric_noise, split, strip_none_instances)
 from ..metrics import MetricsReport, evaluate, micro_f1_flags
 from ..model import TrainConfig, train
-from ..prediction import (COARSE_GRID, adaptive_flags, global_flags,
-                          sweep_global_threshold)
+from ..prediction import native_flags, sweep_global_threshold
 from .dataio import ResultRow
 from .seeds import derive_seed
 
@@ -108,8 +107,7 @@ def run_cell(experiment: str, tc: TrainConfig, seed: int, splits,
     test_part = splits[2]
     started = time.perf_counter()
     test_scores = result.scorer.forward(test_part.features)
-    t = result.history.threshold
-    flags = adaptive_flags(test_scores) if t is None else global_flags(test_scores, t)
+    flags = native_flags(test_scores, result.history.threshold)
     stats = evaluate(test_scores, test_part.labels, flags).as_dict()
     seconds = result.history.seconds + time.perf_counter() - started
     return [ResultRow(experiment, tc.loss_kind, tc.gamma, seed, "test",
@@ -203,17 +201,15 @@ def _no_none_cell(base: TrainConfig, regime: str, parts, seed: int,
     started = time.perf_counter()
     scorer = result.scorer
     test_scores = scorer.forward(test_part.features)
-    adaptive_f1 = micro_f1_flags(adaptive_flags(test_scores), test_part.labels)
-    t, _ = sweep_global_threshold(scorer.forward(dev_part.features),
-                                  dev_part.labels, COARSE_GRID)
-    swept_f1 = micro_f1_flags(global_flags(test_scores, t), test_part.labels)
+    # the coarse grid, as training's dev sweep
+    t, _ = sweep_global_threshold(scorer.forward(dev_part.features), dev_part.labels)
+    f1s = {rule: micro_f1_flags(native_flags(test_scores, threshold),
+                                test_part.labels)
+           for rule, threshold in (("adaptive", None), ("swept", t))}
     seconds = result.history.seconds + time.perf_counter() - started
-    return [
-        ResultRow(experiment, base.loss_kind, base.gamma, seed, "test",
-                  "micro_f1_adaptive", float(adaptive_f1), seconds),
-        ResultRow(experiment, base.loss_kind, base.gamma, seed, "test",
-                  "micro_f1_swept", float(swept_f1), seconds),
-    ]
+    return [ResultRow(experiment, base.loss_kind, base.gamma, seed, "test",
+                      f"micro_f1_{rule}", float(f1), seconds)
+            for rule, f1 in f1s.items()]
 
 
 def run_no_none_study(config: ExperimentConfig) -> list:

@@ -64,16 +64,18 @@ def gold_flags(gold, shape) -> np.ndarray:
     return y[:, 1:]
 
 
-def _tally(preds, gold, axis):
-    """TP, FP and FN counts along `axis` (None pools every label) of an
-    (n, K) flag matrix, both it and the gold read as `binary_flags`."""
+def _tally(preds, gold, axis, stacked: bool = False):
+    """TP, FP and FN counts along `axis` of an (n, K) flag matrix, or with
+    `stacked` of the (R, n, K) flags of R scorers, both the flags and the
+    gold read as `binary_flags`."""
     p = binary_flags(preds)
-    if p.ndim != 2:
-        raise ValueError("predictions must be an (n, K) flag matrix")
+    if p.ndim != 2 + stacked:
+        raise ValueError("predictions must be an (n, K) flag matrix"
+                         + (" per scorer, (R, n, K)" if stacked else ""))
     y = gold_flags(gold, p.shape)
-    return (np.count_nonzero(p & y, axis=axis),
-            np.count_nonzero(p & ~y, axis=axis),
-            np.count_nonzero(~p & y, axis=axis))
+    tp = np.count_nonzero(p & y, axis=axis)
+    return (tp, np.count_nonzero(p, axis=axis) - tp,
+            np.count_nonzero(y, axis=axis) - tp)
 
 
 def confusion(preds, gold) -> ConfusionCounts:
@@ -110,9 +112,13 @@ def micro_macro_f1(counts: ConfusionCounts):
     return micro, float(np.mean(per_label)), precision, recall
 
 
-def micro_f1_flags(pred_flags, gold) -> float:
-    """Micro F1 straight from an (n, K) prediction flag matrix."""
-    return pooled_f1(*_tally(pred_flags, gold, axis=None))[0]
+def micro_f1_flags(pred_flags, gold, stacked: bool = False):
+    """Micro F1 straight from an (n, K) prediction flag matrix; with
+    `stacked`, (R, n, K) flags of R scorers give a list of R F1s."""
+    counts = _tally(pred_flags, gold, (-2, -1), stacked)
+    if stacked:
+        return [pooled_f1(*row)[0] for row in zip(*counts)]
+    return pooled_f1(*counts)[0]
 
 
 def average_precision(scores, gold_flags) -> float:

@@ -5,7 +5,9 @@ Training uses an adaptive-moment optimizer with a linear-warmup, linear-decay
 learning-rate schedule and keeps the checkpoint with the best dev micro F1
 under the loss's native prediction rule (adaptive thresholding for
 margin-based losses, a swept global threshold for the others) and, for a
-swept rule, that epoch's threshold. `train` takes a list of configs, with
+swept rule, that epoch's threshold. That threshold, None for adaptive, is
+the cell's rule: a checkpoint saves it next to the parameters, and
+`prediction.native_flags` applies it. `train` takes a list of configs, with
 one data set for all or one per config, and trains the cells that share
 their settings as one stacked model: one flat (C, P) array holds its
 parameters, a row per cell, with the cells sorted by loss kind
@@ -26,8 +28,8 @@ import numpy as np
 from .datagen import Dataset, check_seed
 from .losses import (Workspace, batch_loss, check_loss, instance_losses,
                      stack_rank, with_none_flag)
-from .metrics import pooled_f1
-from .prediction import COARSE_GRID, adaptive_flags, sweep_global_threshold
+from .metrics import micro_f1_flags
+from .prediction import adaptive_flags, sweep_global_threshold
 
 # loss kinds whose native prediction rule compares each label against f_0
 ADAPTIVE_KINDS = frozenset({"ncrl_plain", "ncrl_final", "ncrl_noreg", "atl"})
@@ -304,20 +306,15 @@ def native_dev_metric(scorer, dev: Dataset, loss_kinds) -> list:
 
     Each pair is what its cell alone gives, from one forward over the dev
     features: the adaptive cells share one `adaptive_flags` call and one
-    count of true and false positives, the others one stacked sweep.
+    stacked `micro_f1_flags` count, the others one stacked sweep.
     """
     scores = scorer.forward(dev.features)
     # every row's adaptive F1, which is the metric of the adaptive rows
-    positive = dev.labels[:, 1:]  # a Dataset's labels are bool flags
-    flags = adaptive_flags(scores)
-    tp = np.count_nonzero(flags & positive, axis=(1, 2))
-    fp = np.count_nonzero(flags, axis=(1, 2)) - tp
-    fn = np.count_nonzero(positive) - tp
-    picks = [(pooled_f1(*counts)[0], None) for counts in zip(tp, fp, fn)]
+    picks = [(f1, None) for f1 in micro_f1_flags(adaptive_flags(scores),
+                                                 dev.labels, stacked=True)]
     swept = [row for row, kind in enumerate(loss_kinds) if kind not in ADAPTIVE_KINDS]
     if swept:
-        thresholds, f1s = sweep_global_threshold(scores[swept], dev.labels,
-                                                 COARSE_GRID)
+        thresholds, f1s = sweep_global_threshold(scores[swept], dev.labels)
         for row, t, f1 in zip(swept, thresholds, f1s):
             picks[row] = f1, t
     return picks
@@ -594,14 +591,17 @@ def grad_check(loss_kind: str, gamma: float = 0.0, k: int = 10,
     return worst
 
 
-def scorer_to_dict(scorer, config: TrainConfig) -> dict:
-    """Flat JSON-ready checkpoint: kind, shapes, row-major arrays, config echo."""
+def scorer_to_dict(scorer, config: TrainConfig, threshold) -> dict:
+    """Flat JSON-ready checkpoint: kind, shapes, row-major arrays, config
+    echo, and the cell's prediction rule as its `TrainHistory.threshold`
+    (null for adaptive)."""
     return {
         "kind": scorer.kind,
         "k": scorer.k,
         "dim": scorer.dim,
         "params": {key: value.tolist() for key, value in scorer.params.items()},
         "config": asdict(config),
+        "threshold": threshold,
     }
 
 
@@ -612,7 +612,8 @@ def scorer_from_dict(payload: dict):
     """The scorer a `scorer_to_dict` checkpoint holds.
 
     A malformed checkpoint raises ValueError naming the missing or ill-typed
-    key, as does a `k` or `dim` that differs from the parameter shapes.
+    key, as does a `k` or `dim` that differs from the parameter shapes. A
+    `threshold` must be null or a number in (0, 1); a checkpoint may lack it.
     """
     if not isinstance(payload, dict):
         raise ValueError("checkpoint must be a JSON object, got "
@@ -647,4 +648,8 @@ def scorer_from_dict(payload: dict):
         if value != actual:
             raise ValueError(f"checkpoint has {key}={value} but its parameters "
                              f"have {key}={actual}")
+    t = payload.get("threshold")
+    if t is not None and not (type(t) is float and 0.0 < t < 1.0):
+        raise ValueError("checkpoint key 'threshold' must be null or a number "
+                         f"in (0, 1), got {t!r}")
     return scorer

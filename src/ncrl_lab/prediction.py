@@ -1,12 +1,13 @@
 """Turning score matrices into (n, K) bool prediction flags.
 
-Three rules are supported, one function each: adaptive thresholding
-(`adaptive_flags`: positive iff a label outscores the none score, with ties
-predicting negative), a global threshold on sigmoid probabilities
-(`global_flags`), and per-label thresholds (`per_label_flags`). Sweeps
-pick thresholds from a grid by dev-set F1 with ties broken toward the
-smaller threshold; the global sweep also takes the stacked scores of
-several scorers at once.
+Two rules, one function each: adaptive thresholding (`adaptive_flags`:
+positive iff a label outscores the none score, with ties predicting
+negative) and a threshold on sigmoid probabilities (`global_flags`: one
+probability for every label, or one per label). A trained cell's rule is
+one value, its threshold, with None meaning adaptive; `native_flags`
+applies it. Sweeps pick thresholds from a grid by dev-set F1 with ties
+broken toward the smaller threshold; the global sweep also takes the
+stacked scores of several scorers at once.
 """
 
 from __future__ import annotations
@@ -40,26 +41,25 @@ def adaptive_flags(scores) -> np.ndarray:
     return s[..., 1:] > s[..., :1]
 
 
-def global_flags(scores, t: float) -> np.ndarray:
-    """(n, K) bool flags under a shared probability threshold:
-    sigmoid(f_i) > t."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {t}")
+def global_flags(scores, t) -> np.ndarray:
+    """(n, K) bool flags under a probability threshold: sigmoid(f_i) > t,
+    with t one probability for every label or a sequence of one per label."""
     s = score_matrix(scores)
-    return sigmoid(s[:, 1:]) > t
-
-
-def per_label_flags(scores, thresholds) -> np.ndarray:
-    """(n, K) bool flags under per-label thresholds: sigmoid(f_i) > t_i."""
-    s = score_matrix(scores)
-    t = np.asarray(thresholds, dtype=float)
-    if t.shape != (s.shape[1] - 1,):
-        raise ValueError(
-            f"need one threshold per label, {s.shape[1] - 1} total, got {t.size}"
-        )
+    t = np.asarray(t, dtype=float)
+    if t.ndim and t.shape != (s.shape[1] - 1,):
+        raise ValueError(f"need one threshold per label, {s.shape[1] - 1} "
+                         f"total, got {t.size}")
     if not ((t > 0) & (t < 1)).all():
-        raise ValueError("thresholds must lie in (0, 1)")
+        raise ValueError(f"thresholds must lie in (0, 1), got {t}")
     return sigmoid(s[:, 1:]) > t
+
+
+def native_flags(scores, threshold) -> np.ndarray:
+    """(n, K) bool flags under a trained cell's own rule: adaptive when its
+    `threshold` is None, else `global_flags` at it."""
+    if threshold is None:
+        return adaptive_flags(scores)
+    return global_flags(scores, threshold)
 
 
 def _threshold_counts(scores, gold, grid, stacked: bool = False):

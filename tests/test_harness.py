@@ -24,7 +24,7 @@ from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow,
                                      write_results_csv)
 from ncrl_lab.harness.experiments import (METRIC_NAMES, ExperimentConfig,
                                           ablation_variants, make_splits,
-                                          run_ablation, run_compare,
+                                          run_ablation, run_cell, run_compare,
                                           run_gamma_sweep, run_no_none_study,
                                           summarize)
 from ncrl_lab.harness.seeds import derive_seed
@@ -278,7 +278,7 @@ class TestDatasetIo:
             "data.jsonl": lambda path: save_dataset(data, path),
             "model.json": lambda path: save_json(scorer_to_dict(
                 MlpScorer.create(3, 6, 4, np.random.default_rng(0)),
-                TrainConfig("atl", hidden_width=4)), path),
+                TrainConfig("atl", hidden_width=4), None), path),
             "report.json": lambda path: save_json({"micro_f1": 0.5}, path),
             "rows.csv": lambda path: write_results_csv([row], path),
         }
@@ -604,7 +604,7 @@ class TestCli:
         assert main(["gen-data", "--k", "3", "--dim", "5", "--n", "40",
                      "--out", data]) == 0
         mlp = scorer_to_dict(MlpScorer.create(3, 5, 4, np.random.default_rng(0)),
-                             TrainConfig("atl", hidden_width=4))
+                             TrainConfig("atl", hidden_width=4), None)
         without_w2 = {**mlp, "params": {k: v for k, v in mlp["params"].items()
                                         if k != "w2"}}
         cases = (
@@ -617,6 +617,8 @@ class TestCli:
             ({**mlp, "params": {**mlp["params"], "w1": [[1.0], [1.0, 2.0]]}},
              "checkpoint param 'w1' must be a numeric array"),
             ({"kind": ["mlp"]}, "unknown scorer kind ['mlp']"),
+            ({**mlp, "threshold": True}, "checkpoint key 'threshold' must be "
+             "null or a number in (0, 1), got True"),
         )
         for payload, message in cases:
             Path(model).write_text(json.dumps(payload))
@@ -871,6 +873,78 @@ class TestCli:
             assert main(scored + ["--rule", "global"] + extra) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
+
+    def test_per_label_without_thresholds_is_usage_error(self, capsys):
+        # eval --rule per-label with no --thresholds used to exit 1, after
+        # reading the checkpoint and the data
+        scored = ["eval", "--model", "m.json", "--data", "d.jsonl"]
+        with pytest.raises(SystemExit) as exc:
+            main(scored + ["--rule", "per-label"])
+        assert exc.value.code == 2
+        assert ("argument --thresholds: --rule per-label requires it"
+                in capsys.readouterr().err)
+        # with no --rule the checkpoint's rule reads neither threshold flag
+        for flag, value, rule in (("--threshold", "0.3", "global"),
+                                  ("--thresholds", "0.5,0.5", "per-label")):
+            with pytest.raises(SystemExit) as exc:
+                main(scored + [flag, value])
+            assert exc.value.code == 2, flag
+            assert (f"argument {flag}: needs --rule {rule}"
+                    in capsys.readouterr().err), flag
+
+    def test_eval_with_no_rule_flags_by_the_checkpoints_rule(self, tmp_path,
+                                                             capsys):
+        # eval used to flag every checkpoint adaptively unless given --rule,
+        # so a bce model scored far below the dev F1 its training reported
+        paths = {name: str(tmp_path / f"{name}.jsonl")
+                 for name in ("data", "dev", "test")}
+        for seed, (name, n) in enumerate((("data", 400), ("dev", 120),
+                                          ("test", 120))):
+            assert main(["gen-data", "--k", "4", "--dim", "6", "--n", str(n),
+                         "--seed", str(seed), "--out", paths[name]]) == 0
+        data, dev, test = (load_dataset(paths[name])
+                           for name in ("data", "dev", "test"))
+        for kind, gamma in (("bce", "0"), ("bce_shifted", "0.05"), ("atl", "0"),
+                            ("ncrl_final", "0.05")):
+            model = str(tmp_path / f"{kind}.json")
+            assert main(["train", "--data", paths["data"], "--dev", paths["dev"],
+                         "--loss", kind, "--gamma", gamma, "--epochs", "3",
+                         "--batch-size", "32", "--seed", "1", "--out", model]) == 0
+            checkpoint = json.loads(Path(model).read_text())
+            config = TrainConfig(**checkpoint["config"])
+            result = train(data, dev, [config])[0]
+            assert checkpoint["threshold"] == result.history.threshold
+            assert (checkpoint["threshold"] is None) == (kind in ADAPTIVE_KINDS)
+            rows = run_cell("eval", config, 0, (data, dev, test), result)
+            scored = ["eval", "--model", model, "--data", paths["test"]]
+            capsys.readouterr()
+            assert main(scored) == 0
+            printed = capsys.readouterr().out
+            report = json.loads(printed)
+            assert ({name: report[name] for name in METRIC_NAMES}
+                    == {row.metric: row.value for row in rows}), kind
+            # the same bytes as the checkpoint's rule given by hand
+            own = (["--rule", "adaptive"] if kind in ADAPTIVE_KINDS else
+                   ["--rule", "global", "--threshold", str(checkpoint["threshold"])])
+            assert main(scored + own) == 0
+            assert capsys.readouterr().out == printed, kind
+        # a checkpoint saved before it carried its threshold names no rule
+        assert main(scored + ["--rule", "adaptive"]) == 0
+        adaptive = capsys.readouterr().out
+        Path(model).write_text(json.dumps(
+            {key: v for key, v in checkpoint.items() if key != "threshold"}))
+        assert main(scored) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: checkpoint names no rule; pass --rule\n")
+        assert main(scored + ["--rule", "adaptive"]) == 0
+        assert capsys.readouterr().out == adaptive
+        for value, shown in ((True, "True"), ("0.3", "'0.3'"), (1.5, "1.5")):
+            Path(model).write_text(json.dumps({**checkpoint, "threshold": value}))
+            for rule in ([], ["--rule", "adaptive"]):
+                assert main(scored + rule) == 1
+                assert capsys.readouterr().err == (
+                    f"error: {model}: checkpoint key 'threshold' must be null "
+                    f"or a number in (0, 1), got {shown}\n"), (value, rule)
 
     def test_repeated_list_value_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

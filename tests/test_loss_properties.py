@@ -374,15 +374,18 @@ train_configs = st.builds(
 class TestCheckpointRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(train_configs, st.booleans(), st.integers(1, 5), st.integers(1, 6),
-           st.integers(0, 2**32 - 1))
-    def test_config_echo_and_parameters(self, config, mlp, k, dim, seed):
+           st.integers(0, 2**32 - 1),
+           st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_config_echo_and_parameters(self, config, mlp, k, dim, seed,
+                                        threshold):
         rng = np.random.default_rng(seed)
         scorer = (MlpScorer.create(k, dim, 3, rng) if mlp
                   else LinearScorer.create(k, dim, rng))
-        payload = scorer_to_dict(scorer, config)
+        payload = scorer_to_dict(scorer, config, threshold)
         assert payload["config"] == asdict(config)
         loaded = json.loads(json.dumps(payload))
         assert TrainConfig(**loaded["config"]) == config
+        assert loaded["threshold"] == threshold
         clone = scorer_from_dict(loaded)
         assert type(clone) is type(scorer)
         for key, value in scorer.params.items():

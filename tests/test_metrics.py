@@ -67,6 +67,21 @@ class TestConfusion:
         with pytest.raises(ValueError):
             confusion(np.array([[1, 0]]), np.array([[0, 1, 0], [1, 0, 0]]))
 
+    def test_stacked_flags_give_each_scorers_micro_f1(self):
+        # R scorers' flags are counted in one pass, each row as if alone;
+        # only micro_f1_flags asked for a stack takes (R, n, K) flags
+        rng = np.random.default_rng(21)
+        gold = np.zeros((30, 5), dtype=bool)
+        gold[np.arange(30), rng.integers(0, 5, 30)] = True
+        flags = rng.random((4, 30, 4)) < 0.4
+        assert micro_f1_flags(flags, gold, stacked=True) == [
+            micro_f1_flags(row, gold) for row in flags]
+        for preds in (flags[0], flags[None]):
+            with pytest.raises(ValueError, match=r"\(n, K\) flag matrix per scorer"):
+                micro_f1_flags(preds, gold, stacked=True)
+        with pytest.raises(ValueError, match="must match gold shape"):
+            micro_f1_flags(flags[..., :3], gold, stacked=True)
+
 
 class TestF1:
     def test_perfect(self):

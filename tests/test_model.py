@@ -786,15 +786,18 @@ class TestSchedule:
 class TestCheckpoints:
     def test_linear_round_trip(self):
         scorer = LinearScorer.create(3, 4, np.random.default_rng(5))
-        clone = scorer_from_dict(scorer_to_dict(scorer, TrainConfig("bce")))
+        payload = scorer_to_dict(scorer, TrainConfig("bce"), 0.3)
+        assert payload["threshold"] == 0.3
+        clone = scorer_from_dict(payload)
         for key in scorer.params:
             assert np.array_equal(clone.params[key], scorer.params[key])
 
     def test_mlp_round_trip_with_config(self):
         scorer = MlpScorer.create(3, 4, 6, np.random.default_rng(6))
-        payload = scorer_to_dict(scorer, TrainConfig("atl", hidden_width=6))
+        payload = scorer_to_dict(scorer, TrainConfig("atl", hidden_width=6), None)
         clone = scorer_from_dict(payload)
         assert payload["config"]["loss_kind"] == "atl"
+        assert payload["threshold"] is None
         for key in scorer.params:
             assert np.array_equal(clone.params[key], scorer.params[key])
 
@@ -817,11 +820,11 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=r"linear parameters must be "
                            r"weights \(K\+1, d\) and bias \(K\+1,\); got "
                            r"\(2, 3, 4\) and \(2, 3\)"):
-            scorer_from_dict(scorer_to_dict(stack, TrainConfig("bce")))
+            scorer_from_dict(scorer_to_dict(stack, TrainConfig("bce"), None))
 
     def test_header_must_match_parameters(self):
         good = scorer_to_dict(LinearScorer.create(3, 4, np.random.default_rng(1)),
-                              TrainConfig("bce"))
+                              TrainConfig("bce"), 0.4)
         cases = (
             ({"k": 99, "dim": 1}, "checkpoint has k=99 but its parameters have k=3"),
             ({"dim": 1}, "checkpoint has dim=1 but its parameters have dim=4"),
@@ -835,6 +838,20 @@ class TestCheckpoints:
             without = {name: v for name, v in good.items() if name != key}
             with pytest.raises(ValueError, match=f"checkpoint lacks '{key}'"):
                 scorer_from_dict(without)
+
+    def test_threshold_must_be_null_or_a_probability(self):
+        # the threshold is the cell's prediction rule; a checkpoint written
+        # before it was saved lacks the key and still loads
+        good = scorer_to_dict(LinearScorer.create(3, 4, np.random.default_rng(1)),
+                              TrainConfig("bce"), 0.4)
+        for value in (None, 0.4, 0.01, 0.99):
+            scorer_from_dict({**good, "threshold": value})
+        scorer_from_dict({key: v for key, v in good.items() if key != "threshold"})
+        for value in (True, False, "0.3", 1.5, 1.0, 0.0, -0.2, 1, 0,
+                      float("nan"), [0.5], {"t": 0.5}):
+            with pytest.raises(ValueError, match="checkpoint key 'threshold' "
+                               r"must be null or a number in \(0, 1\), got "):
+                scorer_from_dict({**good, "threshold": value})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

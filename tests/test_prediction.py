@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from ncrl_lab.losses import ncre_error, sigmoid
 from ncrl_lab.metrics import confusion, micro_macro_f1
 from ncrl_lab.prediction import (COARSE_GRID, FINE_GRID, adaptive_flags,
-                                 global_flags, per_label_flags,
+                                 global_flags, native_flags,
                                  sweep_global_threshold,
                                  sweep_per_label_thresholds)
 
@@ -114,8 +114,10 @@ class TestPredictGlobal:
         assert positives(global_flags([[9.0, 2.0, -2.0]], 0.1)) == [1, 2]
 
     def test_threshold_range(self):
-        with pytest.raises(ValueError):
-            global_flags([[0.0, 1.0]], 1.0)
+        for t in (1.0, 0.0, float("nan"), [0.5, 1.0], [0.0, 0.5],
+                  [0.5, float("nan")]):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+                global_flags([[0.0, 1.0, 2.0]], t)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(3)
@@ -126,22 +128,34 @@ class TestPredictGlobal:
 
 
 class TestPredictPerLabel:
+    """`global_flags` given one threshold per label."""
+
     def test_uniform_equals_global(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             f = rng.normal(0, 2, size=(1, 5))
-            assert np.array_equal(per_label_flags(f, [0.4] * 4),
+            assert np.array_equal(global_flags(f, [0.4] * 4),
                                   global_flags(f, 0.4))
 
     def test_split_thresholds(self):
-        assert positives(per_label_flags([[9.0, 0.0, 0.0]], [0.4, 0.6])) == [1]
+        assert positives(global_flags([[9.0, 0.0, 0.0]], [0.4, 0.6])) == [1]
 
     def test_high_thresholds_empty(self):
-        assert positives(per_label_flags([[0.0, 1.5, 2.0]], [0.99, 0.99])) == []
+        assert positives(global_flags([[0.0, 1.5, 2.0]], [0.99, 0.99])) == []
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            per_label_flags([[0.0, 1.0, 2.0]], [0.5])
+        for thresholds in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="one threshold per label, 2"):
+                global_flags([[0.0, 1.0, 2.0]], thresholds)
+
+
+class TestNativeFlags:
+    def test_none_is_adaptive_and_a_threshold_is_global(self):
+        rng = np.random.default_rng(16)
+        scores, _ = random_scored_set(rng, n=30, k=4)
+        assert np.array_equal(native_flags(scores, None), adaptive_flags(scores))
+        for t in (0.3, [0.2, 0.4, 0.6, 0.8]):
+            assert np.array_equal(native_flags(scores, t), global_flags(scores, t))
 
 
 class TestSweepGlobal:
@@ -354,7 +368,7 @@ class TestFlagHelpers:
         for flags, expected in (
                 (adaptive_flags(scores), scores[:, 1:] > scores[:, :1]),
                 (global_flags(scores, 0.3), probabilities > 0.3),
-                (per_label_flags(scores, thresholds), probabilities > thresholds)):
+                (global_flags(scores, thresholds), probabilities > thresholds)):
             assert flags.dtype == bool
             assert np.array_equal(flags, expected)
             assert micro_macro_f1(confusion(flags, gold)) == micro_macro_f1(

@@ -2,9 +2,10 @@
 
 The session runs in this process, in a temporary directory, at K=4, dim 6
 and n=400: `gen-data`; `train` for bce, atl, ncrl_final (gamma 0.05) and
-pairwise; `eval` under each rule and `sweep` in both forms for each
-checkpoint; `compare` over all seven loss kinds, `compare
---no-none-study` and `ablate` on seeds 0 and 1; and `consistency`.
+pairwise; `eval` under the checkpoint's own rule (no `--rule`) and under
+each named rule, and `sweep` in both forms, for each checkpoint; `compare`
+over all seven loss kinds, `compare --no-none-study` and `ablate` on seeds
+0 and 1; and `consistency`.
 
 A pin is either the sha256 of an exact output or, for what training
 leaves in floats, the output itself:
@@ -92,6 +93,7 @@ def session(workdir: str) -> dict:
             trained[f"checkpoint {kind}"] = json.load(handle)
         scored = ["--model", model, "--data", data]
         for name, argv in (
+                ("eval default", ["eval", *scored]),
                 ("eval adaptive", ["eval", *scored, "--rule", "adaptive"]),
                 ("eval global", ["eval", *scored, "--rule", "global"]),
                 ("eval per-label", ["eval", *scored, "--rule", "per-label",

@@ -105,8 +105,10 @@ def _pair(pre_labels, scores, require_finite=True):
 # A cell stack adds a leading axis: (C, B, K+1), one loss kind and gamma per
 # cell, with its cells sorted by `stack_rank`; the trainer sorts its stacks
 # so, and the kernels refuse any other order. Cores return per-instance values
-# (..., B) and gradients (..., B, K+1). Each step of the fused margin path,
-# and the atl kernel, runs on one contiguous run of cells and writes into the
+# (..., B) and gradients (..., B, K+1). The fused margin path forms every
+# entry of its cells as a negative, shifting on the contiguous run of shifted
+# cells, and then forms the few positives apart and puts them in place; the
+# atl kernel runs on its contiguous run of cells. Both write into the
 # buffers of a Workspace.
 
 
@@ -136,57 +138,24 @@ class Workspace:
         return views
 
 
-def _logistic(z, sign, value, dz, work) -> None:
-    """Logistic terms over oriented margins z into value, and their
-    derivatives into dz, given sign -1 on positives and +1 on negatives:
-    -log sigmoid(z) on a positive, softplus(z) with slope sigmoid(z) on a
-    negative. Both sigmoids come from one exp(-|z|), so neither is formed as
-    one minus the other and precision holds at large |z|. The four `work`
-    arrays are left holding what _shift reads: e, 1 + e, sign(zs) and
-    sigmoid(zs), where zs = z * sign."""
-    e, denom, side, sig = work
+def _logistic(z, sign):
+    """Logistic terms over oriented margins z and their derivatives, given
+    sign -1 on positives and +1 on negatives: -log sigmoid(z) on a positive,
+    softplus(z) with slope sigmoid(z) on a negative. Both sigmoids come from
+    one exp(-|z|), so neither is formed as one minus the other and precision
+    holds at large |z|."""
+    value, dz, e, denom, side, sig = np.empty((6,) + np.shape(z))
     zs = np.multiply(z, sign, out=value)
-    np.abs(z, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
+    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
     np.add(e, 1.0, out=denom)
     # the numerator of sigmoid(zs) is 1 where zs > 0 and e where zs < 0, and
-    # e <= 1, so a max against sign(zs) picks it (at zs = 0, e = 1);
-    # sigmoid(-zs) takes the other one
-    np.sign(zs, out=side)
-    np.maximum(e, side, out=sig)
+    # e <= 1, so a max against sign(zs) picks it (at zs = 0, e = 1)
+    np.maximum(e, np.sign(zs, out=side), out=sig)
     sig /= denom
     np.maximum(zs, 0.0, out=value)
     value += np.log1p(e, out=dz)
     np.multiply(sig, sign, out=dz)
-
-
-def _shift(work, gamma, mask, value, dz, kept) -> None:
-    """Overwrite value and dz with the shifted terms where `mask` is set:
-    -log(min(sigmoid(-z) + gamma, 1)) on a negative, with terms where
-    sigmoid(-z) >= 1 - gamma clamped to zero value and zero slope. gamma is
-    a scalar or an array broadcasting against z.
-
-    `work` is as _logistic left it for the same entries, and is spent here;
-    `kept` is a float array shaped like value, so the 0/1 clamp factor
-    multiplies without a cast.
-    """
-    e, denom, side, sig = work
-    sig_neg = np.negative(side, out=side)
-    np.maximum(e, sig_neg, out=sig_neg)
-    sig_neg /= denom
-    np.less(sig_neg, 1.0 - gamma, out=kept)  # not clamped; a 0/1 factor
-    p = np.add(sig_neg, gamma, out=denom)
-    np.minimum(p, 1.0, out=p)
-    np.maximum(p, _P_FLOOR, out=p)
-    term = np.log(p, out=e)
-    np.negative(term, out=term)
-    term *= kept
-    np.putmask(value, mask, term)
-    np.multiply(sig, sig_neg, out=term)
-    term /= p
-    term *= kept
-    np.putmask(dz, mask, term)
+    return value, dz
 
 
 # Each margin kind sums logistic terms over K + 1 oriented margins with 0/1
@@ -198,8 +167,9 @@ def _shift(work, gamma, mask, value, dz, kept) -> None:
 # column kinds), ncrl_noreg and bce_shifted; at gamma = 0 these are the kinds
 # they reduce to. (kind, shifted) -> place in a sorted stack, which keeps
 # each setting on one run: a = 0 on 0 and 5, the average column on 2-3,
-# shifting on 3-5 (the average column's on 3), and the cells with their own
-# kernels last.
+# shifting on 3-5, and the cells with their own kernels last. A shifted cell
+# forms every column as a shifted negative, and on 4-5 the average column's
+# weight of 0 then clears it.
 _RANKS = {("bce", False): 0, ("bce_shifted", False): 0,
           ("ncrl_plain", False): 1, ("ncrl_noreg", False): 1,
           ("ncrl_final", False): 2, ("ncrl_final", True): 3,
@@ -256,12 +226,13 @@ def _margin_losses(plan, Y, F, ws, vals, grads) -> None:
     """Values into vals (M, B) and gradients into grads (M, B, K+1) of the
     margin cells of a kind-sorted stack, one contiguous run per setting.
 
-    Every sum stays along one cell's rows, so each cell's numbers are those
-    it gets alone, whatever else the stack holds.
+    Every entry is first formed as a negative, which most entries are; the
+    few positives are then formed apart and put in place. Every sum stays
+    along one cell's rows, so each cell's numbers are those it gets alone,
+    whatever else the stack holds.
     """
     k = F.shape[-1] - 1
-    z, sign, value, kept, *work = ws.take("float", F.shape, parts=8)
-    mask = ws.take("bool", F.shape, bool)
+    z, value, kept, e, denom, side = ws.take("float", F.shape, parts=6)
     af0, total, mean, spread = ws.take("small", vals.shape, parts=4)
     avg, cells = plan.average, slice(plan.shifted, plan.margin)
     np.subtract(F, np.multiply(plan.slope, F[..., :1], out=af0[..., None]), out=z)
@@ -269,22 +240,45 @@ def _margin_losses(plan, Y, F, ws, vals, grads) -> None:
         mean = np.add.reduce(F[avg, :, 1:], axis=-1, out=mean[avg])
         mean /= k
         np.subtract(F[avg, :, 0], mean, out=z[avg, :, 0])
-    # -1 on positives, +1 on negatives: a cast and two float passes run
-    # faster than one bool * float pass
-    np.copyto(sign, Y)
-    sign *= -2.0
-    sign += 1.0
-    _logistic(z, sign, value, grads, work)
+    # every entry as a negative, as _logistic forms it: sigmoid(z) into
+    # grads, sigmoid(-z) into side, and softplus(z) into value outside the
+    # shifted cells
+    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    np.add(e, 1.0, out=denom)
+    np.maximum(e, np.sign(z, out=side), out=grads)
+    grads /= denom
+    np.maximum(e, np.negative(side, out=side), out=side)
+    side /= denom
+    if s := plan.shifted:
+        np.maximum(z[:s], 0.0, out=value[:s])
+        value[:s] += np.log1p(e[:s], out=kept[:s])
     if cells.start < cells.stop:
-        # the negatives, on the average column only for ncrl_final
-        mask = np.logical_not(Y[cells], out=mask[cells])
-        mask[avg.stop - cells.start:, :, 0] = False
-        _shift([w[cells] for w in work], plan.gamma, mask, value[cells],
-               grads[cells], kept[cells])
-    # 0/1 weights: only the average column can carry a 0
+        # -log(p) with slope sigmoid(z) * sigmoid(-z) / p, where p is
+        # sigmoid(-z) + gamma held in [_P_FLOOR, 1], both clamped to zero
+        # where sigmoid(-z) >= 1 - gamma; gamma is a scalar or broadcasts per
+        # cell, and `kept` is the 0/1 clamp factor as floats, so it
+        # multiplies without a cast
+        p, sig_neg, term, dz, kept = (
+            a[cells] for a in (denom, side, value, grads, kept))
+        np.less(sig_neg, 1.0 - plan.gamma, out=kept)
+        np.clip(np.add(sig_neg, plan.gamma, out=p), _P_FLOOR, 1.0, out=p)
+        np.negative(np.log(p, out=term), out=term)
+        term *= kept
+        dz *= sig_neg
+        dz /= p
+        dz *= kept
+    # the positives, apart, from the e and sigmoid(-z) formed above: the
+    # term max(-z, 0) + log1p(e) = -log sigmoid(z), as _logistic forms it,
+    # and the slope -sigmoid(-z)
+    at = np.flatnonzero(Y)
+    grads.put(at, np.negative(side.take(at)))
+    value.put(at, np.maximum(np.negative(z.take(at)), 0.0) + np.log1p(e.take(at)))
+    # 0/1 weights: only the average column can carry a 0. A weight of 0
+    # gives each term, finite and >= 0, a +0.0, and each slope a zero of its
+    # own sign
     for lo, hi in ((0, avg.start), (avg.stop, plan.margin)):
         if lo < hi:
-            value[lo:hi, :, 0] *= 0.0
+            value[lo:hi, :, 0] = 0.0
             grads[lo:hi, :, 0] *= 0.0
     # lift dz back to the scores: f_0 takes dz_0 and -a * dz_i from each
     # pre-defined column; dz_0 spreads -dz_0 / k over f_1..f_K (outside the
@@ -342,8 +336,7 @@ def _pairwise_batch(Y, F):
     f = F[:, 1:]
     diff = f[:, None, :] - f[:, :, None]  # diff[b, i, j] = f_j - f_i
     pair = y[:, :, None] & ~y[:, None, :]
-    value, slope, *work = (np.empty(diff.shape) for _ in range(6))
-    _logistic(diff, 1.0, value, slope, work)  # softplus and sigmoid
+    value, slope = _logistic(diff, 1.0)  # softplus and sigmoid
     vals = (value * pair).sum(axis=(1, 2))
     slope *= pair
     grads = np.zeros_like(F)
@@ -361,6 +354,8 @@ def _stack_losses(kinds, Y, F, gammas, workspace=None):
     """
     plan = _plan(tuple(kinds), tuple(gammas))
     Y = binary_flags(Y)
+    if Y.shape != F.shape:  # the margin kernel reads Y by flat index
+        raise ValueError(f"labels {Y.shape} and scores {F.shape} differ in shape")
     ws = Workspace() if workspace is None else workspace
     vals, grads = ws.take("vals", F.shape[:-1]), ws.take("grads", F.shape)
     m, a = plan.margin, plan.atl
@@ -390,11 +385,11 @@ def batch_loss(kind, Y, F, gamma=0.0, workspace=None):
     sequences of C, one per cell, sorted by `stack_rank` (a stack in any
     other order is refused), and it returns the C per-cell means and the
     (C, B, K+1) gradients. A 2-D call runs as a stack of one cell, so each
-    cell of a stack comes out exactly as its own 2-D call would give. Y
-    holds the bool flags a Dataset holds, or 0/1 numbers, which give the
-    same numbers after one compare; any other label value is refused. A
-    `workspace` lends its buffers, and the gradients are then a view of
-    them.
+    cell of a stack comes out exactly as its own 2-D call would give. Y has
+    the shape of F and holds the bool flags a Dataset holds, or 0/1 numbers,
+    which give the same numbers after one compare; any other label value,
+    and a Y of another shape, is refused. A `workspace` lends its buffers,
+    and the gradients are then a view of them.
     """
     F = np.asarray(F, dtype=float)
     if not np.isfinite(F).all():
@@ -461,8 +456,7 @@ def margin_regularization(y, f) -> LossResult:
     Y, F = _pair(y, f)
     k = F.shape[1] - 1
     z0 = F[0, :1] - np.add.reduce(F[0, 1:]) / k  # positive on none instances
-    value, dz, *work = (np.empty(1) for _ in range(6))
-    _logistic(z0, 1.0 - 2.0 * Y[0, 0], value, dz, work)
+    value, dz = _logistic(z0, 1.0 - 2.0 * Y[0, 0])
     return LossResult(float(value[0]), np.concatenate([dz, np.full(k, -dz[0] / k)]))
 
 

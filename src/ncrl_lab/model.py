@@ -26,8 +26,8 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 import numpy as np
 
 from .datagen import Dataset, check_seed
-from .losses import (Workspace, batch_loss, check_loss, instance_losses,
-                     stack_rank, with_none_flag)
+from .losses import (LOSS_KINDS, Workspace, batch_loss, check_loss,
+                     instance_losses, stack_rank, with_none_flag)
 from .metrics import micro_f1_flags
 from .prediction import adaptive_flags, sweep_global_threshold
 
@@ -614,6 +614,8 @@ def scorer_from_dict(payload: dict):
     A malformed checkpoint raises ValueError naming the missing or ill-typed
     key, as does a `k` or `dim` that differs from the parameter shapes. A
     `threshold` must be null or a number in (0, 1); a checkpoint may lack it.
+    When the config echo names a known loss kind, the threshold must be null
+    for an ADAPTIVE_KINDS kind and a number for any other.
     """
     if not isinstance(payload, dict):
         raise ValueError("checkpoint must be a JSON object, got "
@@ -652,4 +654,11 @@ def scorer_from_dict(payload: dict):
     if t is not None and not (type(t) is float and 0.0 < t < 1.0):
         raise ValueError("checkpoint key 'threshold' must be null or a number "
                          f"in (0, 1), got {t!r}")
+    config = payload.get("config")
+    loss = config.get("loss_kind") if isinstance(config, dict) else None
+    if ("threshold" in payload and loss in LOSS_KINDS
+            and (t is None) != (loss in ADAPTIVE_KINDS)):
+        rule = "null" if t else "a number"
+        raise ValueError(f"checkpoint key 'threshold' must be {rule} for its "
+                         f"loss_kind {loss!r}, got {t or 'null'}")
     return scorer

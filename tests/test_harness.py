@@ -946,6 +946,31 @@ class TestCli:
                     f"error: {model}: checkpoint key 'threshold' must be null "
                     f"or a number in (0, 1), got {shown}\n"), (value, rule)
 
+    def test_eval_refuses_a_threshold_its_loss_kind_contradicts(self,
+                                                                 tmp_path,
+                                                                 capsys):
+        # an edited bce checkpoint with a null threshold used to evaluate
+        # adaptively with exit 0, and an ncrl_final one with 0.5 globally
+        data = str(tmp_path / "data.jsonl")
+        assert main(["gen-data", "--k", "4", "--dim", "6", "--n", "200",
+                     "--seed", "0", "--out", data]) == 0
+        for kind, gamma, edit, shown in (("bce", "0", None, "a number"),
+                                         ("ncrl_final", "0.05", 0.5, "null")):
+            model = str(tmp_path / f"{kind}.json")
+            assert main(["train", "--data", data, "--loss", kind, "--gamma",
+                         gamma, "--epochs", "1", "--seed", "1",
+                         "--out", model]) == 0
+            checkpoint = json.loads(Path(model).read_text())
+            Path(model).write_text(json.dumps({**checkpoint, "threshold": edit}))
+            capsys.readouterr()
+            for rule in ([], ["--rule", "adaptive"], ["--rule", "global"]):
+                assert main(["eval", "--model", model, "--data", data]
+                            + rule) == 1, (kind, rule)
+                assert capsys.readouterr().err == (
+                    f"error: {model}: checkpoint key 'threshold' must be "
+                    f"{shown} for its loss_kind '{kind}', got "
+                    f"{'null' if edit is None else edit}\n"), (kind, rule)
+
     def test_repeated_list_value_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         for argv, message in (

@@ -844,7 +844,7 @@ class TestCheckpoints:
         # before it was saved lacks the key and still loads
         good = scorer_to_dict(LinearScorer.create(3, 4, np.random.default_rng(1)),
                               TrainConfig("bce"), 0.4)
-        for value in (None, 0.4, 0.01, 0.99):
+        for value in (0.4, 0.01, 0.99):
             scorer_from_dict({**good, "threshold": value})
         scorer_from_dict({key: v for key, v in good.items() if key != "threshold"})
         for value in (True, False, "0.3", 1.5, 1.0, 0.0, -0.2, 1, 0,
@@ -852,6 +852,30 @@ class TestCheckpoints:
             with pytest.raises(ValueError, match="checkpoint key 'threshold' "
                                r"must be null or a number in \(0, 1\), got "):
                 scorer_from_dict({**good, "threshold": value})
+
+    def test_threshold_must_be_the_rule_of_the_configs_loss_kind(self):
+        # an edited bce checkpoint with a null threshold used to evaluate
+        # adaptively, and an ncrl_final one with a number globally
+        scorer = LinearScorer.create(3, 4, np.random.default_rng(1))
+        for kind in LOSS_KINDS:
+            adaptive = kind in ADAPTIVE_KINDS
+            good = scorer_to_dict(scorer, TrainConfig(kind),
+                                  None if adaptive else 0.4)
+            scorer_from_dict(good)
+            message = ("checkpoint key 'threshold' must be "
+                       + (f"null for its loss_kind '{kind}', got 0.5" if adaptive
+                          else f"a number for its loss_kind '{kind}', got null"))
+            with pytest.raises(ValueError, match=re.escape(message)):
+                scorer_from_dict({**good, "threshold": 0.5 if adaptive else None})
+            # a checkpoint without the key, or a config echo that names no
+            # known kind, is not checked against it
+            scorer_from_dict({key: v for key, v in good.items()
+                              if key != "threshold"})
+            for config in ({}, {"loss_kind": "lasso"}, {"loss_kind": [kind]},
+                           [kind], None):
+                for value in (None, 0.5):
+                    scorer_from_dict({**good, "config": config,
+                                      "threshold": value})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

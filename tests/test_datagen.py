@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncrl_lab.datagen import (Dataset, SyntheticConfig, class_prior_report,
+from ncrl_lab.datagen import (PROBE_SIZE, Dataset, SyntheticConfig,
+                              class_prior_report,
                               generate, inject_false_negatives,
                               inject_symmetric_noise, split,
                               strip_none_instances, take)
@@ -241,3 +244,96 @@ class TestDatasetOps:
                     np.array([[1, 0, 0], [1, 0, 0]]))
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+
+
+BLOCK = 1000  # the generator's row block; n is drawn around its edges
+
+
+def reference_generate(config):
+    """`generate` written out one-shot: the whole probe drawn and scored at
+    once, the whole `x @ w.T > thresholds` formed at once, and each noise
+    operation's flips set through a mask."""
+    config.validate()
+    bias = config.bias_vector()
+    rngs = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(5))
+    w_rng, probe_rng, x_rng, fn_rng, sym_rng = rngs
+    w = w_rng.standard_normal((config.num_labels, config.feature_dim))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    base = 0.0
+    if np.isfinite(bias).any():
+        probe = probe_rng.standard_normal((PROBE_SIZE, config.feature_dim))
+        base = float(np.quantile((probe @ w.T - bias).max(axis=1),
+                                 config.none_fraction_target))
+    x = x_rng.standard_normal((config.num_instances, config.feature_dim))
+    thresholds = bias + base
+    y = x @ w.T > thresholds
+    if config.noise_false_negative_rate > 0:
+        rng = np.random.default_rng(int(fn_rng.integers(2**63)))
+        y[(rng.random(y.shape) < config.noise_false_negative_rate) & y] = False
+    if config.noise_symmetric_rate > 0:
+        rng = np.random.default_rng(int(sym_rng.integers(2**63)))
+        flips = rng.random(y.shape) < config.noise_symmetric_rate
+        y[flips] = ~y[flips]
+    return Dataset(x, np.column_stack([~y.any(axis=1), y]),
+                   {"config": config, "weights": w, "thresholds": thresholds})
+
+
+def reference_split(data, *sizes):
+    """`split` through `take`: each part a copy of its rows."""
+    ends = np.cumsum((0,) + sizes + (len(data) - sum(sizes),))
+    return [take(data, np.arange(a, b)) for a, b in zip(ends, ends[1:]) if b > a]
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def synthetic_configs(draw):
+    k = draw(st.integers(1, 60))
+    n = draw(st.sampled_from((1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,
+                              12_345)) | st.integers(1, 3 * BLOCK + 1))
+    bias_kind = draw(st.sampled_from(("none", "finite", "sentinel", "all")))
+    bias = {"none": None,
+            "finite": draw(st.lists(st.floats(-2, 2), min_size=k, max_size=k)),
+            "sentinel": [np.inf] + draw(st.lists(st.floats(-2, 2),
+                                                 min_size=k - 1, max_size=k - 1)),
+            "all": [np.inf] * k}[bias_kind]
+    if bias_kind == "sentinel" and k == 1:
+        bias, bias_kind = [np.inf], "all"
+    target = 1.0 if bias_kind == "all" else draw(st.sampled_from((0.0, 0.3, 0.9)))
+    return SyntheticConfig(
+        num_labels=k, feature_dim=draw(st.integers(1, 128)), num_instances=n,
+        none_fraction_target=target,
+        per_label_bias=None if bias is None else np.array(bias),
+        noise_false_negative_rate=draw(st.sampled_from((0.0, 0.2))),
+        noise_symmetric_rate=draw(st.sampled_from((0.0, 0.05))),
+        seed=draw(st.integers(0, 2**32)))
+
+
+def split_sizes(draw, n):
+    """Zero to three explicit part sizes that leave room in n rows."""
+    sizes = []
+    for _ in range(draw(st.integers(0, 3))):
+        if sum(sizes) < n:
+            sizes.append(draw(st.integers(1, n - sum(sizes))))
+    return tuple(sizes)
+
+
+class TestRowBlocks:
+    @settings(max_examples=60)
+    @given(synthetic_configs(), st.data())
+    def test_generate_and_split_equal_one_shot_reference(self, config, data):
+        got, want = generate(config), reference_generate(config)
+        assert_same_bits(got.features, want.features)
+        assert_same_bits(got.labels, want.labels)
+        for key in ("weights", "thresholds"):
+            assert_same_bits(got.provenance[key], want.provenance[key])
+        sizes = split_sizes(data.draw, len(got))
+        parts, want_parts = split(got, *sizes), reference_split(want, *sizes)
+        assert len(parts) == len(want_parts)
+        for part, want_part in zip(parts, want_parts):
+            assert_same_bits(part.features, want_part.features)
+            assert_same_bits(part.labels, want_part.labels)
+            assert part.provenance is got.provenance

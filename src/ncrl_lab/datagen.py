@@ -6,6 +6,13 @@ threshold calibrated on a probe sample so the realized none-class fraction
 hits its target. A +inf offset is a sentinel that forces a label to be
 always negative. The none flag y_0 is always derived from the K pre-defined
 flags, including after every noise operation.
+
+The probe and the labels are scored in row blocks of `_ROW_BLOCK` rows, so
+no score array grows with the probe or the dataset: generating costs the
+dataset's own arrays plus one block's scores. The bits are those of scoring
+every row at once, since blocked draws of one generator continue one stream
+and a row of `x @ w.T` does not depend on the rows beside it. `split`
+returns views of the dataset's rows, not copies.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 from .losses import binary_flags
 
 PROBE_SIZE = 10000
+_ROW_BLOCK = 1000  # divides PROBE_SIZE
 
 
 def check_seed(seed: int) -> None:
@@ -127,10 +135,13 @@ def _labels_from_flags(y: np.ndarray) -> np.ndarray:
 
 def _calibrate_base(w: np.ndarray, bias: np.ndarray, target: float,
                     rng: np.random.Generator) -> float:
-    """Base threshold whose probe none fraction matches the target quantile."""
-    probe = rng.standard_normal((PROBE_SIZE, w.shape[1]))
-    shifted = probe @ w.T - bias
-    return float(np.quantile(shifted.max(axis=1), target))
+    """Base threshold whose probe none fraction matches the target quantile.
+
+    The probe is drawn and scored one row block at a time; only each row's
+    max score is kept."""
+    maxima = [(rng.standard_normal((_ROW_BLOCK, w.shape[1])) @ w.T - bias).max(axis=1)
+              for _ in range(PROBE_SIZE // _ROW_BLOCK)]
+    return float(np.quantile(np.concatenate(maxima), target))
 
 
 def generate(config: SyntheticConfig) -> Dataset:
@@ -150,10 +161,13 @@ def generate(config: SyntheticConfig) -> Dataset:
 
     x = x_rng.standard_normal((config.num_instances, config.feature_dim))
     thresholds = bias + base
-    y = x @ w.T > thresholds
+    labels = np.empty((len(x), config.num_labels + 1), dtype=bool)
+    for a in range(0, len(x), _ROW_BLOCK):
+        labels[a:a + _ROW_BLOCK, 1:] = x[a:a + _ROW_BLOCK] @ w.T > thresholds
+    np.logical_not(labels[:, 1:].any(axis=1), out=labels[:, 0])
     data = Dataset(
         features=x,
-        labels=_labels_from_flags(y),
+        labels=labels,
         provenance={"config": config, "weights": w, "thresholds": thresholds},
     )
     if config.noise_false_negative_rate > 0:
@@ -169,30 +183,25 @@ def generate(config: SyntheticConfig) -> Dataset:
     return data
 
 
-def _check_rate(rate: float) -> float:
+def _with_flips(data: Dataset, rate: float, seed: int, flip) -> Dataset:
+    """The dataset with its pre-defined labels replaced by `flip(y, drawn)`,
+    where `drawn` marks each label with the given rate."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"noise rate must lie in [0, 1], got {rate}")
-    return float(rate)
+    y = data.labels[:, 1:]
+    drawn = np.random.default_rng(seed).random(y.shape) < rate
+    return Dataset(data.features, _labels_from_flags(flip(y, drawn)),
+                   data.provenance)
 
 
 def inject_false_negatives(data: Dataset, rate: float, seed: int) -> Dataset:
     """Flip each positive pre-defined label to negative with the given rate."""
-    _check_rate(rate)
-    rng = np.random.default_rng(seed)
-    y = data.labels[:, 1:].copy()
-    flips = (rng.random(y.shape) < rate) & y
-    y[flips] = False
-    return Dataset(data.features, _labels_from_flags(y), data.provenance)
+    return _with_flips(data, rate, seed, lambda y, drawn: y & ~drawn)
 
 
 def inject_symmetric_noise(data: Dataset, rate: float, seed: int) -> Dataset:
     """Flip each pre-defined label with the given rate regardless of polarity."""
-    _check_rate(rate)
-    rng = np.random.default_rng(seed)
-    y = data.labels[:, 1:].copy()
-    flips = rng.random(y.shape) < rate
-    y[flips] = ~y[flips]
-    return Dataset(data.features, _labels_from_flags(y), data.provenance)
+    return _with_flips(data, rate, seed, np.logical_xor)
 
 
 def strip_none_instances(data: Dataset) -> Dataset:
@@ -212,17 +221,19 @@ def take(data: Dataset, indices) -> Dataset:
 def split(data: Dataset, *sizes: int) -> list[Dataset]:
     """Cut the dataset into consecutive row blocks of the given sizes.
 
-    A trailing block takes whatever remains after the explicit sizes.
+    A trailing block takes whatever remains after the explicit sizes. The
+    parts are views of the dataset's arrays, not copies, so a write through
+    one part would change the dataset and the other parts; nothing in the
+    package writes through a dataset's arrays.
     """
-    if sum(sizes) > len(data):
-        raise ValueError(f"split sizes {sizes} exceed dataset size {len(data)}")
-    parts, start = [], 0
-    for size in sizes:
-        parts.append(take(data, np.arange(start, start + size)))
-        start += size
-    if start < len(data):
-        parts.append(take(data, np.arange(start, len(data))))
-    return parts
+    ends = np.cumsum((0, *sizes))
+    if min(sizes, default=1) < 1 or ends[-1] > len(data):
+        raise ValueError(f"split sizes {sizes} must be positive and sum to at "
+                         f"most the dataset size {len(data)}")
+    if ends[-1] < len(data):
+        ends = np.append(ends, len(data))
+    return [Dataset(data.features[a:b], data.labels[a:b], data.provenance)
+            for a, b in zip(ends, ends[1:])]
 
 
 def class_prior_report(data: Dataset) -> dict:

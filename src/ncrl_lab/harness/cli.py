@@ -198,7 +198,7 @@ def _cmd_eval(args) -> int:
     t = _threshold(args, checkpoint)
     report = evaluate(scores, data.labels, native_flags(scores, t))
     rule = args.rule or ("adaptive" if t is None else "global")
-    _emit({"rule": rule, **report.as_dict()})
+    _emit({"rule": rule, "threshold": t, **report.as_dict()})
     return 0
 
 

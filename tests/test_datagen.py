@@ -1,15 +1,19 @@
 """Synthetic generation, noise injection, and label bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncrl_lab import datagen
 from ncrl_lab.datagen import (PROBE_SIZE, Dataset, SyntheticConfig,
                               class_prior_report,
                               generate, inject_false_negatives,
                               inject_symmetric_noise, split,
                               strip_none_instances, take)
+from ncrl_lab.harness.experiments import make_splits
 from ncrl_lab.losses import batch_ncre
 
 
@@ -205,8 +209,11 @@ class TestDatasetOps:
         a, b, c = split(data, 6, 2)
         assert (len(a), len(b), len(c)) == (6, 2, 2)
         assert all(part.labels.dtype == bool for part in (a, b, c))
-        with pytest.raises(ValueError):
-            split(data, 8, 5)
+        # a slice cannot stand in for a size that is not positive: a
+        # negative end would count from the back
+        for sizes in ((8, 5), (0, 5), (-2,), (3, -1), (4, 6, 0)):
+            with pytest.raises(ValueError):
+                split(data, *sizes)
 
     def test_take_preserves_provenance(self):
         cfg = SyntheticConfig(num_labels=3, feature_dim=5, num_instances=20,
@@ -337,3 +344,37 @@ class TestRowBlocks:
             assert_same_bits(part.features, want_part.features)
             assert_same_bits(part.labels, want_part.labels)
             assert part.provenance is got.provenance
+
+    def test_split_parts_are_views_of_the_data(self):
+        data = generate(SyntheticConfig(num_labels=3, feature_dim=4,
+                                        num_instances=2 * BLOCK + 1, seed=1))
+        parts = split(data, BLOCK, BLOCK - 1)
+        assert [len(part) for part in parts] == [BLOCK, BLOCK - 1, 2]
+        for part in parts:
+            assert np.shares_memory(part.features, data.features)
+            assert np.shares_memory(part.labels, data.labels)
+
+    def test_peak_memory_is_the_data_plus_one_block(self):
+        # the no_none_k28 benchmark's data: 5.15 MB of features and labels;
+        # what the peak may add is one block of scores (0.22 MB) and the
+        # (n, dim) bool of Dataset's finiteness check (0.6 MB). A whole probe
+        # and an (n, K) float of scores once read 1.66x the data, and copied
+        # split parts 2.02x
+        config = SyntheticConfig(num_labels=28, feature_dim=50,
+                                 num_instances=12_000,
+                                 none_fraction_target=0.35, seed=3)
+        assert datagen._ROW_BLOCK == BLOCK
+        # a first call imports the numpy modules that load lazily
+        generate(SyntheticConfig(num_labels=2, feature_dim=3, num_instances=5))
+        for build in (lambda: generate(config), lambda: make_splits(config, 3)):
+            tracemalloc.start()
+            try:
+                built = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            parts = [built] if isinstance(built, Dataset) else built
+            data_bytes = sum(part.features.nbytes + part.labels.nbytes
+                             for part in parts)
+            assert data_bytes == 12_000 * (50 * 8 + 29)
+            assert peak < 1.2 * data_bytes

@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncrl_lab.datagen import Dataset, SyntheticConfig, generate
+from ncrl_lab.datagen import (Dataset, SyntheticConfig, generate,
+                              inject_false_negatives, inject_symmetric_noise,
+                              strip_none_instances)
 from ncrl_lab.harness import cli, dataio
 from ncrl_lab.harness.cli import main
 from ncrl_lab.harness.dataio import (CSV_HEADER, ResultRow,
@@ -398,6 +400,55 @@ class TestExperimentSuites:
         assert len(summary) == 3 * 6 * 2
         micro_means = [r for r in summary if r.metric == "micro_f1_mean"]
         assert len(micro_means) == 3
+
+    def test_nothing_writes_through_a_datasets_arrays(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # split parts are views of one dataset's arrays, so a write through
+        # one part would change the others: on read-only views every step
+        # must run and give what it gives on writable arrays
+        def read_only(data):
+            features, labels = data.features.view(), data.labels.view()
+            features.flags.writeable = labels.flags.writeable = False
+            return Dataset(features, labels, data.provenance)
+
+        synth = tiny_synth(num_labels=4)
+        configs = [tiny_train("ncrl_final", gamma=0.05, seed=1),
+                   tiny_train("ncrl_plain", seed=2)]
+        source = str(tmp_path / "source.jsonl")
+        save_dataset(generate(synth), source)
+
+        def outputs(prepare, name):
+            splits = [prepare(part) for part in make_splits(synth, 0)]
+            train_part = splits[0]
+            results = train(train_part, splits[1], configs)
+            checkpoints = [scorer_to_dict(result.scorer, config,
+                                          result.history.threshold)
+                           for config, result in zip(configs, results)]
+            rows = [row for config, result in zip(configs, results)
+                    for row in run_cell("frozen", config, 0, splits, result)]
+            derived = [inject_false_negatives(train_part, 0.3, seed=5),
+                       inject_symmetric_noise(train_part, 0.1, seed=6),
+                       strip_none_instances(train_part)]
+            saved = tmp_path / f"{name}.jsonl"
+            save_dataset(train_part, str(saved))
+            monkeypatch.setattr(cli, "load_dataset",
+                                lambda path: prepare(load_dataset(path)))
+            model = tmp_path / f"{name}.json"
+            capsys.readouterr()
+            assert main(["train", "--data", source, "--loss", "ncrl_final",
+                         "--epochs", "2", "--seed", "1",
+                         "--out", str(model)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            return (train_part.features.flags.writeable, checkpoints,
+                    rows_without_seconds(rows),
+                    [(d.features.tolist(), d.labels.tolist()) for d in derived],
+                    saved.read_bytes(), model.read_text(),
+                    {k: v for k, v in report.items() if k != "out"})
+
+        frozen = outputs(read_only, "frozen")
+        writable = outputs(lambda data: data, "writable")
+        assert (frozen[0], writable[0]) == (False, True)
+        assert frozen[1:] == writable[1:]
 
     def test_compare_deterministic_modulo_seconds(self):
         config = ExperimentConfig(
@@ -945,6 +996,32 @@ class TestCli:
                 assert capsys.readouterr().err == (
                     f"error: {model}: checkpoint key 'threshold' must be null "
                     f"or a number in (0, 1), got {shown}\n"), (value, rule)
+
+    def test_eval_prints_the_threshold_it_flagged_at(self, tmp_path, capsys):
+        # eval used to print its rule but not the threshold, so a default
+        # eval's global threshold could only be read from the checkpoint
+        data = str(tmp_path / "data.jsonl")
+        assert main(["gen-data", "--k", "4", "--dim", "6", "--n", "200",
+                     "--seed", "0", "--out", data]) == 0
+        for kind, gamma in (("bce", "0"), ("ncrl_final", "0.05")):
+            model = str(tmp_path / f"{kind}.json")
+            assert main(["train", "--data", data, "--loss", kind, "--gamma",
+                         gamma, "--epochs", "1", "--seed", "1",
+                         "--out", model]) == 0
+            own = json.loads(Path(model).read_text())["threshold"]
+            for rule, shown in (([], own),
+                                (["--rule", "adaptive"], None),
+                                (["--rule", "global"], 0.5),
+                                (["--rule", "global", "--threshold", "0.4"], 0.4),
+                                (["--rule", "per-label", "--thresholds",
+                                  "0.3,0.4,0.5,0.6"], [0.3, 0.4, 0.5, 0.6])):
+                capsys.readouterr()
+                assert main(["eval", "--model", model, "--data", data]
+                            + rule) == 0, (kind, rule)
+                report = json.loads(capsys.readouterr().out)
+                assert "threshold" in report, (kind, rule)
+                assert report["threshold"] == shown, (kind, rule)
+            assert (own is None) == (kind in ADAPTIVE_KINDS)
 
     def test_eval_refuses_a_threshold_its_loss_kind_contradicts(self,
                                                                  tmp_path,

@@ -260,7 +260,8 @@ def _cmd_ablate(args) -> int:
     config = ExperimentConfig(
         kind="gamma_sweep" if args.sweep_gamma is not None else "ablation",
         synth=_synth_config(args),
-        train_configs=[_train_config_base(args, "ncrl_final", args.gamma)],
+        train_configs=[_train_config_base(
+            args, "ncrl_final", 0.05 if args.gamma is None else args.gamma)],
         seeds=args.seeds,
     )
     if args.sweep_gamma is not None:
@@ -353,20 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4],
                       help=_SEEDS_HELP)
     cmp_.add_argument("--no-none-study", action="store_true",
-                      help="run the none-stripping study instead (uses the "
-                           "first loss only)")
+                      help="run the none-stripping study instead, on the one "
+                           "loss --losses names")
     cmp_.add_argument("--out", required=True, help="results CSV path")
     cmp_.set_defaults(handler=_cmd_compare)
 
     ab = command("ablate", help="six-variant component ablation")
     _add_synth_flags(ab)
     _add_train_flags(ab)
-    ab.add_argument("--gamma", type=float, default=0.05,
-                    help="shift value for the shifted variants")
+    ab.add_argument("--gamma", type=float, default=None,
+                    help="shift value for the shifted variants (default "
+                         "0.05); --sweep-gamma does not read it")
     ab.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4],
                     help=_SEEDS_HELP)
     ab.add_argument("--sweep-gamma", type=_gamma_list, default=None,
-                    help="emit per-gamma rows over this comma list instead")
+                    help="emit per-gamma rows of ncrl_final over this comma "
+                         "list instead")
     ab.add_argument("--out", required=True, help="results CSV path")
     ab.set_defaults(handler=_cmd_ablate)
 
@@ -377,17 +380,12 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
-def _switches(parser: argparse.ArgumentParser, command: str) -> set:
-    """The store_true flags of one subcommand; empty if it is unknown."""
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    sub = subparsers.choices.get(command)
-    return {flag for a in (sub._actions if sub else ())
-            if isinstance(a, argparse._StoreTrueAction)
-            for flag in a.option_strings}
+# each subcommand's store_true flags, which a --config entry turns on or off
+# with a boolean word
+_SWITCHES = {"compare": {"--no-none-study"}, "sweep": {"--per-label"}}
 
 
-def _expand_config_args(argv: list, parser: argparse.ArgumentParser) -> list:
+def _expand_config_args(argv: list) -> list:
     """Splice --config file entries in as flags ahead of explicit ones.
 
     Boolean words turn the subcommand's store_true flags on or off; every
@@ -418,7 +416,7 @@ def _expand_config_args(argv: list, parser: argparse.ArgumentParser) -> list:
         raise ValueError("--config given more than once: " + ", ".join(paths))
     if not rest:
         raise ValueError("--config must follow a subcommand")
-    switches = _switches(parser, rest[0])
+    switches = _SWITCHES.get(rest[0], set())
     injected = []
     for key, value in read_config_file(paths[0]).items():
         flag = "--" + key.replace("_", "-")
@@ -433,7 +431,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _expand_config_args(argv, parser)
+        argv = _expand_config_args(argv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -444,6 +442,11 @@ def main(argv=None) -> int:
                          if args.rule else f"argument --{flag}: needs --rule {rule}")
     if getattr(args, "rule", None) == "per-label" and args.thresholds is None:
         parser.error("argument --thresholds: --rule per-label requires it")
+    if getattr(args, "no_none_study", False) and len(args.losses) > 1:
+        parser.error("argument --losses: --no-none-study trains one loss, got "
+                     f"{len(args.losses)}")
+    if getattr(args, "sweep_gamma", None) is not None and args.gamma is not None:
+        parser.error("argument --gamma: --sweep-gamma does not read it")
     try:
         if getattr(args, "out", None) is not None:
             check_output_path(args.out)  # before the work, not after it

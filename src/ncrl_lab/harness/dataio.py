@@ -85,7 +85,6 @@ class ResultRow:
     split: str
     metric: str
     value: float
-    seconds: float
 
 
 CSV_HEADER = tuple(f.name for f in fields(ResultRow))
@@ -482,9 +481,7 @@ def write_results_csv(rows, path: str) -> None:
     for row in rows:
         writer.writerow([
             row.experiment, row.loss, repr(float(row.gamma)), row.seed,
-            row.split, row.metric, repr(float(row.value)),
-            repr(float(row.seconds)),
-        ])
+            row.split, row.metric, repr(float(row.value))])
     _atomic_text_write(path, [buffer.getvalue()])
 
 

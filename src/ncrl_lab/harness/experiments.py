@@ -9,13 +9,11 @@ cells go to one `train` call, which trains the cells that share their
 settings as one stacked model, even when their splits differ (the no-none
 study's full and stripped regimes); each cell's rows are identical to
 training it alone, and row order follows the configs.
-A cell's `seconds` is its even share of its stack's training time plus its
-own test evaluation.
+A row holds no wall time, so the same config and seeds give the same rows.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -93,9 +91,9 @@ def make_splits(synth: SyntheticConfig, seed: int):
     return train_part, dev_part, test_part
 
 
-def _error_row(experiment: str, tc: TrainConfig, seed: int, result) -> ResultRow:
+def _error_row(experiment: str, tc: TrainConfig, seed: int) -> ResultRow:
     return ResultRow(experiment, tc.loss_kind, tc.gamma, seed, "train",
-                     "error", 1.0, result.history.seconds)
+                     "error", 1.0)
 
 
 def run_cell(experiment: str, tc: TrainConfig, seed: int, splits,
@@ -103,15 +101,13 @@ def run_cell(experiment: str, tc: TrainConfig, seed: int, splits,
     """Measure one trained (variant, seed) cell on the test block, flagged
     at its best dev epoch's swept threshold, or adaptively if it has none."""
     if result.error is not None:
-        return [_error_row(experiment, tc, seed, result)]
+        return [_error_row(experiment, tc, seed)]
     test_part = splits[2]
-    started = time.perf_counter()
     test_scores = result.scorer.forward(test_part.features)
     flags = native_flags(test_scores, result.history.threshold)
     stats = evaluate(test_scores, test_part.labels, flags).as_dict()
-    seconds = result.history.seconds + time.perf_counter() - started
     return [ResultRow(experiment, tc.loss_kind, tc.gamma, seed, "test",
-                      name, stats[name], seconds) for name in METRIC_NAMES]
+                      name, stats[name]) for name in METRIC_NAMES]
 
 
 def summarize(rows: list, experiment: str) -> list:
@@ -124,12 +120,11 @@ def summarize(rows: list, experiment: str) -> list:
     out = []
     for (loss, gamma, metric), cells in groups.items():
         values = np.array([r.value for r in cells])
-        seconds = float(sum(r.seconds for r in cells))
         std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
         out.append(ResultRow(experiment, loss, gamma, "all", "test",
-                             f"{metric}_mean", float(values.mean()), seconds))
+                             f"{metric}_mean", float(values.mean())))
         out.append(ResultRow(experiment, loss, gamma, "all", "test",
-                             f"{metric}_std", std, seconds))
+                             f"{metric}_std", std))
     return out
 
 
@@ -196,9 +191,8 @@ def _no_none_cell(base: TrainConfig, regime: str, parts, seed: int,
     """Score one trained regime cell with both prediction rules."""
     experiment = f"no_none_{regime}"
     if result.error is not None:
-        return [_error_row(experiment, base, seed, result)]
+        return [_error_row(experiment, base, seed)]
     _, dev_part, test_part = parts
-    started = time.perf_counter()
     scorer = result.scorer
     test_scores = scorer.forward(test_part.features)
     # the coarse grid, as training's dev sweep
@@ -206,9 +200,8 @@ def _no_none_cell(base: TrainConfig, regime: str, parts, seed: int,
     f1s = {rule: micro_f1_flags(native_flags(test_scores, threshold),
                                 test_part.labels)
            for rule, threshold in (("adaptive", None), ("swept", t))}
-    seconds = result.history.seconds + time.perf_counter() - started
     return [ResultRow(experiment, base.loss_kind, base.gamma, seed, "test",
-                      f"micro_f1_{rule}", float(f1), seconds)
+                      f"micro_f1_{rule}", float(f1))
             for rule, f1 in f1s.items()]
 
 

@@ -20,7 +20,6 @@ alone. Labels reach the loss kernel as the bool flags a Dataset holds.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
@@ -71,7 +70,6 @@ class TrainHistory:
     best_epoch: int = 0
     # the global threshold swept on dev at best_epoch; None for ADAPTIVE_KINDS
     threshold: float | None = None
-    seconds: float = 0.0  # this cell's even share of its stack's training time
 
 
 @dataclass
@@ -417,7 +415,6 @@ def _train_stack(cells: list) -> list:
     of the step that ran its cell's last epoch or on which the cell diverged;
     a diverged row's gradient is zeroed, so the shared Adam step stays finite,
     and it records no epoch on that step."""
-    started = time.perf_counter()
     config = cells[0][0]  # the settings every cell of the stack shares
     size = config.batch_size
     stack = type(cells[0][1]).stack([cell[1] for cell in cells])
@@ -512,10 +509,8 @@ def _train_stack(cells: list) -> list:
             live, kinds, gammas = ([r for r, k in zip(rows, keep) if k]
                                    for rows in (live, kinds, gammas))
             loss_sum = loss_sum[keep]
-    share = (time.perf_counter() - started) / len(cells)
     best_params = _views(best, shapes)
-    for c, (cell, history, error) in enumerate(zip(cells, histories, errors)):
-        history.seconds = share
+    for c, (cell, error) in enumerate(zip(cells, errors)):
         if error is None:
             for key, value in cell[1].params.items():
                 value[...] = best_params[key][c]

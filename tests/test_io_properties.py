@@ -142,7 +142,7 @@ class TestConfigFileRoundTrip:
             with open(path, "w", encoding="utf-8") as handle:
                 for flag, text in values.items():
                     handle.write(f"{flag.replace('-', '_')} = {text}\n")
-            spliced = _expand_config_args([command, "--config", path], parser)
+            spliced = _expand_config_args([command, "--config", path])
         assert parse_outcome(parser, spliced) == parse_outcome(parser, argv)
 
 

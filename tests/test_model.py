@@ -16,7 +16,7 @@ from ncrl_lab.datagen import (Dataset, SyntheticConfig, generate, split,
 from ncrl_lab.harness.experiments import (ExperimentConfig, _no_none_cell,
                                           make_splits, run_no_none_study)
 from ncrl_lab.harness.seeds import derive_seed
-from ncrl_lab.losses import LOSS_KINDS, ncrl_final, stack_rank
+from ncrl_lab.losses import LOSS_KINDS, batch_loss, ncrl_final, stack_rank
 from ncrl_lab.metrics import mean_ncre, micro_f1_flags
 from ncrl_lab.model import (ADAPTIVE_KINDS, Adam, LinearScorer, MlpScorer,
                             TrainConfig, grad_check,
@@ -539,12 +539,7 @@ class TestStackedTraining:
                 result, = train(parts[0], parts[1], [cfg])
                 expected.extend(_no_none_cell(base, regime, parts, seed,
                                               result))
-
-        def fields(rows):
-            return [(r.experiment, r.loss, r.gamma, r.seed, r.split, r.metric,
-                     r.value) for r in rows]
-
-        assert fields(run_no_none_study(config)) == fields(expected)
+        assert run_no_none_study(config) == expected
 
     def test_stacked_scorer_cells(self):
         rng = np.random.default_rng(8)
@@ -700,6 +695,163 @@ class TestStackedDevMetric:
             got = native_dev_metric(stack.cell(np.array(rows)), dev,
                                     [kinds[row] for row in rows])
             assert got == [expected[row] for row in rows]
+
+
+def reference_train(config, data, dev, scorer=None):
+    """One cell trained alone in plain 2-D numpy, with the schedule, Adam
+    with decoupled decay and the strict-`>` best-dev rule written out here;
+    dev scores come from TestStackedDevMetric.reference and the batch loss
+    from batch_loss, which their own tests pin.
+
+    Returns (params, train losses, dev metrics, best epoch, threshold,
+    error text or None), params at the best dev epoch or, for a diverged
+    cell, as they started; `train` must give each cell exactly these.
+    """
+    init_rng, shuffle_rng = map(np.random.default_rng,
+                                np.random.SeedSequence(config.seed).spawn(2))
+    if scorer is None:
+        scorer = (MlpScorer.create(data.k, data.dim, config.hidden_width, init_rng)
+                  if config.hidden_width
+                  else LinearScorer.create(data.k, data.dim, init_rng))
+    start = {key: value.copy() for key, value in scorer.params.items()}
+    cell = type(scorer)(*(value.copy() for value in start.values()))
+    params = cell.params  # stepped in place, so cell.forward reads them
+    first = {key: np.zeros_like(p) for key, p in params.items()}  # Adam moments
+    second = {key: np.zeros_like(p) for key, p in params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    n, size = len(data), config.batch_size
+    steps = math.ceil(n / size)
+    total = config.epochs * steps
+    warmup = int(config.warmup_fraction * total)
+    train_loss, dev_metric, best_epoch, threshold, error = [], [], 0, None, None
+    best, best_metric = start, -1.0
+    for step in range(total):
+        at = step % steps
+        if at == 0:
+            order, loss_sum = shuffle_rng.permutation(n), 0.0
+        idx = order[at * size:(at + 1) * size]
+        x, y = data.features[idx], data.labels[idx]
+        if config.hidden_width:
+            w1, b1, w2, b2 = params.values()
+            hidden = np.maximum(x @ w1.T + b1, 0.0)
+            scores = hidden @ w2.T + b2
+        else:
+            scores = x @ params["weights"].T + params["bias"]
+        if not np.isfinite(scores).all():
+            error = f"training diverged at step {step}"
+            break
+        value, d = batch_loss(config.loss_kind, y, scores, config.gamma)
+        if not np.isfinite(value):
+            error = f"training loss diverged at step {step}"
+            break
+        loss_sum += value * len(x)
+        if config.hidden_width:
+            d_hidden = (d @ w2) * (hidden > 0)
+            grads = {"w1": d_hidden.T @ x, "b1": d_hidden.sum(axis=0),
+                     "w2": d.T @ hidden, "b2": d.sum(axis=0)}
+        else:
+            grads = {"weights": d.T @ x, "bias": d.sum(axis=0)}
+        # linear warmup to the peak, then linear decay to zero
+        if step < warmup:
+            lr = config.learning_rate * (step + 1) / warmup
+        else:
+            lr = config.learning_rate * (total - step) / (total - warmup)
+        c1, c2 = 1 - beta1 ** (step + 1), 1 - beta2 ** (step + 1)
+        for key, g in grads.items():
+            m, v, p = first[key], second[key], params[key]
+            m[...] = beta1 * m + (1 - beta1) * g
+            v[...] = beta2 * v + (1 - beta2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            if config.weight_decay:
+                p -= lr * config.weight_decay * p
+        if (step + 1) % steps == 0:
+            train_loss.append(float(loss_sum / n))
+            metric, t = TestStackedDevMetric.reference(cell, dev, config.loss_kind)
+            dev_metric.append(metric)
+            if metric > best_metric:
+                best_metric = metric
+                best = {key: p.copy() for key, p in params.items()}
+                best_epoch, threshold = len(dev_metric) - 1, t
+    return (start if error else best, train_loss, dev_metric, best_epoch,
+            threshold, error)
+
+
+def _bits(params, train_loss, dev_metric, best_epoch, threshold, error):
+    """A cell's outcome with every float as its int64 bits."""
+    return ({key: np.asarray(p).view(np.int64).tolist() for key, p in params.items()},
+            np.array(train_loss, dtype=float).view(np.int64).tolist(),
+            np.array(dev_metric, dtype=float).view(np.int64).tolist(),
+            best_epoch, threshold, error)
+
+
+@st.composite
+def reference_cases(draw):
+    """(configs, training sets, dev sets, scorers) of one stack: 1-7 cells
+    over 1-3 training sets of uneven size, and one cell whose 1e308
+    score bias gives two rows of its own set a loss near 1e308 each, so it
+    diverges on the first step that batches both."""
+    k, dim = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.integers(5, 80), min_size=1, max_size=3))
+    dev_sizes = draw(st.lists(st.integers(10, 40), min_size=1, max_size=2))
+    odd = draw(st.integers(8, 40))  # the diverging cell's set
+    data = generate(SyntheticConfig(
+        num_labels=k, feature_dim=dim, none_fraction_target=0.3,
+        num_instances=sum(sizes) + sum(dev_sizes) + odd,
+        seed=draw(st.integers(0, 50))))
+    *sets, odd_set = split(data, *sizes, *dev_sizes)
+    sets, devs = sets[:len(sizes)], sets[len(sizes):]
+    labels = odd_set.labels.copy()
+    labels[:, :2] = [False, True]
+    labels[:2, 1:3] = [False, True]
+    sets.append(Dataset(odd_set.features, labels))
+    shared = dict(epochs=draw(st.sampled_from([3, 2, 1])),
+                  batch_size=draw(st.integers(3, 32)),
+                  learning_rate=draw(st.sampled_from([0.01, 0.05, 0.3])),
+                  warmup_fraction=draw(st.sampled_from([0.0, 0.1, 0.4])),
+                  hidden_width=draw(st.sampled_from([0, 0, 3])),
+                  weight_decay=draw(st.sampled_from([0.0, 0.01, 0.2])))
+    cells = draw(st.lists(st.tuples(
+        st.sampled_from(LOSS_KINDS), st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+        st.integers(0, len(sizes) - 1)), min_size=1, max_size=7))
+    odd_at = draw(st.integers(0, len(cells)))
+    cells.insert(odd_at, (draw(st.sampled_from(LOSS_KINDS)), 0.05, len(sizes)))
+    shifted = ("ncrl_final", "ncrl_noreg", "bce_shifted")
+    configs = [TrainConfig(kind, gamma=gamma if kind in shifted else 0.0,
+                           seed=draw(st.integers(0, 3)), **shared)
+               for kind, gamma, _ in cells]
+    dev_of = [draw(st.integers(0, len(devs) - 1)) for _ in cells]
+
+    def scorers():
+        rng = np.random.default_rng(0)
+        scorer = (MlpScorer.create(k, dim, shared["hidden_width"], rng)
+                  if shared["hidden_width"] else LinearScorer.create(k, dim, rng))
+        list(scorer.params.values())[-1][1] = 1e308
+        return [scorer if c == odd_at else None for c in range(len(cells))]
+
+    return (configs, [sets[s] for _, _, s in cells], [devs[d] for d in dev_of],
+            scorers)
+
+
+class TestReferenceTrainer:
+    """`train` gives every cell of a stack what reference_train gives it
+    alone, bit for bit: parameters, train losses, dev metrics, best epoch,
+    threshold and error text."""
+
+    @settings(max_examples=150)
+    @given(reference_cases())
+    def test_every_cell_matches_the_reference(self, case):
+        configs, sets, devs, scorers = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = train(sets, devs, configs, scorers=scorers())
+            expected = [reference_train(*cell) for cell in zip(
+                configs, sets, devs, scorers())]
+        for config, result, reference in zip(configs, stacked, expected):
+            history = result.history
+            assert _bits(result.scorer.params, history.train_loss,
+                         history.dev_metric, history.best_epoch,
+                         history.threshold,
+                         None if result.error is None else str(result.error)
+                         ) == _bits(*reference), config
 
 
 class TestGradCheck:

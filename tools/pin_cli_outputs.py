@@ -9,8 +9,8 @@ over all seven loss kinds, `compare --no-none-study` and `ablate` on seeds
 
 A pin is either the sha256 of an exact output or, for what training
 leaves in floats, the output itself:
-- the data file, each CSV with its `seconds` column cut, and each JSON
-  report with its echoed `out` path cut are pinned by sha256;
+- the data file and each results CSV, whole, and each JSON report with
+  its echoed `out` path cut are pinned by sha256;
 - each checkpoint and each `train` report are kept whole, and the test
   compares their floats to a relative 1e-12, because BLAS kernels for
   other CPUs move trained parameters by an ulp or two. Every other value
@@ -24,7 +24,6 @@ A change that moves an output on purpose regenerates the fixture:
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import io
 import json
@@ -64,12 +63,9 @@ def _report_digest(report: dict) -> str:
                               sort_keys=True))
 
 
-def _csv_digest(path: str) -> str:
-    """sha256 of a results CSV without its `seconds` column."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    cut = rows[0].index("seconds")
-    return _digest("\n".join(",".join(row[:cut] + row[cut + 1:]) for row in rows))
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def session(workdir: str) -> dict:
@@ -82,8 +78,7 @@ def session(workdir: str) -> dict:
     data = path("data.jsonl")
     digests["gen-data"] = _report_digest(_run(
         ["gen-data", *_SIZE, "--fn-rate", "0.1", "--seed", "3", "--out", data]))
-    with open(data, encoding="utf-8") as handle:
-        digests["data.jsonl"] = _digest(handle.read())
+    digests["data.jsonl"] = _file_digest(data)
     for kind, gamma in _CHECKPOINT_LOSSES:
         model = path(f"{kind}.json")
         report = _run(["train", "--data", data, "--loss", kind, "--gamma", gamma,
@@ -110,7 +105,7 @@ def session(workdir: str) -> dict:
             ("ablate", ["ablate", "--gamma", "0.05"])):
         rows = path(f"{name}.csv")
         digests[name] = _report_digest(_run(argv + suite + ["--out", rows]))
-        digests[f"{name}.csv"] = _csv_digest(rows)
+        digests[f"{name}.csv"] = _file_digest(rows)
     digests["consistency"] = _report_digest(_run(
         ["consistency", "--trials", "20", "--k", "3", "--iters", "400",
          "--seed", "7"]))
